@@ -20,6 +20,7 @@ from .estimate import (
 from .fitting import FitResult, fit_duration_model, fit_weibull_mixture
 from .ingest import (
     OutageDataset,
+    OutageEvent,
     ParseIssue,
     Provenance,
     RawRecord,
@@ -53,7 +54,6 @@ from .resilience import (
 )
 from .simulate import (
     MonteCarloRates,
-    OutageEvent,
     SamplePath,
     build_path,
     mean_paths,

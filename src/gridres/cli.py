@@ -1,10 +1,12 @@
 """Command line interface.
 
 gridres <ingest|fit|test|simulate|resilience|reconstruct> with global
---seed/--config/--out.  Option precedence is flags, then the JSON config
-file (per-command section first, then top level), then built-in defaults;
-the effective configuration is echoed into every JSON report.  Outputs are
-byte-identical across reruns with the same inputs, seed and thread count.
+--seed/--config/--out, each option declared once in OPTIONS.  Precedence
+is flags, then the JSON config file (per-command section first, then top
+level), then built-in defaults; a config value passes its flag's checks.
+Every option's resolved value is echoed into the command's JSON report.
+Outputs are byte-identical across reruns with the same inputs, seed and
+thread count.
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 numerical
 non-convergence (partial results are still written, flagged).
@@ -13,8 +15,10 @@ non-convergence (partial results are still written, flagged).
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,81 +75,153 @@ def _parse_when(text: str, zone: timezone) -> datetime:
     return ts
 
 
-def _parse_floats(text: str, name: str) -> tuple[float, ...]:
+def _parse_list(text: str, name: str, kind: type = float) -> tuple:
     try:
-        return tuple(float(x) for x in str(text).split(","))
+        return tuple(kind(x) for x in text.split(","))
     except ValueError:
-        raise CliError(f"bad {name} {text!r}; expected comma-separated numbers") from None
+        raise CliError(f"bad {name} {text!r}; expected comma-separated {kind.__name__}s") from None
 
 
-def _parse_ints(text: str, name: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in str(text).split(","))
-    except ValueError:
-        raise CliError(f"bad {name} {text!r}; expected comma-separated integers") from None
+class Opt(NamedTuple):
+    """One option: flag ``--name`` (dashes for underscores), config key ``name``."""
+
+    name: str
+    type: Callable[[str], object] = str
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    help: str = ""
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
 
 
-_GLOBAL_KEYS = ("seed", "out")
-_COMMAND_KEYS = {
-    "ingest": ("input", "window_start", "window_end", "resolution",
-               "group_rule", "zone", "delimiter"),
-    "fit": ("dataset", "boundaries", "components", "tau", "bin", "tol",
-            "max_iter", "starts"),
-    "test": ("dataset", "model", "intervals", "alpha"),
-    "simulate": ("model", "replicas", "horizon", "grid_step", "save_events",
-                 "surge_base", "surge_peak", "surge_end"),
-    "resilience": ("model", "dataset", "weights", "grid_step", "grid_max",
-                   "smoothing", "d0"),
-    "reconstruct": ("model", "mode", "grid_step", "quad_step"),
+GLOBAL_OPTIONS = (
+    Opt("seed", int, 0, help="root random seed"),
+    Opt("out", str, ".", help="output directory"),
+)
+# each command's options; comma lists stay text and are parsed by the command
+OPTIONS = {
+    "ingest": (
+        Opt("input", required=True, help="raw outage records, delimited text"),
+        Opt("window_start", required=True, help="window start, ISO-8601, inclusive"),
+        Opt("window_end", required=True, help="window end, ISO-8601, exclusive"),
+        Opt("resolution", int, 1, help="dependent-failure bucket, minutes"),
+        Opt("group_rule", str, "max", choices=("max", "first", "mean"),
+            help="duration kept for a bucket"),
+        Opt("zone", str, DEFAULT_ZONE.tzname(None).removeprefix("UTC"),
+            help="zone of naive timestamps, +HH:MM"),
+        Opt("delimiter", help="field separator (default tab if the header has one, else comma)"),
+    ),
+    "fit": (
+        Opt("dataset", required=True, help="dataset.csv from ingest"),
+        Opt("boundaries", required=True, help="failure-time interval edges, hours, comma list"),
+        Opt("components", required=True, help="mixture components per interval, comma list"),
+        Opt("tau", float, 5.0, help="moving-average half-width, hours"),
+        Opt("bin", float, 1.0, help="rate grid step, hours"),
+        Opt("tol", float, 1e-6, help="EM log-likelihood tolerance"),
+        Opt("max_iter", int, 200, help="EM iterations per start"),
+        Opt("starts", int, 5, help="EM starts per interval"),
+    ),
+    "test": (
+        Opt("dataset", required=True, help="dataset.csv from ingest"),
+        Opt("model", required=True, help="model.json from fit"),
+        Opt("intervals", int, 400, help="Pearson test cells"),
+        Opt("alpha", float, 0.05, help="test level"),
+    ),
+    "simulate": (
+        Opt("model", required=True, help="model.json from fit"),
+        Opt("replicas", int, 100, help="Monte Carlo replicas"),
+        Opt("horizon", float, help="run length, hours (default the fitted horizon)"),
+        Opt("grid_step", float, 1.0, help="paths.csv grid step, hours"),
+        Opt("save_events", int, 1, help="replicas written to events.csv"),
+        Opt("surge_base", float, help="base failure rate under a surge, per hour"),
+        Opt("surge_peak", float, help="surge failure rate, per hour"),
+        Opt("surge_end", float, help="end of the surge, hours"),
+    ),
+    "resilience": (
+        Opt("model", required=True, help="model.json from fit"),
+        Opt("dataset", help="dataset.csv whose failure times weight the intervals"),
+        Opt("weights", help="interval weights, comma list"),
+        Opt("grid_step", float, 0.25, help="curve grid step, hours"),
+        Opt("grid_max", float, help="curve extent, hours (default 1.2 x the longest duration)"),
+        Opt("smoothing", int, 5, help="moving-average width of the curve"),
+        Opt("d0", float, help="threshold override, skips the knee search"),
+    ),
+    "reconstruct": (
+        Opt("model", required=True, help="model.json from fit"),
+        Opt("mode", str, "both", choices=("piecewise", "stationary", "both"),
+            help="duration model behind the curve"),
+        Opt("grid_step", float, 1.0, help="nhat.csv grid step, hours"),
+        Opt("quad_step", float, 0.05, help="quadrature cell, hours"),
+    ),
+}
+SUMMARIES = {
+    "ingest": "parse raw outage records into a dataset",
+    "fit": "estimate the failure intensity and duration mixtures",
+    "test": "Pearson NHPP test plus QQ diagnostics",
+    "simulate": "Monte Carlo outage sample paths",
+    "resilience": "resilience curve and threshold",
+    "reconstruct": "rebuild the expected outage curve",
 }
 
 
-class Settings:
-    """Flag > config file (per-command section, then top level) > default."""
+def load_config(path: str | None) -> dict:
+    """The JSON config file, with every key checked against the option table."""
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read config: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise CliError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise CliError("config must be a JSON object")
+    names = {o.name for opts in (GLOBAL_OPTIONS, *OPTIONS.values()) for o in opts}
+    for key, value in cfg.items():
+        if key in OPTIONS:
+            if not isinstance(value, dict):
+                raise CliError(f"config section {key!r} must be an object")
+            bad = sorted(set(value) - {o.name for o in OPTIONS[key]})
+            if bad:
+                raise CliError(
+                    f"unknown config keys in section {key!r}: {', '.join(bad)}"
+                )
+        elif key not in names:
+            raise CliError(f"unknown config key {key!r}")
+    return cfg
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg: dict = {}
-        if args.config:
-            try:
-                with open(args.config) as fh:
-                    self.cfg = json.load(fh)
-            except OSError as exc:
-                raise CliError(f"cannot read config: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise CliError(f"config is not valid JSON: {exc}") from None
-            if not isinstance(self.cfg, dict):
-                raise CliError("config must be a JSON object")
-        known_flat = set(_GLOBAL_KEYS).union(*_COMMAND_KEYS.values())
-        for key, value in self.cfg.items():
-            if key in _COMMAND_KEYS:
-                if not isinstance(value, dict):
-                    raise CliError(f"config section {key!r} must be an object")
-                bad = sorted(set(value) - set(_COMMAND_KEYS[key]))
-                if bad:
-                    raise CliError(
-                        f"unknown config keys in section {key!r}: {', '.join(bad)}"
-                    )
-            elif key not in known_flat:
-                raise CliError(f"unknown config key {key!r}")
-        section = self.cfg.get(args.command, {})
-        self.section = section if isinstance(section, dict) else {}
 
-    def get(self, name: str, default=None):
-        v = getattr(self.args, name, None)
-        if v is not None:
-            return v
-        if name in self.section:
-            return self.section[name]
-        if name in self.cfg and not isinstance(self.cfg[name], dict):
-            return self.cfg[name]
-        return default
+def resolve_options(opts: tuple[Opt, ...], args: argparse.Namespace, cfg: dict) -> dict:
+    """Flag > config file (per-command section, then top level) > default.
 
-    def require(self, name: str):
-        v = self.get(name)
-        if v is None:
-            raise CliError(f"--{name.replace('_', '-')} is required")
-        return v
+    A config value passes the same type and choice checks as the flag.
+    """
+    section = cfg.get(args.command, {})
+    values = {}
+    for opt in opts:
+        raw = next((v for v in (getattr(args, opt.name), section.get(opt.name),
+                                cfg.get(opt.name)) if v is not None), None)
+        if raw is None:
+            if opt.required:
+                raise CliError(f"{opt.flag} is required")
+            values[opt.name] = opt.default
+            continue
+        if isinstance(raw, (dict, list)):
+            raise CliError(f"bad {opt.flag} value {raw!r}; expected a string or number")
+        try:
+            value = opt.type(str(raw))
+        except ValueError:
+            raise CliError(f"bad {opt.flag} value {raw!r}") from None
+        if opt.choices is not None and value not in opt.choices:
+            raise CliError(
+                f"bad {opt.flag} value {raw!r}; expected one of {', '.join(opt.choices)}"
+            )
+        values[opt.name] = value
+    return values
 
 
 def _grid(limit: float, step: float) -> np.ndarray:
@@ -158,36 +234,29 @@ def _grid(limit: float, step: float) -> np.ndarray:
     return g
 
 
-def cmd_ingest(st: Settings, out: Path) -> int:
-    zone = _parse_zone(str(st.get("zone", "-05:00")))
-    start = _parse_when(str(st.require("window_start")), zone)
-    end = _parse_when(str(st.require("window_end")), zone)
-    resolution = int(st.get("resolution", 1))
-    rule = str(st.get("group_rule", "max"))
-    input_path = str(st.require("input"))
+def cmd_ingest(o: dict, out: Path) -> int:
+    zone = _parse_zone(o["zone"])
+    start = _parse_when(o["window_start"], zone)
+    end = _parse_when(o["window_end"], zone)
     try:
-        text = Path(input_path).read_text()
+        text = Path(o["input"]).read_text()
     except OSError as exc:
         raise CliError(f"cannot read input: {exc}") from None
     dataset, issues = ingest_pipeline(
-        text, start, end, resolution_minutes=resolution, rule=rule, zone=zone,
-        delimiter=st.get("delimiter"),
+        text, start, end, resolution_minutes=o["resolution"], rule=o["group_rule"],
+        zone=zone, delimiter=o["delimiter"],
     )
     prov = dataset.provenance
     if prov.raw == 0:
         raise CliError("empty input: no data rows")
-    effective = {
-        "command": "ingest", "input": input_path, "zone": str(st.get("zone", "-05:00")),
-        "window_start": start.isoformat(), "window_end": end.isoformat(),
-        "resolution": resolution, "group_rule": rule, "out": str(out),
-    }
     write_dataset(out / "dataset.csv", dataset)
     write_report(out / "provenance.json", {
         "counts": prov.as_dict(),
         "consistent": prov.consistent(),
         "issues": [{"line": i.line, "reason": i.reason} for i in issues],
         "origin": start.isoformat(),
-        "effective_config": effective,
+        "effective_config": {**o, "window_start": start.isoformat(),
+                             "window_end": end.isoformat()},
     })
     print(
         f"ingest: raw={prov.raw} window_dropped={prov.window_dropped} "
@@ -197,30 +266,21 @@ def cmd_ingest(st: Settings, out: Path) -> int:
     return 0
 
 
-def cmd_fit(st: Settings, out: Path, seed: int) -> int:
-    dataset = read_dataset(str(st.require("dataset")))
-    boundaries = _parse_floats(st.require("boundaries"), "boundaries")
-    components = _parse_ints(st.require("components"), "components")
-    tau = float(st.get("tau", 5.0))
-    bin_width = float(st.get("bin", 1.0))
-    tol = float(st.get("tol", 1e-6))
-    max_iter = int(st.get("max_iter", 200))
-    starts = int(st.get("starts", 5))
+def cmd_fit(o: dict, out: Path) -> int:
+    dataset = read_dataset(o["dataset"])
+    boundaries = _parse_list(o["boundaries"], "boundaries")
+    components = _parse_list(o["components"], "components", int)
     times = dataset.times()
     durations = dataset.durations()
-    est = estimate_rate(times, window=tau, bin_width=bin_width, horizon=boundaries[-1])
+    est = estimate_rate(times, window=o["tau"], bin_width=o["bin"], horizon=boundaries[-1])
     model, fits = fit_duration_model(
         times, durations, boundaries, components,
-        seed=seed, tol=tol, max_iter=max_iter, n_starts=starts,
+        seed=o["seed"], tol=o["tol"], max_iter=o["max_iter"], n_starts=o["starts"],
         threads=max_threads(),
     )
     partial = not all(f.converged for f in fits)
-    effective = {
-        "command": "fit", "dataset": str(st.require("dataset")),
-        "boundaries": list(boundaries), "components": list(components),
-        "tau": tau, "bin": bin_width, "tol": tol, "max_iter": max_iter,
-        "starts": starts, "seed": seed, "out": str(out), "partial": partial,
-    }
+    effective = {**o, "boundaries": list(boundaries), "components": list(components),
+                 "partial": partial}
     save_model(out / "model.json", est.to_rate_function(), model, fits=fits, config=effective)
     for i, f in enumerate(fits):
         state = "converged" if f.converged else "NOT CONVERGED"
@@ -235,19 +295,12 @@ def cmd_fit(st: Settings, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_test(st: Settings, out: Path) -> int:
-    dataset = read_dataset(str(st.require("dataset")))
-    rate, _model, _payload = load_model(str(st.require("model")))
-    intervals = int(st.get("intervals", 400))
-    alpha = float(st.get("alpha", 0.05))
+def cmd_test(o: dict, out: Path) -> int:
+    dataset = read_dataset(o["dataset"])
+    rate, _model, _payload = load_model(o["model"])
     times = dataset.times()
-    result = pearson_nhpp_test(times, rate, n_intervals=intervals, alpha=alpha)
+    result = pearson_nhpp_test(times, rate, n_intervals=o["intervals"], alpha=o["alpha"])
     theo, emp = qq_points(times, rate)
-    effective = {
-        "command": "test", "dataset": str(st.require("dataset")),
-        "model": str(st.require("model")), "intervals": intervals,
-        "alpha": alpha, "out": str(out),
-    }
     write_report(out / "gof.json", {
         "chi_square": result.chi_square,
         "dof": result.dof,
@@ -260,26 +313,25 @@ def cmd_test(st: Settings, out: Path) -> int:
         "expected": list(result.expected),
         "pooled_observed": list(result.pooled_observed),
         "pooled_expected": list(result.pooled_expected),
-        "effective_config": effective,
+        "effective_config": o,
     })
     write_table(out / "qq.csv", ["exp1_quantile", "rescaled_gap"], zip(theo, emp))
     verdict = "rejected" if result.rejected else "not rejected"
-    print(f"test: {result.triple()} -> NHPP hypothesis {verdict} at alpha={alpha:g}")
+    print(f"test: {result.triple()} -> NHPP hypothesis {verdict} at alpha={o['alpha']:g}")
     return 0
 
 
-def cmd_simulate(st: Settings, out: Path, seed: int) -> int:
-    rate, model, _payload = load_model(str(st.require("model")))
-    replicas = int(st.get("replicas", 100))
+def cmd_simulate(o: dict, out: Path) -> int:
+    rate, model, _payload = load_model(o["model"])
+    replicas = o["replicas"]
     if replicas < 1:
         raise CliError("replicas must be >= 1")
-    surge_args = [st.get("surge_base"), st.get("surge_peak"), st.get("surge_end")]
-    horizon = st.get("horizon")
-    horizon = float(horizon) if horizon is not None else rate.horizon
+    surge_args = [o["surge_base"], o["surge_peak"], o["surge_end"]]
+    horizon = o["horizon"] if o["horizon"] is not None else rate.horizon
     if any(a is not None for a in surge_args):
         if any(a is None for a in surge_args):
             raise CliError("--surge-base, --surge-peak and --surge-end go together")
-        base, peak, t1 = (float(a) for a in surge_args)
+        base, peak, t1 = surge_args
         spec = SurgeSpec(
             base_rate=base,
             surge_rate=RateFunction.constant(peak, max(t1, horizon)),
@@ -291,88 +343,72 @@ def cmd_simulate(st: Settings, out: Path, seed: int) -> int:
         if horizon < last_knot:
             raise CliError(f"horizon {horizon} cannot truncate the fitted rate (last knot {last_knot})")
         rate = RateFunction(knots=rate.knots, horizon=horizon)
-    grid_step = float(st.get("grid_step", 1.0))
-    grid = _grid(horizon, grid_step)
+    grid = _grid(horizon, o["grid_step"])
     threads = max_threads()
-    summary = mean_paths(rate, model, grid, replicas, seed, threads=threads)
+    summary = mean_paths(rate, model, grid, replicas, o["seed"], threads=threads)
     write_table(
         out / "paths.csv",
         ["t_hours", "nf_mean", "nf_se", "nr_mean", "nr_se", "n_mean", "n_se"],
         zip(grid, summary["nf_mean"], summary["nf_se"], summary["nr_mean"],
             summary["nr_se"], summary["n_mean"], summary["n_se"]),
     )
-    save_events = int(st.get("save_events", 1))
     rows = []
-    for i in range(min(save_events, replicas)):
-        t, d = simulate_events(rate, model, seed, i)
+    for i in range(min(o["save_events"], replicas)):
+        t, d = simulate_events(rate, model, o["seed"], i)
         rows.extend((i, tt, dd, tt + dd) for tt, dd in zip(t, d))
     write_table(
         out / "events.csv",
         ["replica", "failure_time_hours", "duration_hours", "recovery_time_hours"],
         rows,
     )
-    effective = {
-        "command": "simulate", "model": str(st.require("model")),
-        "replicas": replicas, "horizon": horizon, "grid_step": grid_step,
-        "save_events": save_events, "seed": seed, "threads": threads,
-        "surge_base": surge_args[0], "surge_peak": surge_args[1],
-        "surge_end": surge_args[2], "out": str(out),
-    }
     write_report(out / "summary.json", {
         "mean_total_failures": float(summary["nf_mean"][-1]),
         "mean_total_recoveries": float(summary["nr_mean"][-1]),
         "mean_peak_out": float(summary["n_mean"].max()),
-        "effective_config": effective,
+        "effective_config": {**o, "horizon": horizon, "threads": threads},
     })
     print(f"simulate: {replicas} replicas, mean total failures "
           f"{summary['nf_mean'][-1]:.6g}")
     return 0
 
 
-def cmd_resilience(st: Settings, out: Path) -> int:
-    rate, model, _payload = load_model(str(st.require("model")))
-    dataset_path = st.get("dataset")
-    weights_arg = st.get("weights")
-    if weights_arg is not None:
-        weights = np.asarray(_parse_floats(weights_arg, "weights"))
+def cmd_resilience(o: dict, out: Path) -> int:
+    rate, model, _payload = load_model(o["model"])
+    dataset = None
+    if o["dataset"] is not None and (o["weights"] is None or o["grid_max"] is None):
+        dataset = read_dataset(o["dataset"])
+    if o["weights"] is not None:
+        weights = np.asarray(_parse_list(o["weights"], "weights"))
         source = "explicit"
-    elif dataset_path is not None:
-        dataset = read_dataset(str(dataset_path))
+    elif dataset is not None:
         weights = interval_weights(dataset.times(), model.boundaries)
         source = "dataset"
     else:
         weights = interval_weights(rate, model.boundaries)
         source = "rate"
-    grid_step = float(st.get("grid_step", 0.25))
-    grid_max = st.get("grid_max")
-    if grid_max is None:
-        if dataset_path is not None:
-            grid_max = 1.2 * float(read_dataset(str(dataset_path)).durations().max())
-        else:
+    grid_max = o["grid_max"]
+    if grid_max is None and dataset is not None:
+        grid_max = 1.2 * float(dataset.durations().max())
+    elif grid_max is None:
+        try:
             grid_max = 1.2 * max(m.quantile(0.999) for m in model.mixtures)
-    grid_max = float(grid_max)
-    smoothing = int(st.get("smoothing", 5))
-    curve = resilience_curve(weights, model, _grid(grid_max, grid_step), smoothing)
+        except RuntimeError as exc:
+            raise CliError(f"cannot size the curve from the model ({exc}); "
+                           "give --grid-max") from None
+    curve = resilience_curve(weights, model, _grid(grid_max, o["grid_step"]), o["smoothing"])
     sdd = np.concatenate(([np.nan], curve.second_derivative, [np.nan]))
     write_table(
         out / "curve.csv",
         ["duration_hours", "restored_fraction", "second_derivative"],
         zip(curve.grid, curve.values, sdd),
     )
-    override = st.get("d0")
-    if override is not None:
-        d0 = float(override)
+    if o["d0"] is not None:
+        d0 = o["d0"]
         s_at_d0 = resilience_at(curve.grid, curve.values, d0)
         d0_source = "override"
     else:
         d0, s_at_d0, d0_source = curve.d0, curve.s_at_d0, "curve"
     split = infant_aging_split(model, d0)
-    effective = {
-        "command": "resilience", "model": str(st.require("model")),
-        "dataset": dataset_path, "weights": weights_arg,
-        "grid_step": grid_step, "grid_max": grid_max,
-        "smoothing": smoothing, "d0": override, "out": str(out),
-    }
     write_report(out / "resilience.json", {
         "weights": list(weights),
         "weight_source": source,
@@ -385,46 +421,45 @@ def cmd_resilience(st: Settings, out: Path) -> int:
             {"interval": i, "within_d0": w, "beyond_d0": b}
             for i, (w, b) in enumerate(split)
         ],
-        "effective_config": effective,
+        "effective_config": {**o, "grid_max": grid_max},
     })
     print(f"resilience: d0={d0:g} h s(d0)={s_at_d0:.4f} shape={curve.shape}")
     return 0
 
 
-def cmd_reconstruct(st: Settings, out: Path) -> int:
-    rate, model, _payload = load_model(str(st.require("model")))
-    mode = str(st.get("mode", "both"))
-    if mode not in ("piecewise", "stationary", "both"):
-        raise CliError(f"bad mode {mode!r}; expected piecewise, stationary or both")
-    grid_step = float(st.get("grid_step", 1.0))
-    quad_step = float(st.get("quad_step", 0.05))
-    grid = _grid(rate.horizon, grid_step)
+def cmd_reconstruct(o: dict, out: Path) -> int:
+    rate, model, _payload = load_model(o["model"])
+    mode = o["mode"]
+    grid = _grid(rate.horizon, o["grid_step"])
     header = ["t_hours", "failure_rate"]
     cols = [grid, rate.value(grid)]
     weights = None
     if mode in ("piecewise", "both"):
-        rec = reconstruct(rate, model, grid, quad_step)
+        rec = reconstruct(rate, model, grid, o["quad_step"])
         header += ["recovery_rate_piecewise", "expected_out_piecewise"]
         cols += [rec.recovery_rate, rec.expected_out]
     if mode in ("stationary", "both"):
         weights = interval_weights(rate, model.boundaries)
         flat = DurationModel.stationary(model.collapse(weights), horizon=model.boundaries[-1])
-        rec = reconstruct(rate, flat, grid, quad_step)
+        rec = reconstruct(rate, flat, grid, o["quad_step"])
         header += ["recovery_rate_stationary", "expected_out_stationary"]
         cols += [rec.recovery_rate, rec.expected_out]
     write_table(out / "nhat.csv", header, zip(*cols))
-    effective = {
-        "command": "reconstruct", "model": str(st.require("model")),
-        "mode": mode, "grid_step": grid_step, "quad_step": quad_step,
-        "out": str(out),
-    }
     write_report(out / "reconstruct.json", {
         "mode": mode,
         "stationary_weights": None if weights is None else list(weights),
-        "effective_config": effective,
+        "effective_config": o,
     })
-    print(f"reconstruct: mode={mode} grid=[0, {rate.horizon:g}] step={grid_step:g}")
+    print(f"reconstruct: mode={mode} grid=[0, {rate.horizon:g}] step={o['grid_step']:g}")
     return 0
+
+
+def _add_options(parser: argparse.ArgumentParser, opts: tuple[Opt, ...]) -> None:
+    for opt in opts:
+        note = (" (required)" if opt.required
+                else "" if opt.default is None else f" (default {opt.default})")
+        parser.add_argument(opt.flag, dest=opt.name, type=opt.type,
+                            choices=opt.choices, help=opt.help + note)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,84 +468,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Outage lifecycle modeling: ingest, fit, test, simulate, "
                     "resilience, reconstruct.",
     )
-    p.add_argument("--seed", type=int, default=None, help="root random seed (default 0)")
+    _add_options(p, GLOBAL_OPTIONS)
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--out", default=None, help="output directory (default .)")
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("ingest", help="parse raw outage records into a dataset")
-    s.add_argument("--input")
-    s.add_argument("--window-start", dest="window_start")
-    s.add_argument("--window-end", dest="window_end")
-    s.add_argument("--resolution", type=int)
-    s.add_argument("--group-rule", dest="group_rule", choices=["max", "first", "mean"])
-    s.add_argument("--zone")
-    s.add_argument("--delimiter")
-
-    s = sub.add_parser("fit", help="estimate the failure intensity and duration mixtures")
-    s.add_argument("--dataset")
-    s.add_argument("--boundaries")
-    s.add_argument("--components")
-    s.add_argument("--tau", type=float)
-    s.add_argument("--bin", type=float)
-    s.add_argument("--tol", type=float)
-    s.add_argument("--max-iter", dest="max_iter", type=int)
-    s.add_argument("--starts", type=int)
-
-    s = sub.add_parser("test", help="Pearson NHPP test plus QQ diagnostics")
-    s.add_argument("--dataset")
-    s.add_argument("--model")
-    s.add_argument("--intervals", type=int)
-    s.add_argument("--alpha", type=float)
-
-    s = sub.add_parser("simulate", help="Monte Carlo outage sample paths")
-    s.add_argument("--model")
-    s.add_argument("--replicas", type=int)
-    s.add_argument("--horizon", type=float)
-    s.add_argument("--grid-step", dest="grid_step", type=float)
-    s.add_argument("--save-events", dest="save_events", type=int)
-    s.add_argument("--surge-base", dest="surge_base", type=float)
-    s.add_argument("--surge-peak", dest="surge_peak", type=float)
-    s.add_argument("--surge-end", dest="surge_end", type=float)
-
-    s = sub.add_parser("resilience", help="resilience curve and threshold")
-    s.add_argument("--model")
-    s.add_argument("--dataset")
-    s.add_argument("--weights")
-    s.add_argument("--grid-step", dest="grid_step", type=float)
-    s.add_argument("--grid-max", dest="grid_max", type=float)
-    s.add_argument("--smoothing", type=int)
-    s.add_argument("--d0", type=float, help="threshold override, skips the knee search")
-
-    s = sub.add_parser("reconstruct", help="rebuild the expected outage curve")
-    s.add_argument("--model")
-    s.add_argument("--mode", choices=["piecewise", "stationary", "both"])
-    s.add_argument("--grid-step", dest="grid_step", type=float)
-    s.add_argument("--quad-step", dest="quad_step", type=float)
-
+    for command, opts in OPTIONS.items():
+        _add_options(sub.add_parser(command, help=SUMMARIES[command]), opts)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        st = Settings(args)
-        out = Path(str(st.get("out", ".")))
+        cfg = load_config(args.config)
+        top = resolve_options(GLOBAL_OPTIONS, args, cfg)
+        out = Path(top["out"])
+        # the command's resolved options, echoed as its effective configuration
+        o = {"command": args.command, "out": str(out),
+             **resolve_options(OPTIONS[args.command], args, cfg)}
+        if args.command in ("fit", "simulate"):  # the commands that draw random numbers
+            o["seed"] = top["seed"]
         out.mkdir(parents=True, exist_ok=True)
-        seed = int(st.get("seed", 0))
-        if args.command == "ingest":
-            return cmd_ingest(st, out)
-        if args.command == "fit":
-            return cmd_fit(st, out, seed)
-        if args.command == "test":
-            return cmd_test(st, out)
-        if args.command == "simulate":
-            return cmd_simulate(st, out, seed)
-        if args.command == "resilience":
-            return cmd_resilience(st, out)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(st, out)
-        raise CliError(f"unknown command {args.command!r}")
+        # looked up at call time, so a wrapper set on this module's cmd_* applies
+        return globals()[f"cmd_{args.command}"](o, out)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .fitting import FitResult
-from .ingest import OutageDataset, Provenance
+from .ingest import OutageDataset, OutageEvent, Provenance
 from .rates import RateFunction
-from .simulate import OutageEvent
 from .weibull import DurationModel, WeibullMixture
 
 __all__ = [

@@ -16,13 +16,12 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .simulate import OutageEvent
-
 __all__ = [
     "DEFAULT_ZONE",
     "RawRecord",
     "ParseIssue",
     "Provenance",
+    "OutageEvent",
     "OutageDataset",
     "parse_records",
     "filter_window",
@@ -86,6 +85,18 @@ class Provenance:
             "negative_dropped": self.negative_dropped,
             "emitted": self.emitted,
         }
+
+
+@dataclass(frozen=True)
+class OutageEvent:
+    """One outage: failure time and restoration duration, both in hours."""
+
+    time: float
+    duration: float
+
+    @property
+    def recovery_time(self) -> float:
+        return self.time + self.duration
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,9 @@ from .rates import RateFunction
 from .weibull import DurationModel
 
 __all__ = [
-    "OutageEvent",
     "SamplePath",
     "MonteCarloRates",
     "replica_rng",
-    "max_threads",
     "sample_nhpp",
     "sample_durations",
     "simulate_events",
@@ -30,18 +28,6 @@ __all__ = [
     "monte_carlo_recovery_rate",
     "mean_paths",
 ]
-
-
-@dataclass(frozen=True)
-class OutageEvent:
-    """One outage: failure time and restoration duration, both in hours."""
-
-    time: float
-    duration: float
-
-    @property
-    def recovery_time(self) -> float:
-        return self.time + self.duration
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:

@@ -195,9 +195,6 @@ class DurationModel:
         idx = np.clip(idx, 0, self.n_intervals - 1)
         return int(idx[0]) if np.isscalar(t) else idx
 
-    def mixture_at(self, t: float) -> WeibullMixture:
-        return self.mixtures[self.interval_index(float(t))]
-
     def pdf(self, d, at):
         """Duration density g(d | failure at time `at`).
 

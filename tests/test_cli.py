@@ -1,5 +1,6 @@
 """Command line runs end to end: pipeline products, determinism, exit codes."""
 
+import argparse
 import importlib
 import json
 import os
@@ -14,7 +15,8 @@ import pytest
 
 import gridres
 from gridres import DurationModel, RateFunction, WeibullMixture
-from gridres.cli import main
+from gridres import cli
+from gridres.cli import build_parser, main
 from gridres.fileio import save_model
 
 from conftest import WINDOW_END, WINDOW_START, make_raw_csv
@@ -84,6 +86,15 @@ EXPECTED_FILES = (
     "paths.csv", "events.csv", "summary.json", "curve.csv", "resilience.json",
     "nhat.csv", "reconstruct.json",
 )
+# each command's JSON report and the key its effective configuration sits under
+REPORTS = {
+    "ingest": ("provenance.json", "effective_config"),
+    "fit": ("model.json", "config"),
+    "test": ("gof.json", "effective_config"),
+    "simulate": ("summary.json", "effective_config"),
+    "resilience": ("resilience.json", "effective_config"),
+    "reconstruct": ("reconstruct.json", "effective_config"),
+}
 
 
 class TestPipeline:
@@ -174,6 +185,15 @@ class TestPipeline:
         assert cols["expected_out_piecewise"][0] == 0.0
         assert np.all(cols["expected_out_piecewise"] >= 0.0)
         assert np.all(cols["expected_out_stationary"] >= 0.0)
+
+    def test_every_option_echoed(self, pipeline):
+        out, _ = pipeline
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command, (name, key) in REPORTS.items():
+            dests = {a.dest for a in sub.choices[command]._actions} - {"help"}
+            echoed = json.loads((out / name).read_text())[key]
+            assert dests <= set(echoed), (command, sorted(dests - set(echoed)))
 
     def test_rerun_is_byte_identical(self, pipeline):
         out, commands = pipeline
@@ -279,6 +299,23 @@ class TestConfigPrecedence:
                    "simulate", "--model", str(tiny_model)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "replicas", 2.7),
+        ("ingest", "group_rule", "median"),
+    ])
+    def test_config_value_checked_like_flag(self, command, key, value, tiny_model,
+                                            workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({command: {key: value}}))
+        required = {
+            "simulate": ["--model", str(tiny_model)],
+            "ingest": ["--input", str(workspace / "raw.csv"),
+                       "--window-start", WINDOW_START, "--window-end", WINDOW_END],
+        }[command]
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "x"), command] + required)
+        assert rc == 2
+        assert "--" + key.replace("_", "-") in capsys.readouterr().err
+
     def test_config_must_be_json(self, tiny_model, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("grid_step: 4")
@@ -325,6 +362,16 @@ class TestExitCodes:
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "x"),
                    "reconstruct", "--model", str(tiny_model)])
         assert rc == 2
+
+    def test_unbracketed_quantile_asks_for_grid_max(self, tmp_path, capsys):
+        # shape 0.05 puts the 0.999 quantile past the bracket search's reach
+        path = tmp_path / "m.json"
+        mix = WeibullMixture(components=((1.0, 1.0, 0.05),))
+        save_model(path, RateFunction.constant(3.0, 12.0),
+                   DurationModel.stationary(mix, horizon=12.0))
+        rc = main(["--out", str(tmp_path / "x"), "resilience", "--model", str(path)])
+        assert rc == 2
+        assert "--grid-max" in capsys.readouterr().err
 
     def test_insufficient_samples(self, tmp_path):
         data = tmp_path / "tiny.csv"
@@ -379,6 +426,21 @@ class TestCommandExtras:
         assert len(report["intervals"]) == 5
         for row in report["intervals"]:
             assert row["within_d0"] + row["beyond_d0"] == pytest.approx(1.0)
+
+    def test_resilience_reads_dataset_once(self, pipeline, tmp_path, monkeypatch):
+        run_out, _ = pipeline
+        read, calls = cli.read_dataset, []
+
+        def counted(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(cli, "read_dataset", counted)
+        rc = main(["--out", str(tmp_path), "resilience",
+                   "--model", str(run_out / "model.json"),
+                   "--dataset", str(run_out / "dataset.csv")])
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_surge_simulation(self, tiny_model, tmp_path):
         out = tmp_path / "surge"
