@@ -224,9 +224,18 @@ def resolve_options(opts: tuple[Opt, ...], args: argparse.Namespace, cfg: dict) 
     return values
 
 
-def _grid(limit: float, step: float) -> np.ndarray:
+_MAX_GRID_POINTS = 10**7
+
+
+def _grid(limit: float, step: float, flags: str) -> np.ndarray:
+    """0, step, 2 step, ..., then limit; `flags` name step and limit in errors."""
+    if not (np.isfinite(step) and np.isfinite(limit)):
+        raise CliError(f"{flags}: grid step and extent must be finite")
     if step <= 0.0 or limit <= 0.0:
-        raise CliError("grid step and extent must be positive")
+        raise CliError(f"{flags}: grid step and extent must be positive")
+    if limit / step > _MAX_GRID_POINTS:
+        raise CliError(f"{flags}: a grid of {limit / step:.3g} points exceeds the "
+                       f"limit of {_MAX_GRID_POINTS:.0e}")
     n = int(np.floor(limit / step + 1e-9))
     g = np.arange(n + 1, dtype=float) * step
     if g[-1] < limit - 1e-9:
@@ -276,7 +285,6 @@ def cmd_fit(o: dict, out: Path) -> int:
     model, fits = fit_duration_model(
         times, durations, boundaries, components,
         seed=o["seed"], tol=o["tol"], max_iter=o["max_iter"], n_starts=o["starts"],
-        threads=max_threads(),
     )
     partial = not all(f.converged for f in fits)
     effective = {**o, "boundaries": list(boundaries), "components": list(components),
@@ -343,9 +351,8 @@ def cmd_simulate(o: dict, out: Path) -> int:
         if horizon < last_knot:
             raise CliError(f"horizon {horizon} cannot truncate the fitted rate (last knot {last_knot})")
         rate = RateFunction(knots=rate.knots, horizon=horizon)
-    grid = _grid(horizon, o["grid_step"])
-    threads = max_threads()
-    summary = mean_paths(rate, model, grid, replicas, o["seed"], threads=threads)
+    grid = _grid(horizon, o["grid_step"], "--horizon/--grid-step")
+    summary = mean_paths(rate, model, grid, replicas, o["seed"])
     write_table(
         out / "paths.csv",
         ["t_hours", "nf_mean", "nf_se", "nr_mean", "nr_se", "n_mean", "n_se"],
@@ -365,7 +372,7 @@ def cmd_simulate(o: dict, out: Path) -> int:
         "mean_total_failures": float(summary["nf_mean"][-1]),
         "mean_total_recoveries": float(summary["nr_mean"][-1]),
         "mean_peak_out": float(summary["n_mean"].max()),
-        "effective_config": {**o, "horizon": horizon, "threads": threads},
+        "effective_config": {**o, "horizon": horizon, "threads": max_threads()},
     })
     print(f"simulate: {replicas} replicas, mean total failures "
           f"{summary['nf_mean'][-1]:.6g}")
@@ -395,7 +402,8 @@ def cmd_resilience(o: dict, out: Path) -> int:
         except RuntimeError as exc:
             raise CliError(f"cannot size the curve from the model ({exc}); "
                            "give --grid-max") from None
-    curve = resilience_curve(weights, model, _grid(grid_max, o["grid_step"]), o["smoothing"])
+    grid = _grid(grid_max, o["grid_step"], "--grid-max/--grid-step")
+    curve = resilience_curve(weights, model, grid, o["smoothing"])
     sdd = np.concatenate(([np.nan], curve.second_derivative, [np.nan]))
     write_table(
         out / "curve.csv",
@@ -430,7 +438,7 @@ def cmd_resilience(o: dict, out: Path) -> int:
 def cmd_reconstruct(o: dict, out: Path) -> int:
     rate, model, _payload = load_model(o["model"])
     mode = o["mode"]
-    grid = _grid(rate.horizon, o["grid_step"])
+    grid = _grid(rate.horizon, o["grid_step"], "--grid-step")
     header = ["t_hours", "failure_rate"]
     cols = [grid, rate.value(grid)]
     weights = None

@@ -115,7 +115,6 @@ def save_model(
         "rate": {"knots": [list(k) for k in rate.knots], "horizon": rate.horizon},
         "durations": {
             "boundaries": list(model.boundaries),
-            "tail_policy": model.tail_policy,
             "mixtures": [
                 _mixture_payload(m, fits[i] if fits else None)
                 for i, m in enumerate(model.mixtures)
@@ -135,6 +134,9 @@ def load_model(path) -> tuple[RateFunction, DurationModel, dict]:
             horizon=float(payload["rate"]["horizon"]),
         )
         dur = payload["durations"]
+        # files from before the key was dropped carry its one value
+        if dur.get("tail_policy", "nearest") != "nearest":
+            raise ValueError(f"{path}: unknown tail policy {dur['tail_policy']!r}")
         model = DurationModel(
             boundaries=tuple(float(b) for b in dur["boundaries"]),
             mixtures=tuple(
@@ -143,7 +145,6 @@ def load_model(path) -> tuple[RateFunction, DurationModel, dict]:
                 )
                 for m in dur["mixtures"]
             ),
-            tail_policy=dur.get("tail_policy", "nearest"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .parallel import run_indexed
-from .weibull import DurationModel, WeibullMixture
+from .weibull import DurationModel, WeibullMixture, interval_of
 
 __all__ = ["FitResult", "fit_weibull_mixture", "fit_duration_model", "ZERO_DURATION_SHIFT"]
 
@@ -210,7 +210,6 @@ def fit_weibull_mixture(
     tol: float = 1e-6,
     max_iter: int = 200,
     n_starts: int = 5,
-    threads: int | None = None,
 ) -> FitResult:
     """Fit a Weibull mixture to durations (hours) by multi-start EM.
 
@@ -260,7 +259,7 @@ def fit_weibull_mixture(
             history=tuple(history),
         )
 
-    results = run_indexed(max(1, n_starts), one_start, threads)
+    results = run_indexed(max(1, n_starts), one_start)
     best = results[0]
     for r in results[1:]:
         if r.log_likelihood > best.log_likelihood:
@@ -277,7 +276,6 @@ def fit_duration_model(
     tol: float = 1e-6,
     max_iter: int = 200,
     n_starts: int = 5,
-    threads: int | None = None,
 ) -> tuple[DurationModel, tuple[FitResult, ...]]:
     """Fit one mixture per failure-time interval.
 
@@ -297,7 +295,7 @@ def fit_duration_model(
         raise ValueError(f"{len(b) - 1} intervals but {len(counts)} component counts")
     if np.any(t < b[0]) or np.any(t >= b[-1]):
         raise ValueError("boundaries must cover all failure times")
-    idx = np.clip(np.searchsorted(b, t, side="right") - 1, 0, len(counts) - 1)
+    idx = interval_of(b, t)
     for i, c in enumerate(counts):
         n_i = int((idx == i).sum())
         if n_i < 5 * c:
@@ -308,12 +306,9 @@ def fit_duration_model(
     fits = []
     for i, c in enumerate(counts):
         child = int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
-        fits.append(
-            fit_weibull_mixture(
-                d[idx == i], c, seed=child, tol=tol, max_iter=max_iter,
-                n_starts=n_starts, threads=threads,
-            )
-        )
+        fits.append(fit_weibull_mixture(
+            d[idx == i], c, seed=child, tol=tol, max_iter=max_iter, n_starts=n_starts,
+        ))
     model = DurationModel(
         boundaries=tuple(float(x) for x in b),
         mixtures=tuple(f.mixture for f in fits),

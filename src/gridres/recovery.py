@@ -35,13 +35,22 @@ __all__ = [
 DEFAULT_QUAD_STEP = 0.05
 
 
-def _knot_times(rate: RateFunction) -> tuple[float, ...]:
-    return tuple(t for t, _ in rate.knots)
-
-
-def _with_cuts(grid: np.ndarray, cuts) -> np.ndarray:
-    lo, hi = grid[0], grid[-1]
-    inner = [c for c in cuts if lo < c < hi]
+def _cell_edges(rate: RateFunction, model: DurationModel, t: float, quad_step: float,
+                lag: bool = False) -> np.ndarray | None:
+    """Edges of round(t / quad_step) equal cells on [0, t] (None at t = 0),
+    plus the rate's knots and the model's boundaries, or their lags t - c,
+    so the intensity is linear and one mixture governs in every cell."""
+    if t < 0.0 or t > rate.horizon + 1e-9:
+        raise ValueError("t must lie in [0, rate horizon]")
+    if quad_step <= 0.0:
+        raise ValueError("quad_step must be positive")
+    if t == 0.0:
+        return None
+    grid = np.linspace(0.0, t, max(1, int(round(t / quad_step))) + 1)
+    cuts = [kt for kt, _ in rate.knots] + list(model.boundaries)
+    if lag:
+        cuts = [t - c for c in cuts]
+    inner = [c for c in cuts if 0.0 < c < t]
     if not inner:
         return grid
     return np.unique(np.concatenate([grid, np.asarray(inner, dtype=float)]))
@@ -65,16 +74,9 @@ def recovery_rate(
     blow-up of infant components (shape < 1) at zero lag.
     """
     t = float(t)
-    if t < 0.0 or t > rate.horizon + 1e-9:
-        raise ValueError("t must lie in [0, rate horizon]")
-    if quad_step <= 0.0:
-        raise ValueError("quad_step must be positive")
-    if t == 0.0:
+    grid = _cell_edges(rate, model, t, quad_step, lag=True)
+    if grid is None:
         return 0.0
-    n = max(1, int(round(t / quad_step)))
-    grid = np.linspace(0.0, t, n + 1)
-    cuts = [t - kt for kt in _knot_times(rate)] + [t - b for b in model.boundaries]
-    grid = _with_cuts(grid, cuts)
     s_mid = t - 0.5 * (grid[1:] + grid[:-1])
     lo = model.cdf(grid[:-1], at=s_mid)
     hi = model.cdf(grid[1:], at=s_mid)
@@ -94,17 +96,11 @@ def recovery_rate_curve(
 
 
 def _forward_quad(rate, model, t, quad_step, integrand):
-    if t < 0.0 or t > rate.horizon + 1e-9:
-        raise ValueError("t must lie in [0, rate horizon]")
-    if quad_step <= 0.0:
-        raise ValueError("quad_step must be positive")
-    if t == 0.0:
+    """Trapezoid rule for integrand(s) over the failure time s in [0, t]."""
+    grid = _cell_edges(rate, model, t, quad_step)
+    if grid is None:
         return 0.0
-    n = max(1, int(round(t / quad_step)))
-    grid = np.linspace(0.0, t, n + 1)
-    grid = _with_cuts(grid, list(_knot_times(rate)) + list(model.boundaries))
-    vals = integrand(grid)
-    return float(np.trapezoid(vals, grid))
+    return float(np.trapezoid(integrand(grid), grid))
 
 
 def expected_recovered(

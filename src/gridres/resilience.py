@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import RateFunction
-from .weibull import DurationModel
+from .weibull import DurationModel, interval_of
 
 __all__ = [
     "interval_weights",
@@ -32,8 +32,8 @@ def interval_weights(source, boundaries) -> np.ndarray:
 
     source is either an intensity (weights are its normalized integrals
     over the intervals) or an array of failure times (empirical fractions,
-    with out-of-range times clamped into the end intervals, matching the
-    duration-model tail policy).
+    with out-of-range times clamped into the end intervals, as
+    DurationModel.interval_index does).
     """
     b = np.asarray(boundaries, dtype=float)
     if len(b) < 2 or np.any(np.diff(b) <= 0.0):
@@ -47,7 +47,7 @@ def interval_weights(source, boundaries) -> np.ndarray:
     t = np.asarray(source, dtype=float)
     if t.ndim != 1 or len(t) == 0:
         raise ValueError("need a nonempty array of failure times")
-    idx = np.clip(np.searchsorted(b, t, side="right") - 1, 0, len(b) - 2)
+    idx = interval_of(b, t)
     counts = np.bincount(idx, minlength=len(b) - 1).astype(float)
     return counts / counts.sum()
 

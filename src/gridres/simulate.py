@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import max_threads, run_indexed
+from .parallel import run_indexed
 from .rates import RateFunction
-from .weibull import DurationModel
+from .weibull import DurationModel, WeibullMixture
 
 __all__ = [
     "SamplePath",
@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# expected thinning candidates per replica (peak x horizon) allowed
+_MAX_CANDIDATES = 1e7
+
+
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
     """Generator for one replica, split off the root seed by index."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replica,))
@@ -41,6 +45,11 @@ def sample_nhpp(rate: RateFunction, rng: np.random.Generator) -> np.ndarray:
     peak = rate.peak
     if peak == 0.0:
         return np.empty(0)
+    if peak * rate.horizon > _MAX_CANDIDATES:
+        raise ValueError(
+            f"thinning would draw about {peak * rate.horizon:.3g} candidates "
+            f"(peak {peak:g}/h over {rate.horizon:g} h); the limit is {_MAX_CANDIDATES:g}"
+        )
     n_cand = rng.poisson(peak * rate.horizon)
     if n_cand == 0:
         return np.empty(0)
@@ -63,21 +72,9 @@ def sample_durations(
     result is independent of how events split across intervals.
     """
     t = np.asarray(times, dtype=float)
-    n = len(t)
-    if n == 0:
-        return np.empty(0)
-    u_comp = rng.random(n)
-    u_dur = rng.random(n)
-    idx = model.interval_index(t)
-    out = np.empty(n)
-    for i in np.unique(idx):
-        m = idx == i
-        mix = model.mixtures[i]
-        edges = np.cumsum(mix.weights)
-        comp = np.searchsorted(edges, u_comp[m], side="right")
-        comp = np.clip(comp, 0, mix.n_components - 1)
-        out[m] = mix.scales[comp] * (-np.log1p(-u_dur[m])) ** (1.0 / mix.shapes[comp])
-    return out
+    u_comp = rng.random(len(t))
+    u_dur = rng.random(len(t))
+    return model.by_interval(WeibullMixture.from_uniforms, t, u_comp, u_dur)
 
 
 def simulate_events(
@@ -157,27 +154,25 @@ def monte_carlo_recovery_rate(
     edges,
     replicas: int,
     seed: int,
-    threads: int | None = None,
 ) -> MonteCarloRates:
     """Empirical recovery intensity, binned on `edges`, across replicas.
 
     At least 100 replicas are required for the standard errors to mean
-    anything.  Aggregation runs in replica-index order regardless of the
-    thread count, so output is reproducible bit for bit.
+    anything.  Aggregation runs in replica-index order whatever
+    GRIDRES_THREADS is, so output is reproducible bit for bit.
     """
     edges = np.asarray(edges, dtype=float)
     if len(edges) < 2 or np.any(np.diff(edges) <= 0.0):
         raise ValueError("edges must be increasing with at least one bin")
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
-    threads = max_threads() if threads is None else threads
 
     def one(i: int) -> np.ndarray:
         times, durations = simulate_events(rate, model, seed, i)
         counts, _ = np.histogram(times + durations, bins=edges)
         return counts.astype(float)
 
-    rows = run_indexed(replicas, one, threads)
+    rows = run_indexed(replicas, one)
     counts = np.vstack(rows)
     widths = np.diff(edges)
     mean = counts.mean(axis=0) / widths
@@ -191,20 +186,18 @@ def mean_paths(
     grid,
     replicas: int,
     seed: int,
-    threads: int | None = None,
 ) -> dict[str, np.ndarray]:
     """Mean and standard error of N_f, N_r, N over replicas at grid times."""
     grid = np.asarray(grid, dtype=float)
     if replicas < 1:
         raise ValueError("need at least one replica")
-    threads = max_threads() if threads is None else threads
 
     def one(i: int) -> np.ndarray:
         times, durations = simulate_events(rate, model, seed, i)
         path = build_path(times, durations)
         return np.vstack([path.n_failed(grid), path.n_recovered(grid)]).astype(float)
 
-    rows = run_indexed(replicas, one, threads)
+    rows = run_indexed(replicas, one)
     stack = np.stack(rows)  # (replicas, 2, grid)
     nf, nr = stack[:, 0, :], stack[:, 1, :]
     n = nf - nr

@@ -13,9 +13,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as _gamma_fn
 
-__all__ = ["WeibullMixture", "DurationModel"]
+__all__ = ["WeibullMixture", "DurationModel", "interval_of"]
 
 _WEIGHT_TOL = 1e-9
+
+
+def interval_of(boundaries, t) -> np.ndarray:
+    """Interval index of each failure time t among edges psi_0 < ... < psi_m.
+
+    Interval i covers [psi_i, psi_{i+1}); times outside [psi_0, psi_m]
+    fall into the nearest end interval.
+    """
+    b = np.asarray(boundaries, dtype=float)
+    idx = np.searchsorted(b, np.atleast_1d(np.asarray(t, dtype=float)), side="right") - 1
+    return np.clip(idx, 0, len(b) - 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,17 +143,22 @@ class WeibullMixture:
                 break
         return 0.5 * (lo + hi)
 
+    def from_uniforms(self, u_comp, u_dur) -> np.ndarray:
+        """Durations from paired uniforms on [0, 1).
+
+        u_comp picks each draw's component by cumulative weight; u_dur
+        inverts that component's cdf exactly.
+        """
+        comp = np.searchsorted(np.cumsum(self._w), u_comp, side="right")
+        comp = np.clip(comp, 0, self.n_components - 1)
+        return self._g[comp] * (-np.log1p(-u_dur)) ** (1.0 / self._k[comp])
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n durations by component selection + exact Weibull inverse cdf."""
+        """Draw n durations: n component uniforms, then n duration uniforms."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        if n == 0:
-            return np.empty(0)
-        edges = np.cumsum(self._w)
-        comp = np.searchsorted(edges, rng.random(n), side="right")
-        comp = np.clip(comp, 0, self.n_components - 1)
-        u = rng.random(n)
-        return self._g[comp] * (-np.log1p(-u)) ** (1.0 / self._k[comp])
+        u_comp = rng.random(n)
+        return self.from_uniforms(u_comp, rng.random(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,14 +167,11 @@ class DurationModel:
 
     boundaries are failure-time interval edges psi_0 < ... < psi_m; interval
     i covers [psi_i, psi_{i+1}) and uses mixtures[i].  Failure times outside
-    [psi_0, psi_m] fall back to the nearest end interval (tail_policy
-    "nearest", the only implemented policy; the field exists for file-format
-    stability).
+    [psi_0, psi_m] fall back to the nearest end interval.
     """
 
     boundaries: tuple[float, ...]
     mixtures: tuple[WeibullMixture, ...]
-    tail_policy: str = "nearest"
 
     def __post_init__(self):
         b = np.asarray(self.boundaries, dtype=float)
@@ -172,8 +185,6 @@ class DurationModel:
             raise ValueError(
                 f"{len(b) - 1} intervals but {len(self.mixtures)} mixtures"
             )
-        if self.tail_policy != "nearest":
-            raise ValueError(f"unknown tail policy {self.tail_policy!r}")
         object.__setattr__(self, "_b", b)
 
     @classmethod
@@ -190,10 +201,23 @@ class DurationModel:
 
     def interval_index(self, t):
         """Index of the interval containing failure time(s) t, tails clamped."""
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.searchsorted(self._b, arr, side="right") - 1
-        idx = np.clip(idx, 0, self.n_intervals - 1)
+        idx = interval_of(self._b, t)
         return int(idx[0]) if np.isscalar(t) else idx
+
+    def by_interval(self, fn, at, *values):
+        """fn(mixtures[interval_index(at)], *values), elementwise.
+
+        `at` and the values broadcast together; all scalars give a float.
+        """
+        at_arr, *arrays = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (at, *values))
+        )
+        idx = self.interval_index(at_arr)
+        out = np.empty(at_arr.shape, dtype=float)
+        for i in np.unique(idx):
+            m = idx == i
+            out[m] = fn(self.mixtures[i], *(a[m] for a in arrays))
+        return float(out.flat[0]) if all(map(np.isscalar, (at, *values))) else out
 
     def pdf(self, d, at):
         """Duration density g(d | failure at time `at`).
@@ -201,27 +225,11 @@ class DurationModel:
         Both arguments may be arrays of equal shape; `at` selects the
         mixture elementwise.
         """
-        d_arr = np.atleast_1d(np.asarray(d, dtype=float))
-        at_arr = np.atleast_1d(np.asarray(at, dtype=float))
-        d_arr, at_arr = np.broadcast_arrays(d_arr, at_arr)
-        idx = self.interval_index(at_arr)
-        out = np.empty(d_arr.shape, dtype=float)
-        for i in np.unique(idx):
-            m = idx == i
-            out[m] = self.mixtures[i].pdf(d_arr[m])
-        return float(out.flat[0]) if (np.isscalar(d) and np.isscalar(at)) else out
+        return self.by_interval(WeibullMixture.pdf, at, d)
 
     def cdf(self, d, at):
         """Duration distribution G(d | failure at time `at`)."""
-        d_arr = np.atleast_1d(np.asarray(d, dtype=float))
-        at_arr = np.atleast_1d(np.asarray(at, dtype=float))
-        d_arr, at_arr = np.broadcast_arrays(d_arr, at_arr)
-        idx = self.interval_index(at_arr)
-        out = np.empty(d_arr.shape, dtype=float)
-        for i in np.unique(idx):
-            m = idx == i
-            out[m] = self.mixtures[i].cdf(d_arr[m])
-        return float(out.flat[0]) if (np.isscalar(d) and np.isscalar(at)) else out
+        return self.by_interval(WeibullMixture.cdf, at, d)
 
     def collapse(self, weights) -> WeibullMixture:
         """Marginal duration mixture under given interval weights.

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gridres import DurationModel, WeibullMixture
+
+# property tests draw their examples from a fixed seed and keep no example
+# database, so every run of the suite checks the same cases
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 # Reference restoration mixtures for the five failure-time intervals of the
 # benchmark storm window (weight, scale gamma in hours, shape k), with the

@@ -373,6 +373,40 @@ class TestExitCodes:
         assert rc == 2
         assert "--grid-max" in capsys.readouterr().err
 
+    @pytest.fixture
+    def no_big_arange(self, monkeypatch):
+        """numpy.arange that refuses non-finite or above-ceiling sizes."""
+        real = np.arange
+
+        def guarded(*args, **kwargs):
+            for x in args:
+                if isinstance(x, (int, float)) and not abs(x) <= 10**7:
+                    raise AssertionError(f"np.arange asked for {x!r}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", guarded)
+
+    @pytest.mark.parametrize("mixture, flags", [
+        ((1.0, 1.0, 0.8), ["--grid-max", "inf"]),
+        ((1.0, 1.0, 0.8), ["--grid-step", "nan"]),
+        # shape 0.1 puts the 0.999 quantile at 2.47e8 h: a 1.19e9-point grid
+        ((1.0, 1.0, 0.1), []),
+    ], ids=["grid-max-inf", "grid-step-nan", "shape-0.1-quantile"])
+    def test_grid_bounded(self, tmp_path, capsys, no_big_arange, mixture, flags):
+        path = tmp_path / "m.json"
+        save_model(path, RateFunction.constant(3.0, 12.0),
+                   DurationModel.stationary(WeibullMixture(components=(mixture,)),
+                                            horizon=12.0))
+        rc = main(["--out", str(tmp_path / "x"), "resilience", "--model", str(path), *flags])
+        assert rc == 2
+        assert "--grid-max/--grid-step" in capsys.readouterr().err
+
+    def test_thinning_ceiling(self, tiny_model, tmp_path):
+        rc = main(["--out", str(tmp_path), "simulate", "--model", str(tiny_model),
+                   "--replicas", "1", "--surge-base", "1", "--surge-peak", "1e9",
+                   "--surge-end", "12"])
+        assert rc == 2
+
     def test_insufficient_samples(self, tmp_path):
         data = tmp_path / "tiny.csv"
         data.write_text(

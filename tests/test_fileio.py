@@ -129,7 +129,6 @@ class TestModelRoundtrip:
         assert rate.horizon == self.RATE.horizon
         np.testing.assert_allclose(rate.knots, self.RATE.knots, rtol=1e-8)
         assert back.boundaries == model.boundaries
-        assert back.tail_policy == model.tail_policy
         assert back.n_intervals == model.n_intervals
         for got, want in zip(back.mixtures, model.mixtures):
             np.testing.assert_allclose(got.components, want.components, rtol=1e-8)
@@ -165,6 +164,23 @@ class TestModelRoundtrip:
         path.write_text(json.dumps({"rate": {"knots": []}}))
         with pytest.raises(ValueError, match="malformed"):
             load_model(path)
+
+    def with_tail_policy(self, tmp_path, policy):
+        path = tmp_path / "m.json"
+        save_model(path, self.RATE, reference_model())
+        payload = json.loads(path.read_text())
+        payload["durations"]["tail_policy"] = policy
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_old_nearest_tail_policy_loads(self, tmp_path):
+        # files written before the key was dropped carry "nearest"
+        _rate, back, _payload = load_model(self.with_tail_policy(tmp_path, "nearest"))
+        assert back.boundaries == reference_model().boundaries
+
+    def test_unknown_tail_policy_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="tail policy"):
+            load_model(self.with_tail_policy(tmp_path, "error"))
 
     def test_save_is_byte_stable(self, tmp_path):
         model = reference_model()

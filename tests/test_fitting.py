@@ -144,10 +144,12 @@ def test_non_convergence_reported():
     assert fit.iterations <= 2
 
 
-def test_fit_is_deterministic():
+def test_fit_is_deterministic(monkeypatch):
     d = reference_mixture(2).sample(2500, replica_rng(8, 0))
-    a = fit_weibull_mixture(d, 3, seed=11, n_starts=3, threads=1)
-    b = fit_weibull_mixture(d, 3, seed=11, n_starts=3, threads=3)
+    monkeypatch.setenv("GRIDRES_THREADS", "1")
+    a = fit_weibull_mixture(d, 3, seed=11, n_starts=3)
+    monkeypatch.setenv("GRIDRES_THREADS", "3")
+    b = fit_weibull_mixture(d, 3, seed=11, n_starts=3)
     assert a.mixture.components == b.mixture.components
     assert a.log_likelihood == b.log_likelihood
 

@@ -49,6 +49,15 @@ def test_sample_nhpp_basics():
     assert t[0] >= 0.0 and t[-1] <= RAMP.horizon
 
 
+def test_sample_nhpp_candidate_ceiling():
+    # 1e9/h over 12 h would ask numpy for ~1.2e10 candidates; no draw is made
+    rng = replica_rng(0, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="candidates"):
+        sample_nhpp(RateFunction.constant(1e9, 12.0), rng)
+    assert rng.bit_generator.state == state
+
+
 def test_sample_nhpp_mean_count():
     # replica-averaged event count vs the exact integrated intensity
     total = 0
@@ -205,10 +214,12 @@ class TestMonteCarlo:
         assert within.mean() >= 0.8
         assert mc.centers[0] == pytest.approx(0.5)
 
-    def test_deterministic_across_threads(self):
+    def test_deterministic_across_threads(self, monkeypatch):
         edges = np.linspace(0.0, 60.0, 13)
-        a = monte_carlo_recovery_rate(RAMP, exp_model(2.0), edges, replicas=120, seed=9, threads=1)
-        b = monte_carlo_recovery_rate(RAMP, exp_model(2.0), edges, replicas=120, seed=9, threads=4)
+        monkeypatch.setenv("GRIDRES_THREADS", "1")
+        a = monte_carlo_recovery_rate(RAMP, exp_model(2.0), edges, replicas=120, seed=9)
+        monkeypatch.setenv("GRIDRES_THREADS", "4")
+        b = monte_carlo_recovery_rate(RAMP, exp_model(2.0), edges, replicas=120, seed=9)
         np.testing.assert_array_equal(a.mean_rate, b.mean_rate)
         np.testing.assert_array_equal(a.se_rate, b.se_rate)
 
@@ -227,10 +238,12 @@ class TestMeanPaths:
         out = mean_paths(RAMP, exp_model(2.0), grid, replicas=1, seed=2)
         np.testing.assert_array_equal(out["nf_se"], 0.0)
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, monkeypatch):
         grid = np.linspace(0.0, 60.0, 13)
-        a = mean_paths(RAMP, exp_model(2.0), grid, replicas=40, seed=5, threads=1)
-        b = mean_paths(RAMP, exp_model(2.0), grid, replicas=40, seed=5, threads=3)
+        monkeypatch.setenv("GRIDRES_THREADS", "1")
+        a = mean_paths(RAMP, exp_model(2.0), grid, replicas=40, seed=5)
+        monkeypatch.setenv("GRIDRES_THREADS", "3")
+        b = mean_paths(RAMP, exp_model(2.0), grid, replicas=40, seed=5)
         for key in ("nf_mean", "nr_mean", "n_mean", "nf_se"):
             np.testing.assert_array_equal(a[key], b[key])
 

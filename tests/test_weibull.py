@@ -142,8 +142,6 @@ class TestDurationModel:
             DurationModel(boundaries=(0.0, 5.0, 3.0), mixtures=(g, g))
         with pytest.raises(ValueError):
             DurationModel(boundaries=(0.0, 5.0), mixtures=(g, g))
-        with pytest.raises(ValueError):
-            DurationModel(boundaries=(0.0, 5.0), mixtures=(g,), tail_policy="error")
 
     def test_interval_index(self, ref_model):
         assert ref_model.interval_index(0.0) == 0
