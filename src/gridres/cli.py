@@ -5,8 +5,8 @@ gridres <ingest|fit|test|simulate|resilience|reconstruct> with global
 is flags, then the JSON config file (per-command section first, then top
 level), then built-in defaults; a config value passes its flag's checks.
 Every option's resolved value is echoed into the command's JSON report.
-Outputs are byte-identical across reruns with the same inputs, seed and
-thread count.
+Outputs are byte-identical across reruns with the same inputs and seed,
+whatever GRIDRES_THREADS is.
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 numerical
 non-convergence (partial results are still written, flagged).
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimate import estimate_rate, pearson_nhpp_test, qq_points, reconstruct
+from .estimate import estimate_rate, pearson_nhpp_test, qq_points, reconstruct, regular_grid
 from .fileio import (
     load_model,
     read_dataset,
@@ -32,8 +32,7 @@ from .fileio import (
     write_table,
 )
 from .fitting import fit_duration_model
-from .ingest import DEFAULT_ZONE, ingest_pipeline
-from .parallel import max_threads
+from .ingest import DEFAULT_ZONE, ingest_pipeline, normalize_ts
 from .rates import RateFunction
 from .recovery import SurgeSpec
 from .resilience import (
@@ -70,9 +69,7 @@ def _parse_when(text: str, zone: timezone) -> datetime:
         ts = datetime.fromisoformat(text)
     except ValueError:
         raise CliError(f"bad timestamp {text!r}; expected ISO-8601") from None
-    if ts.tzinfo is not None:
-        ts = ts.astimezone(zone).replace(tzinfo=None)
-    return ts
+    return normalize_ts(ts, zone)
 
 
 def _parse_list(text: str, name: str, kind: type = float) -> tuple:
@@ -224,23 +221,12 @@ def resolve_options(opts: tuple[Opt, ...], args: argparse.Namespace, cfg: dict) 
     return values
 
 
-_MAX_GRID_POINTS = 10**7
-
-
 def _grid(limit: float, step: float, flags: str) -> np.ndarray:
-    """0, step, 2 step, ..., then limit; `flags` name step and limit in errors."""
-    if not (np.isfinite(step) and np.isfinite(limit)):
-        raise CliError(f"{flags}: grid step and extent must be finite")
-    if step <= 0.0 or limit <= 0.0:
-        raise CliError(f"{flags}: grid step and extent must be positive")
-    if limit / step > _MAX_GRID_POINTS:
-        raise CliError(f"{flags}: a grid of {limit / step:.3g} points exceeds the "
-                       f"limit of {_MAX_GRID_POINTS:.0e}")
-    n = int(np.floor(limit / step + 1e-9))
-    g = np.arange(n + 1, dtype=float) * step
-    if g[-1] < limit - 1e-9:
-        g = np.append(g, limit)
-    return g
+    """regular_grid(limit, step); `flags` name step and limit in errors."""
+    try:
+        return regular_grid(limit, step)
+    except ValueError as exc:
+        raise CliError(f"{flags}: {exc}") from None
 
 
 def cmd_ingest(o: dict, out: Path) -> int:
@@ -281,7 +267,10 @@ def cmd_fit(o: dict, out: Path) -> int:
     components = _parse_list(o["components"], "components", int)
     times = dataset.times()
     durations = dataset.durations()
-    est = estimate_rate(times, window=o["tau"], bin_width=o["bin"], horizon=boundaries[-1])
+    try:
+        est = estimate_rate(times, window=o["tau"], bin_width=o["bin"], horizon=boundaries[-1])
+    except ValueError as exc:
+        raise CliError(f"--tau/--bin/--boundaries: {exc}") from None
     model, fits = fit_duration_model(
         times, durations, boundaries, components,
         seed=o["seed"], tol=o["tol"], max_iter=o["max_iter"], n_starts=o["starts"],
@@ -372,7 +361,7 @@ def cmd_simulate(o: dict, out: Path) -> int:
         "mean_total_failures": float(summary["nf_mean"][-1]),
         "mean_total_recoveries": float(summary["nr_mean"][-1]),
         "mean_peak_out": float(summary["n_mean"].max()),
-        "effective_config": {**o, "horizon": horizon, "threads": max_threads()},
+        "effective_config": {**o, "horizon": horizon},
     })
     print(f"simulate: {replicas} replicas, mean total failures "
           f"{summary['nf_mean'][-1]:.6g}")

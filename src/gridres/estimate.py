@@ -11,13 +11,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .rates import RateFunction
 from .recovery import DEFAULT_QUAD_STEP, expected_recovered, recovery_rate_curve
 from .weibull import DurationModel
 
 __all__ = [
+    "regular_grid",
     "RateEstimate",
     "estimate_rate",
     "PearsonTestResult",
@@ -30,14 +31,35 @@ __all__ = [
 ]
 
 
+_MAX_GRID_POINTS = 10**7
+
+
+def regular_grid(limit: float, step: float) -> np.ndarray:
+    """0, step, 2 step, ..., then limit itself if the steps fall short of it.
+
+    Step and limit must be finite and positive, and the grid may hold at
+    most 10^7 points; both are checked before anything is allocated.
+    """
+    if not (np.isfinite(step) and np.isfinite(limit)):
+        raise ValueError("grid step and extent must be finite")
+    if step <= 0.0 or limit <= 0.0:
+        raise ValueError("grid step and extent must be positive")
+    if limit / step > _MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {limit / step:.3g} points exceeds the "
+                         f"limit of {_MAX_GRID_POINTS:.0e}")
+    n = int(np.floor(limit / step + 1e-9))
+    g = np.arange(n + 1, dtype=float) * step
+    if g[-1] < limit - 1e-9:
+        g = np.append(g, limit)
+    return g
+
+
 @dataclass(frozen=True, eq=False)
 class RateEstimate:
     """Moving-average intensity estimate on a regular grid."""
 
     grid: np.ndarray
     rates: np.ndarray
-    window: float
-    bin_width: float
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -72,9 +94,9 @@ def estimate_rate(
     and divided by the window length; near the edges the window truncates
     to [0, horizon] and the divisor shrinks with it.  The grid runs from 0
     to the horizon in bin_width steps (the horizon defaults to the last
-    event time rounded up to a whole bin).
+    event time rounded up to a whole bin); see regular_grid for its limits.
     """
-    if window <= 0.0 or bin_width <= 0.0:
+    if not (window > 0.0 and bin_width > 0.0):
         raise ValueError("window and bin_width must be positive")
     t = np.sort(np.asarray(event_times, dtype=float))
     if len(t) == 0:
@@ -88,16 +110,13 @@ def estimate_rate(
         horizon = max(horizon, bin_width)
     if len(t) and t[-1] > horizon + 1e-9:
         raise ValueError("events beyond the horizon")
-    n_bins = int(np.floor(horizon / bin_width + 1e-9))
-    grid = np.arange(n_bins + 1, dtype=float) * bin_width
-    if grid[-1] < horizon - 1e-9:
-        grid = np.append(grid, horizon)
+    grid = regular_grid(horizon, bin_width)
     lo = np.maximum(grid - window, 0.0)
     hi = np.minimum(grid + window, horizon)
     counts = np.searchsorted(t, hi, side="right") - np.searchsorted(t, lo, side="right")
     span = hi - lo
     rates = np.where(span > 0.0, counts / np.where(span > 0.0, span, 1.0), 0.0)
-    return RateEstimate(grid=grid, rates=rates, window=window, bin_width=bin_width)
+    return RateEstimate(grid=grid, rates=rates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,10 +193,12 @@ def pearson_nhpp_test(
     observed = np.bincount(counts, minlength=k + 1).astype(int)
     mu = np.diff(rf.cumulative(edges))
     j = np.arange(k + 1)
-    pmf = stats.poisson.pmf(j[:, None], mu[None, :])
+    # the Poisson pmf, P(X >= k) and chi-square quantile below are the
+    # formulas scipy.stats evaluates, without importing scipy.stats
+    pmf = np.exp(special.xlogy(j[:, None], mu) - special.gammaln(j[:, None] + 1) - mu)
     expected = pmf.sum(axis=1)
     if k >= 1:
-        expected[k] = np.sum(stats.poisson.sf(k - 1, mu))
+        expected[k] = np.sum(special.pdtrc(k - 1, mu))
     else:
         expected[0] = float(n_intervals)
 
@@ -202,7 +223,7 @@ def pearson_nhpp_test(
     dof = len(pooled_e) - 3
     if dof < 1:
         raise ValueError("insufficient outcome diversity")
-    threshold = float(stats.chi2.ppf(1.0 - alpha, dof))
+    threshold = float(2.0 * special.gammaincinv(dof / 2, 1.0 - alpha))
     return PearsonTestResult(
         chi_square=chi,
         dof=dof,

@@ -7,6 +7,7 @@ same inputs produce byte-identical files.
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -82,11 +83,17 @@ def read_dataset(path) -> OutageDataset:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"t_hours", "duration_hours"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected columns t_hours, duration_hours")
-        events = tuple(
-            OutageEvent(time=float(row["t_hours"]), duration=float(row["duration_hours"]))
-            for row in reader
-        )
-    return OutageDataset(events=events)
+        events = []
+        for row in reader:
+            try:
+                t, d = float(row["t_hours"]), float(row["duration_hours"])
+            except (TypeError, ValueError):  # TypeError: a short row's missing cell
+                t = d = math.nan
+            if not (math.isfinite(t) and math.isfinite(d)):
+                raise ValueError(f"{path}: line {reader.line_num}: t_hours and duration_hours "
+                                 "must be finite numbers")
+            events.append(OutageEvent(time=t, duration=d))
+    return OutageDataset(events=tuple(events))
 
 
 def _mixture_payload(mix: WeibullMixture, fit: FitResult | None) -> dict:

@@ -293,7 +293,7 @@ def fit_duration_model(
     counts = list(components)
     if len(counts) != len(b) - 1:
         raise ValueError(f"{len(b) - 1} intervals but {len(counts)} component counts")
-    if np.any(t < b[0]) or np.any(t >= b[-1]):
+    if not np.all((t >= b[0]) & (t < b[-1])):
         raise ValueError("boundaries must cover all failure times")
     idx = interval_of(b, t)
     for i, c in enumerate(counts):

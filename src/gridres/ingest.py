@@ -11,7 +11,7 @@ counts the whole way.
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -23,6 +23,7 @@ __all__ = [
     "Provenance",
     "OutageEvent",
     "OutageDataset",
+    "normalize_ts",
     "parse_records",
     "filter_window",
     "group_dependent",
@@ -104,7 +105,6 @@ class OutageDataset:
     """Cleaned outage events in hours since the window origin."""
 
     events: tuple[OutageEvent, ...]
-    origin: datetime | None = None
     provenance: Provenance | None = None
 
     def times(self) -> np.ndarray:
@@ -117,7 +117,8 @@ class OutageDataset:
         return len(self.events)
 
 
-def _normalize_ts(ts: datetime, zone: timezone) -> datetime:
+def normalize_ts(ts: datetime, zone: timezone) -> datetime:
+    """Offset-aware ts as naive wall time in `zone`; naive ts unchanged."""
     if ts.tzinfo is not None:
         ts = ts.astimezone(zone).replace(tzinfo=None)
     return ts
@@ -155,7 +156,7 @@ def parse_records(
             issues.append(ParseIssue(line=lineno, reason="missing field"))
             continue
         try:
-            ts = _normalize_ts(datetime.fromisoformat(raw_ts), zone)
+            ts = normalize_ts(datetime.fromisoformat(raw_ts), zone)
         except ValueError:
             issues.append(ParseIssue(line=lineno, reason=f"bad timestamp {raw_ts!r}"))
             continue
@@ -250,7 +251,7 @@ def to_dataset(
             negative_dropped=negatives,
             emitted=len(kept),
         )
-    return OutageDataset(events=tuple(kept), origin=origin, provenance=provenance)
+    return OutageDataset(events=tuple(kept), provenance=provenance)
 
 
 def ingest_pipeline(

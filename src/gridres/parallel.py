@@ -1,7 +1,8 @@
-"""Deterministic fan-out for replicas and fit restarts.
+"""Deterministic fan-out for EM fit starts, the one place a pool pays.
 
-Work items are indexed; results are always collected in index order, never
-completion order, so the thread count cannot change any output.
+Monte Carlo replicas run inline (``run_indexed(n, fn, 1)``).  Results are
+collected in index order, never completion order, so the thread count
+cannot change any output.
 """
 
 import os
@@ -25,7 +26,7 @@ def max_threads() -> int:
 
 
 def run_indexed(n: int, fn, threads: int | None = None) -> list:
-    """[fn(0), ..., fn(n-1)], optionally computed on a thread pool."""
+    """[fn(0), ..., fn(n-1)] on `threads` (default GRIDRES_THREADS); inline at 1."""
     threads = max_threads() if threads is None else threads
     if threads <= 1 or n <= 1:
         return [fn(i) for i in range(n)]

@@ -47,6 +47,8 @@ def interval_weights(source, boundaries) -> np.ndarray:
     t = np.asarray(source, dtype=float)
     if t.ndim != 1 or len(t) == 0:
         raise ValueError("need a nonempty array of failure times")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("failure times must be finite")
     idx = interval_of(b, t)
     counts = np.bincount(idx, minlength=len(b) - 1).astype(float)
     return counts / counts.sum()

@@ -5,8 +5,9 @@ dominating constant is the peak knot intensity; the homogeneous candidates
 are generated through the order-statistics representation, which is
 distributionally equivalent and fully vectorized).  Durations come from the
 duration model by exact Weibull inverse-cdf sampling.  Every replica gets
-its own generator derived from the root seed and the replica index, so
-results do not depend on thread count or completion order.
+its own generator derived from the root seed and the replica index.
+Replicas run inline in index order, each reduced to its per-grid counts
+before the next is drawn, so memory does not grow with the replica count.
 """
 
 from dataclasses import dataclass
@@ -158,8 +159,8 @@ def monte_carlo_recovery_rate(
     """Empirical recovery intensity, binned on `edges`, across replicas.
 
     At least 100 replicas are required for the standard errors to mean
-    anything.  Aggregation runs in replica-index order whatever
-    GRIDRES_THREADS is, so output is reproducible bit for bit.
+    anything.  Replicas run inline in index order; GRIDRES_THREADS does
+    not apply, and output is reproducible bit for bit.
     """
     edges = np.asarray(edges, dtype=float)
     if len(edges) < 2 or np.any(np.diff(edges) <= 0.0):
@@ -172,7 +173,7 @@ def monte_carlo_recovery_rate(
         counts, _ = np.histogram(times + durations, bins=edges)
         return counts.astype(float)
 
-    rows = run_indexed(replicas, one)
+    rows = run_indexed(replicas, one, 1)
     counts = np.vstack(rows)
     widths = np.diff(edges)
     mean = counts.mean(axis=0) / widths
@@ -193,11 +194,13 @@ def mean_paths(
         raise ValueError("need at least one replica")
 
     def one(i: int) -> np.ndarray:
+        # counted as SamplePath does, a jump at t included; times are sorted
         times, durations = simulate_events(rate, model, seed, i)
-        path = build_path(times, durations)
-        return np.vstack([path.n_failed(grid), path.n_recovered(grid)]).astype(float)
+        recoveries = np.sort(times + durations)
+        return np.vstack([np.searchsorted(times, grid, side="right"),
+                          np.searchsorted(recoveries, grid, side="right")]).astype(float)
 
-    rows = run_indexed(replicas, one)
+    rows = run_indexed(replicas, one, 1)
     stack = np.stack(rows)  # (replicas, 2, grid)
     nf, nr = stack[:, 0, :], stack[:, 1, :]
     n = nf - nr

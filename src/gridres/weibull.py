@@ -8,7 +8,7 @@ duration distribution may change over the course of an event.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
@@ -62,18 +62,6 @@ class WeibullMixture:
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._w.copy()
-
-    @property
-    def scales(self) -> np.ndarray:
-        return self._g.copy()
-
-    @property
-    def shapes(self) -> np.ndarray:
-        return self._k.copy()
 
     def pdf(self, d):
         """Mixture density at duration(s) d >= 0.

@@ -401,6 +401,41 @@ class TestExitCodes:
         assert rc == 2
         assert "--grid-max/--grid-step" in capsys.readouterr().err
 
+    @pytest.fixture
+    def small_dataset(self, tmp_path):
+        path = tmp_path / "small.csv"
+        rows = "".join(f"{0.25 * i:.2f},{1.0 + i % 7}\n" for i in range(40))
+        path.write_text("t_hours,duration_hours\n" + rows)
+        return path
+
+    @pytest.mark.parametrize("flags", [
+        ["--boundaries", "0,10", "--bin", "1e-9"],
+        ["--boundaries", "0,1e12"],
+    ], ids=["bin-1e-9", "boundaries-1e12"])
+    def test_fit_rate_grid_bounded(self, tmp_path, capsys, no_big_arange,
+                                   small_dataset, flags):
+        rc = main(["--out", str(tmp_path / "x"), "fit", "--dataset", str(small_dataset),
+                   "--components", "1", *flags])
+        assert rc == 2
+        assert "--bin" in capsys.readouterr().err
+
+    @pytest.fixture
+    def nan_dataset(self, small_dataset):
+        with small_dataset.open("a") as fh:
+            fh.write("nan,3.0\nnan,4.0\n")
+        return small_dataset
+
+    def test_fit_rejects_non_finite_times(self, tmp_path, capsys, nan_dataset):
+        rc = main(["--out", str(tmp_path / "x"), "fit", "--dataset", str(nan_dataset),
+                   "--boundaries", "0,5,10", "--components", "1,1"])
+        assert rc == 2
+        assert "line 42" in capsys.readouterr().err
+
+    def test_resilience_rejects_non_finite_times(self, tmp_path, tiny_model, nan_dataset):
+        rc = main(["--out", str(tmp_path / "x"), "resilience", "--model", str(tiny_model),
+                   "--dataset", str(nan_dataset), "--grid-max", "60"])
+        assert rc == 2
+
     def test_thinning_ceiling(self, tiny_model, tmp_path):
         rc = main(["--out", str(tmp_path), "simulate", "--model", str(tiny_model),
                    "--replicas", "1", "--surge-base", "1", "--surge-peak", "1e9",
@@ -496,6 +531,18 @@ class TestCommandExtras:
         cols = read_csv_columns(out / "nhat.csv")
         assert "recovery_rate_piecewise" in cols
         assert "recovery_rate_stationary" not in cols
+
+    def test_cli_import_skips_scipy_stats(self):
+        """scipy.stats costs about a second to import and no command needs it."""
+        package_root = str(Path(gridres.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p)
+        code = "import sys, gridres.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_entry_point(self):
         """The declared `gridres` script target runs as its wrapper would."""

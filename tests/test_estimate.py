@@ -87,6 +87,12 @@ class TestEstimateRate:
             estimate_rate([1.0], bin_width=-1.0)
         with pytest.raises(ValueError):
             estimate_rate([30.0], horizon=20.0)
+        # a NaN window used to give an all-zero intensity
+        for bad in ({"window": np.nan}, {"bin_width": np.nan}):
+            with pytest.raises(ValueError):
+                estimate_rate([1.0], horizon=20.0, **bad)
+        with pytest.raises(ValueError, match="exceeds"):
+            estimate_rate([1.0], bin_width=1e-9, horizon=20.0)
 
     def test_to_rate_function_roundtrip(self):
         est = estimate_rate([3.0, 4.0, 11.0], horizon=20.0)

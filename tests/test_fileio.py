@@ -108,6 +108,13 @@ class TestDatasetRoundtrip:
         with pytest.raises(ValueError, match="duration_hours"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("row", ["nan,2.0", "1.0,inf", "1.0,", "1.0"])
+    def test_non_finite_row_named(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t_hours,duration_hours\n1.0,2.0\n{row}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_dataset(path)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         events = (OutageEvent(time=1.0 / 3.0, duration=2.0 / 7.0),)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

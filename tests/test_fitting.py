@@ -191,3 +191,9 @@ class TestFitDurationModel:
             fit_duration_model([1.0], [1.0], (0.0,), (1,))
         with pytest.raises(ValueError):
             fit_duration_model([1.0], [1.0], (0.0, 10.0), (1, 2))
+
+    def test_non_finite_times_rejected(self):
+        times = np.concatenate([np.linspace(0.5, 9.5, 40), [np.nan, np.nan]])
+        durations = np.full(42, 2.0)
+        with pytest.raises(ValueError, match="cover"):
+            fit_duration_model(times, durations, (0.0, 5.0, 10.0), (1, 1))

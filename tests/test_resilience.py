@@ -68,6 +68,11 @@ class TestIntervalWeights:
         with pytest.raises(ValueError):
             interval_weights(quiet, (0.0, 5.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            interval_weights([1.0, 2.0, bad], (0.0, 5.0, 10.0))
+
 
 class TestPickThreshold:
     def test_knee_found_within_one_step(self):

@@ -11,6 +11,7 @@ from gridres import (
     WeibullMixture,
     build_path,
     expected_recovered,
+    fit_weibull_mixture,
     mean_paths,
     monte_carlo_recovery_rate,
     replica_rng,
@@ -18,6 +19,7 @@ from gridres import (
     sample_nhpp,
     simulate_events,
 )
+import gridres.parallel
 from gridres.parallel import max_threads
 
 from conftest import reference_mixture, reference_model
@@ -246,6 +248,45 @@ class TestMeanPaths:
         b = mean_paths(RAMP, exp_model(2.0), grid, replicas=40, seed=5)
         for key in ("nf_mean", "nr_mean", "n_mean", "nf_se"):
             np.testing.assert_array_equal(a[key], b[key])
+
+    def test_counts_match_sample_paths(self):
+        # oracle: each replica counted through build_path, one at a time
+        grid = np.linspace(0.0, 60.0, 25)
+        paths = [build_path(*simulate_events(RAMP, exp_model(2.0), 5, i))
+                 for i in range(6)]
+        out = mean_paths(RAMP, exp_model(2.0), grid, replicas=6, seed=5)
+        np.testing.assert_array_equal(
+            out["nf_mean"], np.mean([p.n_failed(grid) for p in paths], axis=0))
+        np.testing.assert_array_equal(
+            out["nr_mean"], np.mean([p.n_recovered(grid) for p in paths], axis=0))
+
+
+class _PoolUsed(Exception):
+    pass
+
+
+def test_replicas_run_inline_fit_starts_use_the_pool(monkeypatch):
+    """GRIDRES_THREADS sizes the EM-start pool only; replicas never reach it."""
+    grid = np.linspace(0.0, 60.0, 13)
+    edges = np.linspace(0.0, 60.0, 13)
+    monkeypatch.setenv("GRIDRES_THREADS", "1")
+    paths = mean_paths(RAMP, exp_model(2.0), grid, replicas=40, seed=5)
+    mc = monte_carlo_recovery_rate(RAMP, exp_model(2.0), edges, replicas=120, seed=9)
+
+    def no_pool(*args, **kwargs):
+        raise _PoolUsed
+
+    monkeypatch.setattr(gridres.parallel, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("GRIDRES_THREADS", "4")
+    inline = mean_paths(RAMP, exp_model(2.0), grid, replicas=40, seed=5)
+    for key in ("nf_mean", "nf_se", "nr_mean", "nr_se", "n_mean", "n_se"):
+        np.testing.assert_array_equal(inline[key], paths[key])
+    inline_mc = monte_carlo_recovery_rate(RAMP, exp_model(2.0), edges, replicas=120, seed=9)
+    np.testing.assert_array_equal(inline_mc.mean_rate, mc.mean_rate)
+    np.testing.assert_array_equal(inline_mc.se_rate, mc.se_rate)
+    d = exp_model(2.0).mixtures[0].sample(200, replica_rng(3, 0))
+    with pytest.raises(_PoolUsed):
+        fit_weibull_mixture(d, 1, seed=0, n_starts=2)
 
 
 def test_max_threads_env(monkeypatch):
