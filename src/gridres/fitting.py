@@ -2,10 +2,12 @@
 
 The E-step computes responsibilities in log space.  The M-step is exact:
 weights are mean responsibilities, and each component's shape solves the
-weighted profile-likelihood equation by bisection on [0.05, 100] to 1e-8
-(the scale then has a closed form).  Because the M-step maximizes the
-complete-data objective the log-likelihood never decreases, which the
-fitter records per iteration.
+weighted profile-likelihood equation (Cohen 1965) by a Newton solve,
+warm-started from the previous shape and safeguarded by bisection on the
+bracket [0.05, 100].  Its weighted sums are formed in log space, so no
+power d**k underflows; the scale then has a closed form.  Because the
+M-step maximizes the complete-data objective the log-likelihood never
+decreases, which the fitter records per iteration.
 
 Initialization splits log-durations with a small k-means and seeds each
 cluster by log-space method of moments; multiple starts (default 5) are
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .parallel import run_indexed
 from .weibull import DurationModel, WeibullMixture, interval_of
@@ -30,6 +31,12 @@ ZERO_DURATION_SHIFT = 1.0 / 120.0
 _SHAPE_LO = 0.05
 _SHAPE_HI = 100.0
 _SHAPE_XTOL = 1e-8
+# a Newton step this small (relative to max(1, k)) ends the shape solve
+_NEWTON_RTOL = 1e-10
+# twice the 34 steps bisection alone needs to shrink the bracket to
+# _SHAPE_XTOL: Newton steps from a far start (at most doubling k when the
+# points are tied) may come before the bisection fallback takes over
+_NEWTON_MAX_STEPS = 2 * math.ceil(math.log2((_SHAPE_HI - _SHAPE_LO) / _SHAPE_XTOL))
 _EULER_GAMMA = 0.57721566490153286
 _DEGENERATE_MASS = 1e-8
 
@@ -107,52 +114,83 @@ def _moment_start(logd: np.ndarray, labels: np.ndarray, c: int) -> tuple[np.ndar
 def _log_pdf_matrix(logd: np.ndarray, g: np.ndarray, k: np.ndarray) -> np.ndarray:
     """log Weibull density of each point under each component, (n, c)."""
     lng = np.log(g)
-    z = np.exp(k[None, :] * (logd[:, None] - lng[None, :]))
-    return (
-        np.log(k)[None, :]
-        - lng[None, :]
-        + (k - 1.0)[None, :] * (logd[:, None] - lng[None, :])
-        - z
-    )
+    u = logd[:, None] - lng[None, :]
+    # (d/g)**k may overflow to inf; the log density's limit is then -inf
+    with np.errstate(over="ignore"):
+        z = np.exp(k[None, :] * u)
+    return np.log(k)[None, :] - lng[None, :] + (k - 1.0)[None, :] * u - z
 
 
-def _mstep_shapes(logd: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Weighted Weibull MLE for every component at once.
+def _log_normalise(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-sum-exp of an (n, c) array and the rows divided by their sums."""
+    top = joint.max(axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    p = np.exp(joint - top)
+    s = p.sum(axis=1, keepdims=True)
+    # a row of zeros gives -inf (and NaN responsibilities), which callers
+    # treat as a non-finite log-likelihood
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (top + np.log(s))[:, 0], p / s
 
-    Bisection runs lock-step across components.  Powers d**k are computed
-    relative to the largest log-duration so the sums cannot overflow for
-    shapes up to the bracket ceiling.
+
+def _mstep_shapes(
+    logd: np.ndarray, resp: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Weighted Weibull MLE for every component at once, warm-started at `k`.
+
+    Each shape solves f(k) = 1/k + target - m(k) = 0, where target is the
+    responsibility-weighted mean of log d and m(k) the mean of log d under
+    weights r_i * d_i**k.  f' = -1/k**2 - Var(log d) < 0, so the root is
+    unique.  Newton steps run lock-step across components in log space:
+    the weights come from e = log r + k log d less its column maximum, so
+    no term underflows at any shape in the bracket.  A point with f > 0
+    raises the lower end of the bracket [0.05, 100] and any other point
+    lowers the upper end; a Newton point outside the bracket (or NaN) is
+    replaced by its midpoint.  A component stops when its step is at most
+    1e-10 * max(1, k) or its bracket at most 1e-8, keeping the last shape
+    its sums were taken at; the scale is
+    exp((logsumexp(e) - log sum(r)) / k) from those sums.
     """
     c = resp.shape[1]
     s0 = resp.sum(axis=0)
-    s1 = resp.T @ logd
-    target = s1 / s0
-    shift = logd.max()
-    ld = logd - shift
+    target = (resp.T @ logd) / s0
+    # a zero responsibility contributes exp(-inf) = 0 to every sum
+    with np.errstate(divide="ignore"):
+        logr = np.log(resp)
+    moments = np.stack([logd, logd * logd])
 
-    def equation(k: np.ndarray) -> np.ndarray:
-        dk = np.exp(ld[:, None] * k[None, :])
-        a = (resp * dk).sum(axis=0)
-        b = (resp * dk * logd[:, None]).sum(axis=0)
-        return 1.0 / k + target - b / a
+    def sums(k: np.ndarray):
+        e = logr + k[None, :] * logd[:, None]
+        top = e.max(axis=0)
+        p = np.exp(e - top[None, :])
+        a = p.sum(axis=0)
+        m1, m2 = (moments @ p) / a
+        return top, a, m1, m2 - m1 * m1
 
+    k = np.clip(k, _SHAPE_LO, _SHAPE_HI)
     lo = np.full(c, _SHAPE_LO)
     hi = np.full(c, _SHAPE_HI)
-    iters = int(math.ceil(math.log2((_SHAPE_HI - _SHAPE_LO) / _SHAPE_XTOL)))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        pos = equation(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    k = 0.5 * (lo + hi)
+    active = np.ones(c, dtype=bool)
+    for _ in range(_NEWTON_MAX_STEPS):
+        top, a, mean, var = sums(k)
+        f = 1.0 / k + target - mean
+        up = f > 0.0
+        lo = np.where(active & up, k, lo)
+        hi = np.where(active & ~up, k, hi)
+        new = k + f / (1.0 / (k * k) + var)
+        new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+        active &= (np.abs(new - k) > _NEWTON_RTOL * np.maximum(1.0, k)) & (hi - lo > _SHAPE_XTOL)
+        if not active.any():
+            break
+        k = np.where(active, new, k)
+    else:
+        top, a, _, _ = sums(k)
     flags = []
     if np.any(k > _SHAPE_HI - 10.0 * _SHAPE_XTOL):
         flags.append("shape at upper bound (degenerate data)")
     if np.any(k < _SHAPE_LO + 10.0 * _SHAPE_XTOL):
         flags.append("shape at lower bound")
-    dk = np.exp(ld[:, None] * k[None, :])
-    a = (resp * dk).sum(axis=0)
-    g = np.exp(shift + np.log(a / s0) / k)
+    g = np.exp((top + np.log(a) - np.log(s0)) / k)
     return g, k, flags
 
 
@@ -175,19 +213,17 @@ def _em_once(
     prev = -np.inf
     converged = False
     for _ in range(max_iter):
-        joint = _log_pdf_matrix(logd, g, k) + np.log(w)[None, :]
-        norm = logsumexp(joint, axis=1)
+        norm, resp = _log_normalise(_log_pdf_matrix(logd, g, k) + np.log(w)[None, :])
         ll = float(norm.sum())
         if not np.isfinite(ll):
             flags.append("non-finite log-likelihood")
             break
         history.append(ll)
-        resp = np.exp(joint - norm[:, None])
         mass = resp.sum(axis=0)
         if np.any(mass < _DEGENERATE_MASS):
             raise _DroppedComponent(keep=mass >= _DEGENERATE_MASS)
         w = mass / n
-        g, k, step_flags = _mstep_shapes(logd, resp)
+        g, k, step_flags = _mstep_shapes(logd, resp, k)
         for f in step_flags:
             if f not in flags:
                 flags.append(f)
@@ -200,7 +236,7 @@ def _em_once(
 
 def _final_loglik(logd: np.ndarray, w, g, k) -> float:
     joint = _log_pdf_matrix(logd, np.asarray(g), np.asarray(k)) + np.log(np.asarray(w))[None, :]
-    return float(logsumexp(joint, axis=1).sum())
+    return float(_log_normalise(joint)[0].sum())
 
 
 def fit_weibull_mixture(
@@ -241,12 +277,12 @@ def fit_weibull_mixture(
                 flags.extend(f for f in run_flags if f not in flags)
                 break
             except _DroppedComponent as drop:
+                # each row of resp sums to 1, so the masses sum to n >= c and
+                # the largest is >= 1: `keep` is never empty
                 keep = drop.keep
                 flags.append(f"dropped degenerate component (kept {int(keep.sum())})")
                 w, g, k = w[keep], g[keep], k[keep]
                 w = w / w.sum()
-                if len(w) == 0:
-                    raise RuntimeError("all components degenerate") from None
         ll = _final_loglik(logd, w, g, k)
         order = np.lexsort((k, g))
         comps = tuple((float(w[j]), float(g[j]), float(k[j])) for j in order)

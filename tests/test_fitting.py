@@ -1,5 +1,7 @@
 """Weibull mixture EM: recovery of known generators, monotonicity, guards."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,29 @@ def test_all_equal_durations_flagged():
     (w, g, k), = fit.mixture.components
     assert k == pytest.approx(100.0, abs=1e-3)
     assert g == pytest.approx(3.0, rel=1e-6)
+
+
+# 20 points near 1000 h and 10 at 0.01 h: at k above ~65 every d**k of the
+# short cluster underflows against the global maximum unless the sums are
+# taken per component in log space
+UNDERFLOW_DURATIONS = np.r_[np.full(10, 1000.0), np.full(10, 1000.001), np.full(10, 0.01)]
+
+
+def test_short_cluster_shape_reaches_bound():
+    fit = fit_weibull_mixture(UNDERFLOW_DURATIONS, 2, seed=3)
+    for _, _, k in fit.mixture.components:
+        assert k == pytest.approx(100.0, abs=1e-3)
+    assert "shape at upper bound (degenerate data)" in fit.flags
+    assert fit.log_likelihood >= -3.05
+
+
+def test_fit_raises_no_runtime_warning():
+    # exp overflow in the density and log(0) of a zero responsibility give
+    # the correct -inf limits and must stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_weibull_mixture(UNDERFLOW_DURATIONS, 2, seed=3)
+    assert np.isfinite(fit.log_likelihood)
 
 
 def test_degenerate_component_dropped():
