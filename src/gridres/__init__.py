@@ -20,10 +20,9 @@ from .estimate import (
 from .fitting import FitResult, fit_duration_model, fit_weibull_mixture
 from .ingest import (
     OutageDataset,
-    OutageEvent,
     ParseIssue,
     Provenance,
-    RawRecord,
+    RawRecords,
     filter_window,
     group_dependent,
     ingest_pipeline,
@@ -72,13 +71,12 @@ __all__ = [
     "FitResult",
     "MonteCarloRates",
     "OutageDataset",
-    "OutageEvent",
     "ParseIssue",
     "PearsonTestResult",
     "Provenance",
     "RateEstimate",
     "RateFunction",
-    "RawRecord",
+    "RawRecords",
     "Reconstruction",
     "ResilienceCurve",
     "SamplePath",

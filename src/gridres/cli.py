@@ -265,8 +265,8 @@ def cmd_fit(o: dict, out: Path) -> int:
     dataset = read_dataset(o["dataset"])
     boundaries = _parse_list(o["boundaries"], "boundaries")
     components = _parse_list(o["components"], "components", int)
-    times = dataset.times()
-    durations = dataset.durations()
+    times = dataset.times
+    durations = dataset.durations
     try:
         est = estimate_rate(times, window=o["tau"], bin_width=o["bin"], horizon=boundaries[-1])
     except ValueError as exc:
@@ -295,7 +295,7 @@ def cmd_fit(o: dict, out: Path) -> int:
 def cmd_test(o: dict, out: Path) -> int:
     dataset = read_dataset(o["dataset"])
     rate, _model, _payload = load_model(o["model"])
-    times = dataset.times()
+    times = dataset.times
     result = pearson_nhpp_test(times, rate, n_intervals=o["intervals"], alpha=o["alpha"])
     theo, emp = qq_points(times, rate)
     write_report(out / "gof.json", {
@@ -377,14 +377,14 @@ def cmd_resilience(o: dict, out: Path) -> int:
         weights = np.asarray(_parse_list(o["weights"], "weights"))
         source = "explicit"
     elif dataset is not None:
-        weights = interval_weights(dataset.times(), model.boundaries)
+        weights = interval_weights(dataset.times, model.boundaries)
         source = "dataset"
     else:
         weights = interval_weights(rate, model.boundaries)
         source = "rate"
     grid_max = o["grid_max"]
     if grid_max is None and dataset is not None:
-        grid_max = 1.2 * float(dataset.durations().max())
+        grid_max = 1.2 * float(dataset.durations.max())
     elif grid_max is None:
         try:
             grid_max = 1.2 * max(m.quantile(0.999) for m in model.mixtures)

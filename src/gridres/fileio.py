@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .fitting import FitResult
-from .ingest import OutageDataset, OutageEvent, Provenance
+from .ingest import OutageDataset
 from .rates import RateFunction
 from .weibull import DurationModel, WeibullMixture
 
@@ -71,29 +71,34 @@ def write_report(path, payload: dict) -> None:
 
 
 def write_dataset(path, dataset: OutageDataset) -> None:
-    write_table(
-        path,
-        ["t_hours", "duration_hours"],
-        ((e.time, e.duration) for e in dataset.events),
-    )
+    """t_hours,duration_hours table, each cell at 9 significant digits as fmt9 writes it."""
+    rows = zip(dataset.times.tolist(), dataset.durations.tolist())
+    body = "".join(f"{t:.9g},{d:.9g}\n" for t, d in rows)
+    Path(path).write_text("t_hours,duration_hours\n" + body)
 
 
 def read_dataset(path) -> OutageDataset:
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"t_hours", "duration_hours"} <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        column = {name: i for i, name in enumerate(next(reader, []))}
+        if not {"t_hours", "duration_hours"} <= column.keys():
             raise ValueError(f"{path}: expected columns t_hours, duration_hours")
-        events = []
+        i_t, i_d = column["t_hours"], column["duration_hours"]
+        times, durations = [], []
         for row in reader:
+            if not row:  # blank line
+                continue
             try:
-                t, d = float(row["t_hours"]), float(row["duration_hours"])
-            except (TypeError, ValueError):  # TypeError: a short row's missing cell
+                t, d = float(row[i_t]), float(row[i_d])
+            except (IndexError, ValueError):  # IndexError: a short row's missing cell
                 t = d = math.nan
             if not (math.isfinite(t) and math.isfinite(d)):
                 raise ValueError(f"{path}: line {reader.line_num}: t_hours and duration_hours "
                                  "must be finite numbers")
-            events.append(OutageEvent(time=t, duration=d))
-    return OutageDataset(events=tuple(events))
+            times.append(t)
+            durations.append(d)
+    return OutageDataset(times=np.array(times, dtype=np.float64),
+                         durations=np.array(durations, dtype=np.float64))
 
 
 def _mixture_payload(mix: WeibullMixture, fit: FitResult | None) -> dict:

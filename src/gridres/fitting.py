@@ -146,9 +146,12 @@ def _mstep_shapes(
     no term underflows at any shape in the bracket.  A point with f > 0
     raises the lower end of the bracket [0.05, 100] and any other point
     lowers the upper end; a Newton point outside the bracket (or NaN) is
-    replaced by its midpoint.  A component stops when its step is at most
-    1e-10 * max(1, k) or its bracket at most 1e-8, keeping the last shape
-    its sums were taken at; the scale is
+    replaced by its midpoint, except that a point past an upper end of 100
+    where f was not yet taken is replaced by 100, so a root beyond the
+    bracket (tied data) ends the solve at the bound one step later.  A
+    component stops when its step is at most 1e-10 * max(1, k) or its
+    bracket at most 1e-8, keeping the last shape its sums were taken at;
+    the scale is
     exp((logsumexp(e) - log sum(r)) / k) from those sums.
     """
     c = resp.shape[1]
@@ -171,6 +174,7 @@ def _mstep_shapes(
     lo = np.full(c, _SHAPE_LO)
     hi = np.full(c, _SHAPE_HI)
     active = np.ones(c, dtype=bool)
+    hi_tried = k == _SHAPE_HI
     for _ in range(_NEWTON_MAX_STEPS):
         top, a, mean, var = sums(k)
         f = 1.0 / k + target - mean
@@ -178,7 +182,11 @@ def _mstep_shapes(
         lo = np.where(active & up, k, lo)
         hi = np.where(active & ~up, k, hi)
         new = k + f / (1.0 / (k * k) + var)
-        new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+        inside = (new > lo) & (new < hi)
+        if not inside.all():
+            probe = (new >= hi) & (hi == _SHAPE_HI) & ~hi_tried
+            hi_tried |= probe
+            new = np.where(probe, _SHAPE_HI, np.where(inside, new, 0.5 * (lo + hi)))
         active &= (np.abs(new - k) > _NEWTON_RTOL * np.maximum(1.0, k)) & (hi - lo > _SHAPE_XTOL)
         if not active.any():
             break

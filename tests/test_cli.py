@@ -481,6 +481,33 @@ class TestCommandExtras:
             outs[rule] = (out / "dataset.csv").read_bytes()
         assert outs["max"] != outs["first"]
 
+    def test_padded_header_same_products(self, pipeline, workspace, tmp_path):
+        # "id, timestamp, duration_hours" names the same columns
+        run_out, _ = pipeline
+        header, body = (workspace / "raw.csv").read_text().split("\n", 1)
+        (tmp_path / "padded.csv").write_text(header.replace(",", ", ") + "\n" + body)
+        rc = main(["--out", str(tmp_path), "ingest", "--input", str(tmp_path / "padded.csv"),
+                   "--window-start", WINDOW_START, "--window-end", WINDOW_END])
+        assert rc == 0
+        assert (tmp_path / "dataset.csv").read_bytes() == (run_out / "dataset.csv").read_bytes()
+        report = json.loads((tmp_path / "provenance.json").read_text())
+        assert report["counts"]["emitted"] == 463 and report["issues"] == []
+
+    def test_aware_stamp_past_the_calendar(self, tmp_path, capsys):
+        # its wall time at -05:00 falls in year 0: out of the window, not a
+        # traceback
+        (tmp_path / "raw.csv").write_text(
+            "id,timestamp,duration_hours\n"
+            "a,2008-09-12T12:00+00:00,1.5\n"
+            "b,0001-01-01T00:00+01:00,2.0\n"
+        )
+        rc = main(["--out", str(tmp_path), "ingest", "--input", str(tmp_path / "raw.csv"),
+                   "--window-start", WINDOW_START, "--window-end", WINDOW_END])
+        assert rc == 0
+        counts = json.loads((tmp_path / "provenance.json").read_text())["counts"]
+        assert counts["window_dropped"] == 1 and counts["emitted"] == 1
+        assert (tmp_path / "dataset.csv").read_text() == "t_hours,duration_hours\n0,1.5\n"
+
     def test_d0_override_honored(self, pipeline, tmp_path):
         run_out, _ = pipeline
         out = tmp_path / "fixed"

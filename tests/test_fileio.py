@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gridres import OutageEvent, RateFunction
+from gridres import RateFunction
 from gridres.fitting import FitResult
 from gridres.fileio import (
     fmt9,
@@ -82,24 +82,17 @@ def test_write_report_sorted_and_stable(tmp_path):
 class TestDatasetRoundtrip:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
-        events = tuple(
-            OutageEvent(time=float(t), duration=float(d))
-            for t, d in zip(
-                np.sort(rng.uniform(0.0, 45.0, size=30)),
-                rng.gamma(2.0, 20.0, size=30),
-            )
-        )
+        times = np.sort(rng.uniform(0.0, 45.0, size=30))
+        durations = rng.gamma(2.0, 20.0, size=30)
         path = tmp_path / "events.csv"
-        write_dataset(path, OutageDataset(events=events))
+        write_dataset(path, OutageDataset(times=times, durations=durations))
         back = read_dataset(path)
-        np.testing.assert_allclose(back.times(), [e.time for e in events], rtol=1e-8)
-        np.testing.assert_allclose(
-            back.durations(), [e.duration for e in events], rtol=1e-8
-        )
+        np.testing.assert_allclose(back.times, times, rtol=1e-8)
+        np.testing.assert_allclose(back.durations, durations, rtol=1e-8)
 
     def test_empty_roundtrip(self, tmp_path):
         path = tmp_path / "events.csv"
-        write_dataset(path, OutageDataset(events=()))
+        write_dataset(path, OutageDataset(times=np.empty(0), durations=np.empty(0)))
         assert len(read_dataset(path)) == 0
 
     def test_missing_columns_rejected(self, tmp_path):
@@ -116,11 +109,27 @@ class TestDatasetRoundtrip:
             read_dataset(path)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        events = (OutageEvent(time=1.0 / 3.0, duration=2.0 / 7.0),)
+        dataset = OutageDataset(times=np.array([1.0 / 3.0]), durations=np.array([2.0 / 7.0]))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_dataset(p1, OutageDataset(events=events))
+        write_dataset(p1, dataset)
         write_dataset(p2, read_dataset(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_cells_formatted_as_fmt9(self, tmp_path):
+        # one f-string per row writes what write_table's fmt9 cells write
+        values = np.array([0.0, -0.0, 1.0, 1.0 / 3.0, 2.5e-7, 123456789.0, 1234567890123.0, 1e300, 5e-324])
+        path, ref = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_dataset(path, OutageDataset(times=values, durations=values[::-1].copy()))
+        write_table(ref, ["t_hours", "duration_hours"], zip(values, values[::-1]))
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_columns_by_name_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "swapped.csv"
+        path.write_text("duration_hours,extra,t_hours\n2.5,x,1.0\n\n4.0,y,3.0\n")
+        back = read_dataset(path)
+        np.testing.assert_array_equal(back.times, [1.0, 3.0])
+        np.testing.assert_array_equal(back.durations, [2.5, 4.0])
+        assert back.times.dtype == back.durations.dtype == np.float64
 
 
 class TestModelRoundtrip:

@@ -12,7 +12,8 @@ from gridres import (
     fit_weibull_mixture,
     replica_rng,
 )
-from gridres.fitting import ZERO_DURATION_SHIFT, _DroppedComponent, _em_once
+import gridres.fitting
+from gridres.fitting import ZERO_DURATION_SHIFT, _DroppedComponent, _em_once, _mstep_shapes
 
 from conftest import reference_mixture
 
@@ -99,6 +100,25 @@ def test_short_cluster_shape_reaches_bound():
         assert k == pytest.approx(100.0, abs=1e-3)
     assert "shape at upper bound (degenerate data)" in fit.flags
     assert fit.log_likelihood >= -3.05
+
+
+@pytest.mark.parametrize("k0", [0.05, 1.0, 99.0])
+def test_one_value_shape_reaches_bound_in_few_steps(monkeypatch, k0):
+    # on one distinct value f(k) = 1/k, so Newton doubles k; the first point
+    # past 100 evaluates f at 100 instead of halving the bracket ~30 times
+    logd, resp = np.log(np.full(20, 3.0)), np.ones((20, 1))
+
+    def steps_to_bound():
+        for cap in range(1, 80):
+            monkeypatch.setattr(gridres.fitting, "_NEWTON_MAX_STEPS", cap)
+            _, k, flags = _mstep_shapes(logd, resp, np.array([k0]))
+            if flags:
+                assert flags == ["shape at upper bound (degenerate data)"]
+                return cap
+        return 80
+
+    # doubling from k0 reaches 100 within log2(100 / k0) + 2 steps
+    assert steps_to_bound() <= np.log2(100.0 / k0) + 2
 
 
 def test_fit_raises_no_runtime_warning():

@@ -3,10 +3,18 @@
 Each merged route (the per-interval dispatch, the component draw and the
 interval lookup) is compared with a direct computation on random inputs.
 The Newton M-step is compared with lock-step bisection on adversarial
-durations, and EM's log-likelihood is checked never to decrease.
+durations, and EM's log-likelihood is checked never to decrease.  The
+columnar ingest is compared with the record-at-a-time pipeline it
+replaced, on random raw files.  The mixture cdf and quantile, and the
+rate function's cumulative intensity, are checked against their
+definitions.
 """
 
+import csv
+import io
 import math
+from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -15,13 +23,16 @@ from scipy.special import logsumexp
 
 from gridres import (
     DurationModel,
+    RateFunction,
     WeibullMixture,
     fit_weibull_mixture,
+    ingest_pipeline,
     interval_weights,
     replica_rng,
     sample_durations,
 )
 from gridres.fitting import _SHAPE_HI, _SHAPE_LO, _SHAPE_XTOL, _mstep_shapes, _prepare
+from gridres.ingest import ParseIssue, Provenance, normalize_ts
 from gridres.weibull import interval_of
 
 
@@ -223,3 +234,241 @@ def test_em_log_likelihood_never_decreases(case, seed):
     # the reported value follows one more M-step than the history's last
     h = np.asarray(fit.history + (fit.log_likelihood,))
     assert np.all(np.diff(h) >= -1e-9 * np.maximum(1.0, np.abs(h[:-1])))
+
+
+@dataclass(frozen=True)
+class RawRecord:
+    id: str
+    timestamp: datetime
+    duration_hours: float
+
+
+def reference_ingest(text, start, end, resolution_minutes, rule, zone, delimiter):
+    """The record-at-a-time pipeline the columnar ingest replaced.
+
+    One frozen record per row, Python datetimes throughout.  It reads
+    the header cells stripped, as the columnar parser does (it used to
+    look rows up by the unstripped names).  Returns times, durations,
+    issues and provenance.
+    """
+    if delimiter is None:
+        first = text.splitlines()[0] if text.splitlines() else ""
+        delimiter = "\t" if "\t" in first else ","
+    reader = csv.DictReader(io.StringIO(text), delimiter=delimiter)
+    reader.fieldnames = [h.strip() for h in reader.fieldnames]
+    records, issues = [], []
+    for lineno, row in enumerate(reader, start=2):
+        raw_id = (row.get("id") or "").strip()
+        raw_ts = (row.get("timestamp") or "").strip()
+        raw_d = (row.get("duration_hours") or "").strip()
+        if not raw_id or not raw_ts or not raw_d:
+            issues.append(ParseIssue(line=lineno, reason="missing field"))
+            continue
+        try:
+            ts = normalize_ts(datetime.fromisoformat(raw_ts), zone)
+        except ValueError:
+            issues.append(ParseIssue(line=lineno, reason=f"bad timestamp {raw_ts!r}"))
+            continue
+        try:
+            dur = float(raw_d)
+        except ValueError:
+            issues.append(ParseIssue(line=lineno, reason=f"bad duration {raw_d!r}"))
+            continue
+        if not np.isfinite(dur):
+            issues.append(ParseIssue(line=lineno, reason=f"bad duration {raw_d!r}"))
+            continue
+        records.append(RawRecord(id=raw_id, timestamp=ts, duration_hours=dur))
+
+    in_window = [r for r in records if start <= r.timestamp < end]
+
+    def bucket(ts):
+        floored = ts.replace(second=0, microsecond=0)
+        if resolution_minutes > 1:
+            floored = floored.replace(minute=(floored.minute // resolution_minutes) * resolution_minutes)
+        return floored
+
+    groups = {}
+    for r in sorted(in_window, key=lambda r: (r.timestamp, r.id)):
+        groups.setdefault(bucket(r.timestamp), []).append(r)
+    grouped = []
+    for b in sorted(groups):
+        members = groups[b]
+        if rule == "max":
+            dur = max(m.duration_hours for m in members)
+        elif rule == "first":
+            dur = members[0].duration_hours
+        else:
+            dur = sum(m.duration_hours for m in members) / len(members)
+        grouped.append(RawRecord(id=members[0].id, timestamp=b, duration_hours=dur))
+
+    times, durations = [], []
+    for r in sorted(grouped, key=lambda r: (r.timestamp, r.id)):
+        if r.duration_hours < 0.0:
+            continue
+        times.append((r.timestamp - start).total_seconds() / 3600.0)
+        durations.append(r.duration_hours)
+    prov = Provenance(
+        raw=len(records) + len(issues),
+        malformed=len(issues),
+        window_dropped=len(records) - len(in_window),
+        merged=len(in_window) - len(grouped),
+        negative_dropped=len(grouped) - len(times),
+        emitted=len(times),
+    )
+    return times, durations, issues, prov
+
+
+INGEST_START = datetime(2008, 9, 12, 7, 0)
+INGEST_ZONE = timezone(timedelta(hours=-5))
+INGEST_SPAN_MINUTES = 150
+# tied and Python-ordered ids: upper before lower case, prefixes, non-ASCII
+INGEST_IDS = ["a", "b", "B", "ab", "a0", "Z", "é", "ß", "e1"]
+
+
+@st.composite
+def stamp_texts(draw, dense):
+    """An ISO timestamp near the window, with seconds or an offset or both.
+
+    A dense file puts its rows in three minutes, so groups grow large.
+    """
+    minute = draw(st.sampled_from([0, 1, 2]) if dense else st.one_of(
+        st.integers(-20, INGEST_SPAN_MINUTES + 20),
+        st.sampled_from([0, INGEST_SPAN_MINUTES, -1, INGEST_SPAN_MINUTES - 1]),
+    ))
+    second = draw(st.sampled_from([0, 0, 0, 1, 30, 59]))
+    micro = draw(st.sampled_from([0, 0, 0, 1, 500000, 999999]))
+    offset = draw(st.sampled_from([None, None, None, -5 * 60, 0, 90, -14 * 60, 5 * 60 + 45]))
+    ts = INGEST_START + timedelta(minutes=minute, seconds=second, microseconds=micro)
+    if offset is None:
+        text = ts.isoformat(timespec=draw(st.sampled_from(["minutes", "seconds", "auto"])))
+    else:
+        # the same zone wall time written at another offset, so it stays near the window
+        aware = ts.replace(tzinfo=INGEST_ZONE).astimezone(timezone(timedelta(minutes=offset)))
+        text = aware.isoformat()
+    return text
+
+
+durations_text = st.one_of(
+    st.sampled_from(["0", "-0.0", "0.0", "1", "1.0", "2.5", "-1", "-0.5", "1e-300", "  3.25 "]),
+    st.floats(-50.0, 500.0, allow_nan=False).map(repr),
+)
+# zeros of both signs decide which equal maximum a group keeps; large
+# magnitudes make a group's sum depend on the order and method of summing
+dense_durations_text = st.sampled_from(["-0.0", "0.0", "-0.0", "0", "-1", "1", "0.1", "1e16", "-1e16"])
+
+
+@st.composite
+def raw_rows(draw, width, dense):
+    """Cells of one row in header order (id, timestamp, duration, extras)."""
+    kind = draw(st.sampled_from(["good"] * 6 + ["missing", "short", "long", "bad_ts", "bad_d", "blank"]))
+    duration = dense_durations_text if dense else durations_text
+    cells = [draw(st.sampled_from(INGEST_IDS)), draw(stamp_texts(dense)), draw(duration)]
+    cells += ["x"] * (width - 3)
+    if kind == "missing":
+        cells[draw(st.integers(0, 2))] = draw(st.sampled_from(["", "  "]))
+    elif kind == "short":
+        cells = cells[:draw(st.integers(1, width - 1))]
+    elif kind == "long":
+        cells += ["extra", "cells"]
+    elif kind == "bad_ts":
+        cells[1] = draw(st.sampled_from(["yesterday", "2008-13-01T00:00", "2008-09-12T25:00"]))
+    elif kind == "bad_d":
+        cells[2] = draw(st.sampled_from(["soon", "nan", "inf", "-inf", "1,5"]))
+    elif kind == "blank":
+        return None
+    return cells
+
+
+@st.composite
+def raw_files(draw):
+    """Raw text, with its delimiter and its header's column order and padding."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    names = ["id", "timestamp", "duration_hours"] + draw(st.sampled_from([[], ["county"]]))
+    order = draw(st.permutations(range(len(names))))
+    pad = draw(st.booleans())
+    header = [(" " + names[i] + " ") if pad else names[i] for i in order]
+    lines = [delim.join(header)]
+    dense = draw(st.booleans())
+    for cells in draw(st.lists(raw_rows(len(names), dense), max_size=40)):
+        if cells is None:
+            lines.append("")
+            continue
+        # cells were drawn in name order; short rows lose their last columns
+        # and long rows keep their extra cells at the end
+        row = [cells[i] if i < len(cells) else None for i in order] + cells[len(names):]
+        while row and row[-1] is None:
+            row.pop()
+        lines.append(delim.join("" if c is None else c for c in row))
+    text = "\n".join(lines) + "\n"
+    return text, draw(st.sampled_from([None, delim]))
+
+
+@settings(max_examples=300)
+@given(raw_files(), st.sampled_from(["max", "first", "mean"]), st.sampled_from([1, 5, 7, 90]))
+def test_columnar_ingest_matches_record_pipeline(raw, rule, resolution):
+    text, delimiter = raw
+    end = INGEST_START + timedelta(minutes=INGEST_SPAN_MINUTES)
+    ds, issues = ingest_pipeline(text, INGEST_START, end, resolution, rule, INGEST_ZONE, delimiter)
+    times, durations, ref_issues, ref_prov = reference_ingest(
+        text, INGEST_START, end, resolution, rule, INGEST_ZONE, delimiter
+    )
+    # bit for bit, so the sign of a zero counts
+    assert ds.times.dtype == ds.durations.dtype == np.float64
+    assert ds.times.tobytes() == np.asarray(times, dtype=np.float64).tobytes()
+    assert ds.durations.tobytes() == np.asarray(durations, dtype=np.float64).tobytes()
+    assert issues == ref_issues
+    assert ds.provenance == ref_prov
+    assert ds.provenance.consistent()
+
+
+@settings(max_examples=200)
+@given(mixtures(), st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40))
+def test_mixture_cdf_monotone_in_unit_interval(mix, xs):
+    x = np.sort(np.concatenate([np.asarray(xs), [0.0, np.inf]]))
+    p = mix.cdf(x)
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    assert np.all(np.diff(p) >= 0.0)
+    # the weights are accepted when they sum to 1 within 1e-9
+    assert p[0] == 0.0 and abs(p[-1] - 1.0) <= 1e-9
+
+
+@settings(max_examples=200)
+@given(mixtures(), st.floats(-6.0, 6.0))
+def test_quantile_inverts_cdf(mix, log10_x):
+    x = 10.0 ** log10_x
+    q = mix.cdf(x)
+    # away from saturation, where q still tells x apart from its neighbours
+    assume(1e-9 < q < 1.0 - 1e-9)
+    got = mix.quantile(q)
+    # the cdf is accurate to a few ulps of q; over the density that is an
+    # error in x, on top of the bisection's relative stopping width
+    tol = 1e-11 * x + 8.0 * np.finfo(float).eps * q / mix.pdf(x)
+    assert abs(got - x) <= tol
+
+
+@st.composite
+def rate_functions(draw):
+    n = draw(st.integers(1, 6))
+    t = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n, unique=True)))
+    v = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
+    horizon = draw(st.floats(max(t[-1], 1e-3), 150.0))
+    return RateFunction(knots=tuple(zip(t, v)), horizon=horizon)
+
+
+@settings(max_examples=200)
+@given(rate_functions(), st.floats(0.0, 1.0))
+def test_cumulative_matches_fine_trapezoid(rate, frac):
+    t = frac * rate.horizon
+    grid = np.linspace(0.0, t, 20001)
+    y = rate.value(grid)
+    fine = float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(grid)))
+    # the trapezoid rule is exact between knots; a cell of width h holding
+    # a knot is off by at most h * peak, and by at most h**2 / 8 times the
+    # slope jump there, which is at most 2 * peak over the shortest knot gap
+    h = t / 20000
+    knots = np.asarray([k[0] for k in rate.knots])
+    gaps = np.diff(np.concatenate(([0.0], knots, [rate.horizon])))
+    per_knot = h * rate.peak * min(1.0, h / (4.0 * float(gaps[gaps > 0.0].min())))
+    tol = len(knots) * per_knot + 1e-9 * max(1.0, rate.peak * t)
+    assert abs(rate.cumulative(t) - fine) <= tol
+    assert rate.cumulative(t) == rate.integral(0.0, t)

@@ -6,7 +6,6 @@ from scipy import stats
 
 from gridres import (
     DurationModel,
-    OutageEvent,
     RateFunction,
     WeibullMixture,
     build_path,
@@ -131,11 +130,6 @@ def test_sample_durations_respect_intervals():
 
 def test_sample_durations_empty():
     assert len(sample_durations([], reference_model(), replica_rng(0, 0))) == 0
-
-
-def test_outage_event_recovery_time():
-    ev = OutageEvent(time=1.5, duration=2.25)
-    assert ev.recovery_time == 3.75
 
 
 class TestSamplePath:
