@@ -34,7 +34,7 @@ from .fileio import (
 from .fitting import fit_duration_model
 from .ingest import DEFAULT_ZONE, ingest_pipeline, normalize_ts
 from .rates import RateFunction
-from .recovery import SurgeSpec
+from .recovery import SurgeSpec, check_quad_step
 from .resilience import (
     infant_aging_split,
     interval_weights,
@@ -428,6 +428,10 @@ def cmd_reconstruct(o: dict, out: Path) -> int:
     rate, model, _payload = load_model(o["model"])
     mode = o["mode"]
     grid = _grid(rate.horizon, o["grid_step"], "--grid-step")
+    try:
+        check_quad_step(rate.horizon, o["quad_step"])
+    except ValueError as exc:
+        raise CliError(f"--quad-step: {exc}") from None
     header = ["t_hours", "failure_rate"]
     cols = [grid, rate.value(grid)]
     weights = None

@@ -279,11 +279,17 @@ def reconstruct(
 ) -> Reconstruction:
     """Rebuild the expected outage curve N(t) from a fitted intensity.
 
-    The failure side is integrated exactly (piecewise-linear cumulative);
-    the recovery side uses the order-swapped quadrature of the convolution,
-    which stays accurate even when the intensity is sharply concentrated.
-    Tiny negative excursions from quadrature noise are clamped at zero
-    (with a warning beyond 1e-9).
+    The failure side is integrated exactly (piecewise-linear cumulative).
+    The recovery rate and the expected recoveries come from one lattice
+    pass each over the whole grid (recovery_rate_curve, expected_recovered):
+    per duration interval, the failure intensity on that interval's cells
+    convolved with the interval's duration law on a lattice of step
+    quad_step.  At grid times on the lattice (multiples of quad_step) this
+    is the per-point cell rule up to rounding, about 1e-15 of the curve's
+    peak; knots and boundaries off the lattice split their cells as that
+    rule does.  Grid times off the lattice go through the per-point rule.
+    N is cum_f - cum_r; tiny negative excursions from quadrature noise are
+    clamped at zero (with a warning beyond 1e-9).
     """
     rf = _as_rate_function(rate)
     if grid is None:
@@ -300,11 +306,7 @@ def reconstruct(
     if grid[-1] > rf.horizon + 1e-9:
         raise ValueError("grid extends beyond the intensity horizon")
     lam_r = recovery_rate_curve(rf, model, grid, quad_step)
-    cum_f = rf.cumulative(grid)
-    cum_r = np.array(
-        [expected_recovered(rf, model, float(t), quad_step) for t in grid]
-    )
-    raw = cum_f - cum_r
+    raw = rf.cumulative(grid) - expected_recovered(rf, model, grid, quad_step)
     if np.any(raw < -1e-9):
         warnings.warn(
             f"expected outage curve dips to {raw.min():.3g} < 0; clamped",

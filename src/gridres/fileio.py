@@ -80,23 +80,26 @@ def write_dataset(path, dataset: OutageDataset) -> None:
 def read_dataset(path) -> OutageDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        column = {name: i for i, name in enumerate(next(reader, []))}
-        if not {"t_hours", "duration_hours"} <= column.keys():
-            raise ValueError(f"{path}: expected columns t_hours, duration_hours")
-        i_t, i_d = column["t_hours"], column["duration_hours"]
-        times, durations = [], []
-        for row in reader:
-            if not row:  # blank line
-                continue
-            try:
-                t, d = float(row[i_t]), float(row[i_d])
-            except (IndexError, ValueError):  # IndexError: a short row's missing cell
-                t = d = math.nan
-            if not (math.isfinite(t) and math.isfinite(d)):
-                raise ValueError(f"{path}: line {reader.line_num}: t_hours and duration_hours "
-                                 "must be finite numbers")
-            times.append(t)
-            durations.append(d)
+        try:
+            column = {name: i for i, name in enumerate(next(reader, []))}
+            if not {"t_hours", "duration_hours"} <= column.keys():
+                raise ValueError(f"{path}: expected columns t_hours, duration_hours")
+            i_t, i_d = column["t_hours"], column["duration_hours"]
+            times, durations = [], []
+            for row in reader:
+                if not row:  # blank line
+                    continue
+                try:
+                    t, d = float(row[i_t]), float(row[i_d])
+                except (IndexError, ValueError):  # IndexError: a short row's missing cell
+                    t = d = math.nan
+                if not (math.isfinite(t) and math.isfinite(d)):
+                    raise ValueError(f"{path}: line {reader.line_num}: t_hours and duration_hours "
+                                     "must be finite numbers")
+                times.append(t)
+                durations.append(d)
+        except csv.Error as exc:  # a field over the csv module's size limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return OutageDataset(times=np.array(times, dtype=np.float64),
                          durations=np.array(durations, dtype=np.float64))
 

@@ -152,49 +152,54 @@ def parse_records(
         first = text.partition("\n")[0].splitlines()
         delimiter = "\t" if first and "\t" in first[0] else ","
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    header = next(reader, None)
-    if header is None:
-        raise ValueError("empty input: no header row")
-    column = {name.strip(): i for i, name in enumerate(header)}
-    missing = [c for c in _REQUIRED if c not in column]
-    if missing:
-        raise ValueError(f"missing required columns: {', '.join(missing)}")
-    i_id, i_ts, i_d = (column[c] for c in _REQUIRED)
-    width = max(i_id, i_ts, i_d) + 1
-    # wall time in `zone` less the naive epoch, taken without astimezone
-    zone_epoch = _EPOCH.replace(tzinfo=zone)
-    ids: list[str] = []
-    stamps: list[int] = []
-    durations: list[float] = []
-    issues: list[ParseIssue] = []
-    lineno = 1
-    for row in reader:
-        if not row:
-            continue
-        lineno += 1
-        if len(row) < width:
-            issues.append(ParseIssue(line=lineno, reason="missing field"))
-            continue
-        raw_id, raw_ts, raw_d = row[i_id].strip(), row[i_ts].strip(), row[i_d].strip()
-        if not raw_id or not raw_ts or not raw_d:
-            issues.append(ParseIssue(line=lineno, reason="missing field"))
-            continue
-        try:
-            ts = datetime.fromisoformat(raw_ts)
-        except ValueError:
-            issues.append(ParseIssue(line=lineno, reason=f"bad timestamp {raw_ts!r}"))
-            continue
-        try:
-            dur = float(raw_d)
-        except ValueError:
-            issues.append(ParseIssue(line=lineno, reason=f"bad duration {raw_d!r}"))
-            continue
-        if not math.isfinite(dur):
-            issues.append(ParseIssue(line=lineno, reason=f"bad duration {raw_d!r}"))
-            continue
-        ids.append(raw_id)
-        stamps.append((ts - (_EPOCH if ts.tzinfo is None else zone_epoch)) // _ONE_US)
-        durations.append(dur)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty input: no header row")
+        column = {name.strip(): i for i, name in enumerate(header)}
+        missing = [c for c in _REQUIRED if c not in column]
+        if missing:
+            raise ValueError(f"missing required columns: {', '.join(missing)}")
+        i_id, i_ts, i_d = (column[c] for c in _REQUIRED)
+        width = max(i_id, i_ts, i_d) + 1
+        # wall time in `zone` less the naive epoch, taken without astimezone
+        zone_epoch = _EPOCH.replace(tzinfo=zone)
+        ids: list[str] = []
+        stamps: list[int] = []
+        durations: list[float] = []
+        issues: list[ParseIssue] = []
+        lineno = 1
+        for row in reader:
+            if not row:
+                continue
+            lineno += 1
+            if len(row) < width:
+                issues.append(ParseIssue(line=lineno, reason="missing field"))
+                continue
+            raw_id, raw_ts, raw_d = row[i_id].strip(), row[i_ts].strip(), row[i_d].strip()
+            if not raw_id or not raw_ts or not raw_d:
+                issues.append(ParseIssue(line=lineno, reason="missing field"))
+                continue
+            try:
+                ts = datetime.fromisoformat(raw_ts)
+            except ValueError:
+                issues.append(ParseIssue(line=lineno, reason=f"bad timestamp {raw_ts!r}"))
+                continue
+            try:
+                dur = float(raw_d)
+            except ValueError:
+                issues.append(ParseIssue(line=lineno, reason=f"bad duration {raw_d!r}"))
+                continue
+            if not math.isfinite(dur):
+                issues.append(ParseIssue(line=lineno, reason=f"bad duration {raw_d!r}"))
+                continue
+            ids.append(raw_id)
+            stamps.append((ts - (_EPOCH if ts.tzinfo is None else zone_epoch)) // _ONE_US)
+            durations.append(dur)
+    except csv.Error as exc:
+        # a field longer than the csv module's limit (131072 characters by
+        # default); the process-wide limit is left as it is
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     records = RawRecords(
         ids=np.array(ids, dtype=object),
         stamps=np.array(stamps, dtype=np.int64),

@@ -7,8 +7,26 @@ The recoveries then arrive with intensity
     lr(t) = integral_0^t lf(s) g(t - s | s) ds,
 
 and the expected number of simultaneously failed entities is the running
-integral of lf - lr.  This module evaluates those integrals by composite
-trapezoid quadrature and provides the day-to-day and surge closed forms.
+integral of lf - lr.  This module evaluates those integrals by a cell rule
+and provides the day-to-day and surge closed forms.
+
+The cell rule at one time t (recovery_rate, and the trapezoid behind
+expected_recovered) cuts [0, t] into round(t / quad_step) equal cells
+plus the rate's knots and the model's boundaries.  Over a grid of times,
+recovery_rate_curve and expected_recovered evaluate it in one lattice
+pass instead: within duration interval i the law G_i does not depend on
+the failure time, so the sum over cells is a discrete convolution of the
+failure intensity on interval i's cells with G_i on the lag lattice
+j * quad_step (np.convolve, or an rfft product on supports of 500 cells
+or more).  A grid time t = n * quad_step gets the rule's own cell terms,
+added in another order: exact up to rounding, about 1e-15 of the curve's
+peak through rfft.  That needs t / n to be quad_step itself, as it is for
+whole-hour times and the default step; otherwise the rule's own cells sit
+an ulp beside the nodes, and a boundary exactly on a node can fall on the
+other side of one trapezoid node.  A cell that a knot or boundary off the
+lattice cuts is split and its parts added one by one, as the rule splits
+it.  A grid time off the lattice gets the rule itself.  Work memory is
+O(t / quad_step).
 """
 
 import warnings
@@ -33,6 +51,24 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_STEP = 0.05
+# most cells one quadrature may hold; the same ceiling as a CLI grid's points
+_MAX_CELLS = 10**7
+# a grid time this close to a lattice node, relative to the time, is that node
+_ON_LATTICE_RTOL = 1e-12
+# np.convolve below this support length, an rfft product from it on; on a
+# 2-core x86 host the two cost the same at a support of about 500 cells,
+# whatever the kernel's length (100 to 9000)
+_FFT_MIN_SUPPORT = 500
+
+
+def check_quad_step(extent: float, quad_step: float) -> None:
+    """Raise ValueError unless quad_step is finite and positive and [0, extent]
+    needs at most 10^7 cells of it; nothing is allocated before the check."""
+    if not (np.isfinite(quad_step) and quad_step > 0.0):
+        raise ValueError(f"quadrature step must be finite and positive, got {quad_step!r}")
+    if extent / quad_step > _MAX_CELLS:
+        raise ValueError(f"a quadrature of {extent / quad_step:.3g} cells exceeds "
+                         f"the limit of {_MAX_CELLS:.0e}")
 
 
 def _cell_edges(rate: RateFunction, model: DurationModel, t: float, quad_step: float,
@@ -42,8 +78,7 @@ def _cell_edges(rate: RateFunction, model: DurationModel, t: float, quad_step: f
     so the intensity is linear and one mixture governs in every cell."""
     if t < 0.0 or t > rate.horizon + 1e-9:
         raise ValueError("t must lie in [0, rate horizon]")
-    if quad_step <= 0.0:
-        raise ValueError("quad_step must be positive")
+    check_quad_step(t, quad_step)
     if t == 0.0:
         return None
     grid = np.linspace(0.0, t, max(1, int(round(t / quad_step))) + 1)
@@ -83,16 +118,87 @@ def recovery_rate(
     return float(np.sum(rate.value(s_mid) * (hi - lo)))
 
 
+def _lattice(rate: RateFunction, model: DurationModel, times, quad_step: float):
+    """What both lattice passes share: the times as an array, each time's
+    lattice index (-1 off the lattice), the nodes j * quad_step out to the
+    last time on it, and the knots and boundaries strictly inside that span
+    that no node hits exactly (the cuts, sorted)."""
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    if t.ndim != 1:
+        raise ValueError("times must be a scalar or a 1-d array")
+    if np.any(t < 0.0) or np.any(t > rate.horizon + 1e-9):
+        raise ValueError("t must lie in [0, rate horizon]")
+    check_quad_step(float(t.max(initial=0.0)), quad_step)
+    n = np.rint(t / quad_step)
+    on = np.abs(t - n * quad_step) <= _ON_LATTICE_RTOL * t
+    nodes = np.arange(int(n[on].max(initial=0.0)) + 1) * quad_step
+    cuts = np.asarray([kt for kt, _ in rate.knots] + list(model.boundaries), dtype=float)
+    cuts = np.unique(cuts[(cuts > 0.0) & (cuts < nodes[-1])])
+    cuts = cuts[nodes[np.rint(cuts / quad_step).astype(int)] != cuts]
+    return t, np.where(on, n, -1).astype(int), nodes, cuts
+
+
+def _convolve(a: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
+    """The first n terms of the convolution of a with kernel (len(kernel) >= n)."""
+    kernel = kernel[:n]
+    if len(a) < _FFT_MIN_SUPPORT:
+        return np.convolve(a, kernel)[:n]
+    size = 1 << (len(a) + n - 2).bit_length()
+    out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(kernel, size), size)[:n]
+    # both factors are nonnegative, so a negative term is rounding noise
+    return np.maximum(out, 0.0)
+
+
+def _by_interval_convolution(model, interval, coef, nodes, out, shift):
+    """out[j + shift] += sum over intervals i of coef restricted to interval i,
+    convolved with mixture i's cdf on the lag lattice (differenced when
+    shift is 1), each over that interval's trimmed support only."""
+    m = len(nodes) - 1
+    for i in np.unique(interval):
+        a = np.where(interval == i, coef, 0.0)
+        nz = np.flatnonzero(a)
+        if len(nz) == 0:
+            continue
+        lo, hi = int(nz[0]), int(nz[-1]) + 1
+        g = model.mixtures[i].cdf(nodes[: m - lo + 1])
+        kernel = np.diff(g) if shift else g
+        out[lo + shift:] += _convolve(a[lo:hi], kernel, m - lo + 1 - shift)
+
+
 def recovery_rate_curve(
     rate: RateFunction,
     model: DurationModel,
     times,
     quad_step: float = DEFAULT_QUAD_STEP,
 ) -> np.ndarray:
-    """recovery_rate evaluated at each time in `times`."""
-    return np.asarray(
-        [recovery_rate(rate, model, t, quad_step) for t in np.asarray(times, dtype=float)]
-    )
+    """recovery_rate at each time in `times`, from one lattice pass.
+
+    On the lattice the value is lr(n h) = sum over cells j of
+    lf((j + 1/2) h) (G_i((n - j) h) - G_i((n - j - 1) h)), i the interval of
+    the cell's midpoint: one convolution per interval.  A cell cut by a
+    knot or boundary is split and its parts added directly; a time off the
+    lattice goes through recovery_rate.  Work memory is O(t / quad_step).
+    """
+    t, idx, nodes, cuts = _lattice(rate, model, times, quad_step)
+    mid = (np.arange(len(nodes) - 1) + 0.5) * quad_step
+    cell = np.searchsorted(nodes, cuts) - 1  # the cell each cut splits
+    coef = rate.value(mid)
+    coef[cell] = 0.0
+    lam = np.zeros(len(nodes))
+    _by_interval_convolution(model, model.interval_index(mid), coef, nodes, lam, 1)
+    on = idx >= 0
+    out = np.zeros(len(t))
+    out[on] = lam[idx[on]]
+    for j in np.unique(cell):
+        # the split cell's parts, at every lattice time past the cell; the
+        # lags of its lattice ends are lattice lags, as in the rule
+        at = on & (idx > j)
+        edges = np.concatenate(([nodes[j]], cuts[cell == j], [nodes[j + 1]]))
+        lags = [nodes[idx[at] - j], *(t[at] - c for c in edges[1:-1]), nodes[idx[at] - j - 1]]
+        for k, s in enumerate(0.5 * (edges[1:] + edges[:-1])):
+            out[at] += rate.value(s) * (model.cdf(lags[k], at=s) - model.cdf(lags[k + 1], at=s))
+    out[~on] = [recovery_rate(rate, model, x, quad_step) for x in t[~on]]
+    return out
 
 
 def _forward_quad(rate, model, t, quad_step, integrand):
@@ -106,18 +212,44 @@ def _forward_quad(rate, model, t, quad_step, integrand):
 def expected_recovered(
     rate: RateFunction,
     model: DurationModel,
-    t: float,
+    t,
     quad_step: float = DEFAULT_QUAD_STEP,
-) -> float:
-    """Expected number of recoveries completed by time t.
+):
+    """Expected number of recoveries completed by time(s) t.
 
-    Equal to the integral of the recovery intensity from 0 to t, computed
-    as a single quadrature of lf(s) G(t - s | s) over the failure time s.
+    Equal to the integral of the recovery intensity from 0 to t: the
+    trapezoid rule for lf(s) G(t - s | s) over the failure time s, with
+    nodes on the lattice j h plus the knots and boundaries.  On the lattice
+    the lattice nodes' part is one convolution per interval of their
+    weighted intensities with G_i; each knot or boundary off the lattice
+    adds its own node.  A time off the lattice gets its own trapezoid.
+    Returns a float for a scalar t, else an array.
     """
-    return _forward_quad(
-        rate, model, float(t), quad_step,
-        lambda grid: rate.value(grid) * model.cdf(float(t) - grid, at=grid),
-    )
+    times, idx, nodes, cuts = _lattice(rate, model, t, quad_step)
+    # trapezoid weights of every node, lattice and cut, over the whole span:
+    # at a lattice time t they differ from t's own trapezoid only at the
+    # node t itself, where G(0) = 0
+    s = np.concatenate((nodes, cuts))
+    order = np.argsort(s, kind="stable")
+    w = np.zeros(len(s))
+    half = 0.5 * np.diff(s[order])
+    w[order[:-1]] += half
+    w[order[1:]] += half
+    cum = np.zeros(len(nodes))
+    coef = w[: len(nodes)] * rate.value(nodes)
+    _by_interval_convolution(model, model.interval_index(nodes), coef, nodes, cum, 0)
+    on = idx >= 0
+    out = np.zeros(len(times))
+    out[on] = cum[idx[on]]
+    for c, wc in zip(cuts, w[len(nodes):]):
+        at = on & (times > c)
+        out[at] += wc * rate.value(c) * model.cdf(times[at] - c, at=c)
+    out[~on] = [
+        _forward_quad(rate, model, x, quad_step,
+                      lambda grid, x=x: rate.value(grid) * model.cdf(x - grid, at=grid))
+        for x in times[~on]
+    ]
+    return float(out[0]) if np.isscalar(t) else out
 
 
 def expected_in_failure(

@@ -1,6 +1,7 @@
 """Command line runs end to end: pipeline products, determinism, exit codes."""
 
 import argparse
+import csv
 import importlib
 import json
 import os
@@ -400,6 +401,36 @@ class TestExitCodes:
         rc = main(["--out", str(tmp_path / "x"), "resilience", "--model", str(path), *flags])
         assert rc == 2
         assert "--grid-max/--grid-step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["inf", "-inf", "nan", "0", "1e-9"])
+    def test_quad_step_bounded(self, tiny_model, tmp_path, capsys, no_big_arange, step):
+        # a non-finite or non-positive step, and 12 h / 1e-9 = 1.2e10 cells,
+        # are refused before any lattice is built
+        rc = main(["--out", str(tmp_path / "x"), "reconstruct", "--model", str(tiny_model),
+                   f"--quad-step={step}"])
+        assert rc == 2
+        assert "--quad-step" in capsys.readouterr().err
+
+    def test_field_over_csv_limit_ingest(self, tmp_path, capsys):
+        # the csv module refuses fields over 131072 characters with csv.Error
+        raw = tmp_path / "raw.csv"
+        raw.write_text("id,timestamp,duration_hours\n"
+                       "a,2008-09-12T08:00,1.5\n"
+                       + "x" * 140_000 + ",2008-09-12T09:00,2.0\n")
+        rc = main(["--out", str(tmp_path / "x"), "ingest", "--input", str(raw),
+                   "--window-start", "2008-09-12T07:00", "--window-end", "2008-09-14T04:00"])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+        assert csv.field_size_limit() == 131072
+
+    def test_field_over_csv_limit_fit(self, tmp_path, capsys, small_dataset):
+        with small_dataset.open("a") as fh:
+            fh.write("10.5," + "1" * 140_000 + "\n")
+        rc = main(["--out", str(tmp_path / "x"), "fit", "--dataset", str(small_dataset),
+                   "--boundaries", "0,5,10", "--components", "1,1"])
+        assert rc == 2
+        assert "line 42" in capsys.readouterr().err
+        assert csv.field_size_limit() == 131072
 
     @pytest.fixture
     def small_dataset(self, tmp_path):

@@ -7,7 +7,9 @@ durations, and EM's log-likelihood is checked never to decrease.  The
 columnar ingest is compared with the record-at-a-time pipeline it
 replaced, on random raw files.  The mixture cdf and quantile, and the
 rate function's cumulative intensity, are checked against their
-definitions.
+definitions.  The lattice pass of the recovery curves is compared with
+the per-point cell rule, and the block Monte Carlo route with the
+replica-at-a-time loop it replaced.
 """
 
 import csv
@@ -15,6 +17,7 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -25,12 +28,19 @@ from gridres import (
     DurationModel,
     RateFunction,
     WeibullMixture,
+    expected_recovered,
     fit_weibull_mixture,
     ingest_pipeline,
     interval_weights,
+    mean_paths,
+    monte_carlo_recovery_rate,
+    recovery_rate,
+    recovery_rate_curve,
     replica_rng,
     sample_durations,
+    simulate_events,
 )
+from gridres import recovery, simulate
 from gridres.fitting import _SHAPE_HI, _SHAPE_LO, _SHAPE_XTOL, _mstep_shapes, _prepare
 from gridres.ingest import ParseIssue, Provenance, normalize_ts
 from gridres.weibull import interval_of
@@ -472,3 +482,119 @@ def test_cumulative_matches_fine_trapezoid(rate, frac):
     tol = len(knots) * per_knot + 1e-9 * max(1.0, rate.peak * t)
     assert abs(rate.cumulative(t) - fine) <= tol
     assert rate.cumulative(t) == rate.integral(0.0, t)
+
+
+@st.composite
+def lattice_cases(draw):
+    """(rate, model, step, lattice nodes): 1-5 knots and a 1-4 interval model
+    whose knots and boundaries sit on lattice nodes or between them."""
+    h = draw(st.sampled_from([0.05, 0.0625, 0.1, 0.25]))
+    nodes = np.arange(draw(st.integers(1, 700)) + 1) * h
+    span = float(nodes[-1])
+    inside = st.one_of(st.sampled_from(nodes[1:-1].tolist() or [span / 2]),
+                       st.floats(0.0, span, exclude_min=True, exclude_max=True))
+    knot_times = sorted(draw(st.lists(st.one_of(st.just(0.0), inside),
+                                      min_size=1, max_size=5, unique=True)))
+    values = draw(st.lists(st.floats(0.0, 50.0), min_size=len(knot_times),
+                           max_size=len(knot_times)))
+    rate = RateFunction(knots=tuple(zip(knot_times, values)), horizon=span)
+    inner = sorted(draw(st.lists(inside, max_size=3, unique=True)))
+    b = [draw(st.sampled_from([0.0, -1.0])), *inner, draw(st.sampled_from([span, span + 5.0]))]
+    mix = draw(st.lists(mixtures(), min_size=len(b) - 1, max_size=len(b) - 1))
+    return rate, DurationModel(boundaries=tuple(b), mixtures=tuple(mix)), h, nodes
+
+
+def cell_rule_recovered(rate, model, t, h):
+    """expected_recovered at one time by the per-point trapezoid rule."""
+    return recovery._forward_quad(
+        rate, model, t, h, lambda grid: rate.value(grid) * model.cdf(t - grid, at=grid))
+
+
+@settings(max_examples=150)
+@given(lattice_cases(), st.data(), st.sampled_from([1, 10**9]))
+def test_lattice_pass_matches_cell_rule(case, data, fft_from):
+    rate, model, h, nodes = case
+    m = len(nodes) - 1
+    n = sorted(data.draw(st.lists(st.integers(0, m), min_size=1, max_size=12, unique=True)))
+    # a time on the lattice whose own cells, t / round(t / h), are an ulp
+    # off h puts the rule's edges beside the nodes, not on them
+    on = [float(nodes[k]) for k in n if k == 0 or nodes[k] / k == h]
+    off = data.draw(st.lists(st.floats(0.0, float(nodes[-1])), max_size=4))
+    off = [t for t in off if abs(t / h - round(t / h)) > 1e-6]
+    times = np.asarray(on + off)
+    # fft_from 1 sends every convolution through rfft, 10**9 none
+    with mock.patch.object(recovery, "_FFT_MIN_SUPPORT", fft_from):
+        lam = recovery_rate_curve(rate, model, times, h)
+        cum = expected_recovered(rate, model, times, h)
+        lam_peak = recovery_rate_curve(rate, model, nodes, h).max()
+        cum_peak = expected_recovered(rate, model, nodes, h).max()
+    lam_ref = np.asarray([recovery_rate(rate, model, t, h) for t in times])
+    cum_ref = np.asarray([cell_rule_recovered(rate, model, t, h) for t in times])
+    k = len(on)
+    # on the lattice the pass adds the rule's cell terms in another order
+    # (an rfft product: to about 1e-15 of the peak)
+    assert np.all(np.abs(lam[:k] - lam_ref[:k]) <= 1e-9 * lam_peak)
+    assert np.all(np.abs(cum[:k] - cum_ref[:k]) <= 1e-9 * cum_peak)
+    # off it each time goes through the rule itself
+    np.testing.assert_array_equal(lam[k:], lam_ref[k:])
+    np.testing.assert_array_equal(cum[k:], cum_ref[k:])
+
+
+def reference_path_counts(rate, model, grid, replicas, seed):
+    """(replicas, 2, grid) N_f, N_r: the replica-at-a-time loop that
+    mean_paths ran before its block route, one simulate_events per replica."""
+    rows = []
+    for i in range(replicas):
+        times, durations = simulate_events(rate, model, seed, i)
+        recoveries = np.sort(times + durations)
+        rows.append(np.vstack([np.searchsorted(times, grid, side="right"),
+                               np.searchsorted(recoveries, grid, side="right")]).astype(float))
+    return np.stack(rows)
+
+
+@st.composite
+def light_rates(draw):
+    """Intensities of at most 5/h over at most 30 h, the zero intensity among them."""
+    horizon = draw(st.floats(1.0, 30.0))
+    t = sorted(draw(st.lists(st.floats(0.0, horizon), min_size=1, max_size=4, unique=True)))
+    v = draw(st.one_of(st.just([0.0] * len(t)),
+                       st.lists(st.floats(0.0, 5.0), min_size=len(t), max_size=len(t))))
+    return RateFunction(knots=tuple(zip(t, v)), horizon=horizon)
+
+
+_EDGE = simulate._BLOCK
+
+
+@settings(max_examples=60)
+@given(light_rates(), models(),
+       st.sampled_from([1, 2, _EDGE - 1, _EDGE, _EDGE + 1, max(100, 3 * _EDGE + 1)]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_block_route_matches_replica_loop(rate, model, replicas, seed, data):
+    # replica 0's own jump times among the grid times and bin edges, where
+    # "a jump at t is counted at t" and np.histogram's [e_k, e_k+1) decide
+    t0, d0 = simulate_events(rate, model, seed, 0)
+    rec0 = np.sort(t0 + d0)
+    grid = np.concatenate([data.draw(st.lists(st.floats(-1.0, 2.0 * rate.horizon),
+                                              min_size=1, max_size=20)), t0[:3], rec0[:3]])
+    counts = simulate._path_counts(rate, model, grid, replicas, seed)
+    np.testing.assert_array_equal(counts, reference_path_counts(rate, model, grid, replicas, seed))
+    # N = N_f - N_r for every replica: the failed-and-not-yet-recovered count
+    for i in range(replicas):
+        t, d = simulate_events(rate, model, seed, i)
+        out = np.sum((t[:, None] <= grid) & (grid < (t + d)[:, None]), axis=0)
+        np.testing.assert_array_equal(counts[i, 0] - counts[i, 1], out)
+    got = mean_paths(rate, model, grid, replicas, seed)
+    nf, nr = counts[:, 0], counts[:, 1]
+    np.testing.assert_array_equal(got["nf_mean"], nf.mean(axis=0))
+    np.testing.assert_array_equal(got["n_mean"], (nf - nr).mean(axis=0))
+    np.testing.assert_array_equal(got["nr_se"], nr.std(axis=0, ddof=1 if replicas > 1 else 0)
+                                  / np.sqrt(replicas))
+    if replicas >= 100:
+        top = max(rec0[-1], 1.0) if len(rec0) else 1.5 * rate.horizon
+        edges = np.unique(np.concatenate([np.linspace(0.0, top, 7), rec0[:3]]))
+        mc = monte_carlo_recovery_rate(rate, model, edges, replicas, seed)
+        hist = np.stack([np.histogram(np.add(*simulate_events(rate, model, seed, i)),
+                                      bins=edges)[0] for i in range(replicas)]).astype(float)
+        np.testing.assert_array_equal(mc.mean_rate, hist.mean(axis=0) / np.diff(edges))
+        np.testing.assert_array_equal(mc.se_rate, hist.std(axis=0, ddof=1)
+                                      / np.sqrt(replicas) / np.diff(edges))
