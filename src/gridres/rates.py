@@ -40,6 +40,11 @@ class RateFunction:
             raise ValueError("knot times must be strictly increasing")
         if np.any(v < 0.0):
             raise ValueError("intensities must be >= 0")
+        with np.errstate(over="ignore"):
+            steep = not np.all(np.isfinite(np.diff(v) / np.diff(t)))
+        if steep:
+            raise ValueError("knot slopes must be finite: two knots are too close "
+                             "for their intensity step")
         horizon = float(self.horizon)
         if not np.isfinite(horizon) or horizon <= 0.0:
             raise ValueError("horizon must be positive and finite")
@@ -57,6 +62,14 @@ class RateFunction:
         object.__setattr__(self, "_bt", bt)
         object.__setattr__(self, "_bv", bv)
         object.__setattr__(self, "_cum", cum)
+        # the inverse works in units of a power of two near the peak: exact
+        # scaling, so its products neither underflow at tiny intensities nor
+        # overflow at huge ones, and are bit for bit the same in between
+        unit = 2.0 ** max(int(np.frexp(v.max())[1]) - 1, -1022) if v.max() > 0.0 else 1.0
+        object.__setattr__(self, "_unit", unit)
+        object.__setattr__(self, "_bv_units", bv / unit)
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "_slope_units", np.diff(bv) / np.diff(bt) / unit)
 
     @classmethod
     def constant(cls, level: float, horizon: float) -> "RateFunction":
@@ -83,6 +96,47 @@ class RateFunction:
         seg = (clipped - left) * 0.5 * (self._bv[idx] + np.interp(clipped, self._t, self._v))
         out = self._cum[idx] + seg
         return float(out[0]) if np.isscalar(t) else out
+
+    def inverse_cumulative(self, levels) -> np.ndarray:
+        """Time at which the cumulative intensity reaches each level in
+        [0, total], in closed form (the time-rescaling map).
+
+        Between breakpoints the cumulative intensity is quadratic, so a
+        level Delta u past breakpoint k is reached after
+        x = 2 Delta u / (b + sqrt(b**2 + 2 slope Delta u)), b the intensity
+        at the breakpoint; this form has no cancellation on rising or
+        falling segments.  A level at the top of a zero-intensity stretch
+        maps to its right end, except the total, which maps into a
+        zero-intensity tail.  Times are finite and in [0, horizon]; sorted
+        levels give nondecreasing times up to one rounding.
+        """
+        # in place where it can be: a block of replicas inverts ~10^4-10^5
+        # levels at once, and each temporary is one more array that size
+        shape = np.shape(levels)
+        u = np.atleast_1d(np.asarray(levels, dtype=float))
+        k = np.searchsorted(self._cum, u, side="right")
+        k -= 1
+        np.clip(k, 0, len(self._bt) - 2, out=k)
+        du = u - self._cum[k]
+        du *= 1.0 / self._unit
+        b = self._bv_units[k]
+        den = self._slope_units[k]
+        den *= 2.0
+        den *= du
+        den += b * b
+        # clamped: on a falling segment rounding can dip a hair below 0
+        np.maximum(den, 0.0, out=den)
+        np.sqrt(den, out=den)
+        den += b
+        del b
+        du *= 2.0
+        # den is 0 only where b = 0 and slope * du = 0: no time to advance
+        x = np.divide(du, den, out=np.zeros_like(du), where=den > 0.0)
+        del du, den
+        start = self._bt[k]
+        x += start
+        k += 1
+        return np.clip(x, start, self._bt[k], out=x).reshape(shape)
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral of the intensity over [a, b]."""

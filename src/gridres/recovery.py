@@ -12,7 +12,11 @@ and provides the day-to-day and surge closed forms.
 
 The cell rule at one time t (recovery_rate, and the trapezoid behind
 expected_recovered) cuts [0, t] into round(t / quad_step) equal cells
-plus the rate's knots and the model's boundaries.  Over a grid of times,
+plus the rate's knots and the model's boundaries.  The trapezoid takes
+each cell's own one-sided limits at its ends, so a node on an inner
+boundary weighs the left-hand mixture with its left half-cell and the
+right-hand one with its right half-cell: the curve does not jump when a
+boundary moves onto a node.  Over a grid of times,
 recovery_rate_curve and expected_recovered evaluate it in one lattice
 pass instead: within duration interval i the law G_i does not depend on
 the failure time, so the sum over cells is a discrete convolution of the
@@ -201,12 +205,30 @@ def recovery_rate_curve(
     return out
 
 
+def _from_left(s):
+    """A failure time an ulp left of s, to look up the mixture that governs
+    just before s: at an inner boundary, the left-hand interval's."""
+    return np.nextafter(s, -np.inf)
+
+
 def _forward_quad(rate, model, t, quad_step, integrand):
-    """Trapezoid rule for integrand(s) over the failure time s in [0, t]."""
+    """Trapezoid rule for integrand(s, at) over the failure time s in [0, t],
+    `at` the failure time whose interval's mixture applies.
+
+    Each cell takes the limits at its own ends, so at a node on an inner
+    model boundary the cell to the left takes the left-hand mixture, and
+    with equal cells the node gets the mean of its one-sided limits.
+    """
     grid = _cell_edges(rate, model, t, quad_step)
     if grid is None:
         return 0.0
-    return float(np.trapezoid(integrand(grid), grid))
+    y = integrand(grid, grid)
+    out = float(np.trapezoid(y, grid))
+    j = 1 + np.flatnonzero(np.isin(grid[1:], model.boundaries[1:-1]))
+    if len(j):
+        left = integrand(grid[j], _from_left(grid[j]))
+        out += float(np.sum(0.5 * (grid[j] - grid[j - 1]) * (left - y[j])))
+    return out
 
 
 def expected_recovered(
@@ -222,8 +244,9 @@ def expected_recovered(
     nodes on the lattice j h plus the knots and boundaries.  On the lattice
     the lattice nodes' part is one convolution per interval of their
     weighted intensities with G_i; each knot or boundary off the lattice
-    adds its own node.  A time off the lattice gets its own trapezoid.
-    Returns a float for a scalar t, else an array.
+    adds its own node, and a node on an inner boundary moves its left
+    half-weight to the left-hand mixture.  A time off the lattice gets its
+    own trapezoid.  Returns a float for a scalar t, else an array.
     """
     times, idx, nodes, cuts = _lattice(rate, model, t, quad_step)
     # trapezoid weights of every node, lattice and cut, over the whole span:
@@ -231,10 +254,11 @@ def expected_recovered(
     # node t itself, where G(0) = 0
     s = np.concatenate((nodes, cuts))
     order = np.argsort(s, kind="stable")
-    w = np.zeros(len(s))
     half = 0.5 * np.diff(s[order])
-    w[order[:-1]] += half
-    w[order[1:]] += half
+    right, left = np.zeros(len(s)), np.zeros(len(s))
+    right[order[:-1]] = half
+    left[order[1:]] = half
+    w = right + left
     cum = np.zeros(len(nodes))
     coef = w[: len(nodes)] * rate.value(nodes)
     _by_interval_convolution(model, model.interval_index(nodes), coef, nodes, cum, 0)
@@ -244,9 +268,16 @@ def expected_recovered(
     for c, wc in zip(cuts, w[len(nodes):]):
         at = on & (times > c)
         out[at] += wc * rate.value(c) * model.cdf(times[at] - c, at=c)
+    # a node on an inner boundary took the right-hand mixture with its whole
+    # weight; its left half takes the left-hand one, as in _forward_quad
+    for b in model.boundaries[1:-1]:
+        if 0.0 < b < nodes[-1]:
+            at = on & (times > b)
+            out[at] += left[np.flatnonzero(s == b)[0]] * rate.value(b) * (
+                model.cdf(times[at] - b, at=_from_left(b)) - model.cdf(times[at] - b, at=b))
     out[~on] = [
         _forward_quad(rate, model, x, quad_step,
-                      lambda grid, x=x: rate.value(grid) * model.cdf(x - grid, at=grid))
+                      lambda s, at, x=x: rate.value(s) * model.cdf(x - s, at=at))
         for x in times[~on]
     ]
     return float(out[0]) if np.isscalar(t) else out
@@ -261,7 +292,7 @@ def expected_in_failure(
     """Expected number of entities still failed at time t (exact convolution)."""
     return _forward_quad(
         rate, model, float(t), quad_step,
-        lambda grid: rate.value(grid) * (1.0 - model.cdf(float(t) - grid, at=grid)),
+        lambda s, at: rate.value(s) * (1.0 - model.cdf(float(t) - s, at=at)),
     )
 
 

@@ -1,16 +1,17 @@
 """Monte Carlo simulation of outage sample paths.
 
-Failure times are drawn by thinning a dominating homogeneous process (the
-dominating constant is the peak knot intensity; the homogeneous candidates
-are generated through the order-statistics representation, which is
-distributionally equivalent and fully vectorized).  Durations come from the
-duration model by exact Weibull inverse-cdf sampling.  Every replica gets
-its own generator derived from the root seed and the replica index.
-Replicas run inline in index order, in blocks of 32: each replica of a
-block makes its own draws in its own order, then the block's durations are
-dispatched in one call and its counts taken in one pass, so the result is
-bit for bit that of one replica at a time, and memory grows with the block,
-not with the replica count.
+Failure times are drawn by exact time-rescaling (Cinlar 1975): a Poisson
+count with mean the integrated intensity, sorted arrival levels on
+[0, integral] from normalised cumulative sums of exponentials, each mapped
+through the closed-form inverse of the piecewise-quadratic cumulative
+intensity.  Durations come from the duration model by exact Weibull
+inverse-cdf sampling.  Every replica gets its own generator derived from
+the root seed and the replica index.  Replicas run inline in index order,
+in blocks of 32: each replica of a block makes its own draws in its own
+order, then the block's levels are inverted and its durations dispatched
+in one call each, and every replica's counts are taken by a search on its
+own sorted times.  So the result is bit for bit that of one replica at a
+time, and memory grows with the block, not with the replica count.
 """
 
 from dataclasses import dataclass
@@ -34,8 +35,8 @@ __all__ = [
 ]
 
 
-# expected thinning candidates per replica (peak x horizon) allowed
-_MAX_CANDIDATES = 1e7
+# expected events per replica (the integrated intensity) allowed
+_MAX_EXPECTED = 1e7
 # replicas drawn, dispatched and counted together; one run_indexed task each.
 # 32 is as fast as 64 on the benchmark's sweep, and 64 raises the storm's
 # peak memory by about 0.9 MB
@@ -48,27 +49,53 @@ def replica_rng(seed: int, replica: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def sample_nhpp(rate: RateFunction, rng: np.random.Generator) -> np.ndarray:
-    """Failure times on [0, horizon] by thinning; strictly increasing."""
-    peak = rate.peak
-    if peak == 0.0:
-        return np.empty(0)
-    if peak * rate.horizon > _MAX_CANDIDATES:
+def _check_expected(rate: RateFunction) -> None:
+    """Raise ValueError, before any draw, if a replica would expect more
+    than 10^7 events."""
+    if rate.total > _MAX_EXPECTED:
         raise ValueError(
-            f"thinning would draw about {peak * rate.horizon:.3g} candidates "
-            f"(peak {peak:g}/h over {rate.horizon:g} h); the limit is {_MAX_CANDIDATES:g}"
+            f"a replica would expect {rate.total:.3g} events (the intensity's "
+            f"integral over {rate.horizon:g} h); the limit is {_MAX_EXPECTED:g} expected events"
         )
-    n_cand = rng.poisson(peak * rate.horizon)
-    if n_cand == 0:
-        return np.empty(0)
-    times = np.sort(rng.random(n_cand)) * rate.horizon
-    keep = rng.random(n_cand) * peak < rate.value(times)
-    out = times[keep]
-    if len(out) > 1:
-        # float ties are measure-zero but would break the strictly
-        # increasing contract, so drop exact duplicates
-        out = out[np.concatenate(([True], np.diff(out) > 0.0))]
-    return out
+
+
+def _unit_levels(total: float, rng: np.random.Generator) -> np.ndarray:
+    """The count n ~ Poisson(total), then n sorted uniforms on [0, 1] as the
+    first n of n + 1 normalised cumulative exponential sums: no sort."""
+    n = rng.poisson(total)
+    c = np.cumsum(rng.standard_exponential(n + 1))
+    return c[:n] / c[n]
+
+
+def _first_of_ties(times: np.ndarray, sizes) -> np.ndarray | None:
+    """None if each replica's run of times (sizes[r] consecutive entries) is
+    strictly increasing, else the mask that keeps each time above all
+    earlier ones of its replica: it drops exact ties, and the rare pair that
+    the inverse's rounding reversed."""
+    ends = np.cumsum(sizes)
+    bad = np.diff(times) <= 0.0
+    joins = ends[:-1]
+    bad[joins[(joins > 0) & (joins < len(times))] - 1] = False  # pairs across replicas
+    if not bad.any():
+        return None
+    keep = np.ones(len(times), dtype=bool)
+    for lo, hi in zip(ends - sizes, ends):
+        top = np.maximum.accumulate(times[lo:hi])
+        keep[lo + 1:hi] = top[1:] > top[:-1]
+    return keep
+
+
+def sample_nhpp(rate: RateFunction, rng: np.random.Generator) -> np.ndarray:
+    """Failure times on [0, horizon] by inverting the cumulative intensity at
+    sorted uniform levels; strictly increasing.
+
+    Draws the count, then n + 1 exponentials.  Raises ValueError before any
+    draw if the intensity's integral exceeds 10^7 expected events.
+    """
+    _check_expected(rate)
+    times = rate.inverse_cumulative(_unit_levels(rate.total, rng) * rate.total)
+    keep = _first_of_ties(times, [len(times)])
+    return times if keep is None else times[keep]
 
 
 def sample_durations(
@@ -91,10 +118,9 @@ def simulate_events(
     seed: int,
     replica: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(failure_times, durations) for one replica."""
-    rng = replica_rng(seed, replica)
-    times = sample_nhpp(rate, rng)
-    durations = sample_durations(times, model, rng)
+    """(failure_times, durations) for one replica: the block route run on
+    that replica alone."""
+    times, durations, _sizes = _block_events(rate, model, seed, replica, replica + 1)
     return times, durations
 
 
@@ -143,61 +169,73 @@ def build_path(times, durations) -> SamplePath:
 
 
 def _block_events(rate: RateFunction, model: DurationModel, seed: int, first: int,
-                  stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  stop: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Failure times and durations of replicas first..stop-1, concatenated in
     replica order, and each replica's event count.
 
-    Each replica draws from its own generator what simulate_events draws:
-    its failure times, then its component uniforms, then its duration
-    uniforms.  The duration dispatch then runs once for the whole block.
+    Each replica draws from its own generator, in this order: its count and
+    n + 1 exponentials (sample_nhpp's draws), then n component uniforms and
+    n duration uniforms (sample_durations' draws).  The block's levels are
+    then inverted in one pass, ties dropped with their uniforms, and the
+    duration dispatch run once.
     """
-    times, u_comp, u_dur = [], [], []
+    _check_expected(rate)
+    total = rate.total
+    levels, uniforms = [], []
     for i in range(first, stop):
         rng = replica_rng(seed, i)
-        t = sample_nhpp(rate, rng)
-        times.append(t)
-        u_comp.append(rng.random(len(t)))
-        u_dur.append(rng.random(len(t)))
-    t = np.concatenate(times)
-    durations = model.by_interval(WeibullMixture.from_uniforms, t,
-                                  np.concatenate(u_comp), np.concatenate(u_dur))
-    return t, durations, np.asarray([len(x) for x in times])
+        unit = _unit_levels(total, rng)
+        levels.append(unit)
+        uniforms.append(rng.random((2, len(unit))))  # row 0 component, row 1 duration
+    sizes = np.fromiter(map(len, levels), dtype=np.int64, count=len(levels))
+    u = np.concatenate(uniforms, axis=1)
+    del uniforms
+    levels = np.concatenate(levels)
+    levels *= total
+    times = rate.inverse_cumulative(levels)
+    del levels
+    keep = _first_of_ties(times, sizes)
+    if keep is not None:
+        times, u = times[keep], u[:, keep]
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        ends = np.cumsum(sizes)
+        sizes = kept[ends] - kept[ends - sizes]
+    durations = model.by_interval(WeibullMixture.from_uniforms, times, u[0], u[1])
+    return times, durations, sizes.tolist()
 
 
-def _per_replica_bincount(sizes: np.ndarray, col: np.ndarray, width: int) -> np.ndarray:
-    """(replicas, width): row r counts each column in [0, width) among replica
-    r's values (sizes[r] consecutive entries of col); other columns drop."""
-    row = np.repeat(np.arange(len(sizes)), sizes)
-    keep = (col >= 0) & (col < width)
-    flat = np.bincount(row[keep] * width + col[keep], minlength=len(sizes) * width)
-    return flat.reshape(len(sizes), width)
+def _runs(sizes: list[int], first: int):
+    """(replica, slice) of each replica's run of a block's concatenated
+    events, the block starting at replica `first`."""
+    lo = 0
+    for row, n in enumerate(sizes, first):
+        yield row, slice(lo, lo + n)
+        lo += n
 
 
-def _in_blocks(replicas: int, task) -> list:
-    """[task(first, stop) for each block of _BLOCK replicas], in order, each
+def _in_blocks(replicas: int, task) -> None:
+    """task(first, stop) for each block of _BLOCK replicas, in order, each
     block one run_indexed task, run inline."""
-    return run_indexed(-(-replicas // _BLOCK),
-                       lambda b: task(b * _BLOCK, min(replicas, (b + 1) * _BLOCK)), 1)
+    run_indexed(-(-replicas // _BLOCK),
+                lambda b: task(b * _BLOCK, min(replicas, (b + 1) * _BLOCK)), 1)
 
 
 def _path_counts(rate: RateFunction, model: DurationModel, grid: np.ndarray,
                  replicas: int, seed: int) -> np.ndarray:
     """(replicas, 2, len(grid)): N_f and N_r of every replica at the grid
-    times, counted as SamplePath counts them (a jump at t included)."""
-    order = np.argsort(grid, kind="stable")
+    times, counted as SamplePath counts them (a jump at t included), each
+    by a search of the grid in that replica's own sorted times."""
+    out = np.empty((replicas, 2, len(grid)))
 
-    def upto(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        # a value counts at the first grid time at or after it, and on
-        col = np.searchsorted(grid[order], values, side="left")
-        out = np.empty((len(sizes), len(grid)))
-        out[:, order] = _per_replica_bincount(sizes, col, len(grid)).cumsum(axis=1)
-        return out
-
-    def block(first: int, stop: int) -> np.ndarray:
+    def block(first: int, stop: int) -> None:
         times, durations, sizes = _block_events(rate, model, seed, first, stop)
-        return np.stack([upto(times, sizes), upto(times + durations, sizes)], axis=1)
+        recovered = times + durations
+        for row, run in _runs(sizes, first):
+            out[row, 0] = np.searchsorted(times[run], grid, side="right")
+            out[row, 1] = np.searchsorted(np.sort(recovered[run]), grid, side="right")
 
-    return np.concatenate(_in_blocks(replicas, block))
+    _in_blocks(replicas, block)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,17 +270,20 @@ def monte_carlo_recovery_rate(
         raise ValueError("edges must be increasing with at least one bin")
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
-    bins = len(edges) - 1
 
-    def block(first: int, stop: int) -> np.ndarray:
-        # np.histogram's bins: [e_k, e_k+1), the last one closed
+    counts = np.empty((replicas, len(edges) - 1))
+
+    def block(first: int, stop: int) -> None:
         times, durations, sizes = _block_events(rate, model, seed, first, stop)
         recovered = times + durations
-        col = np.searchsorted(edges, recovered, side="right") - 1
-        col[recovered == edges[-1]] = bins - 1
-        return _per_replica_bincount(sizes, col, bins).astype(float)
+        for row, run in _runs(sizes, first):
+            r = np.sort(recovered[run])
+            # np.histogram's bins: [e_k, e_k+1), the last one closed
+            below = np.searchsorted(r, edges, side="left")
+            below[-1] = np.searchsorted(r, edges[-1], side="right")
+            counts[row] = np.diff(below)
 
-    counts = np.concatenate(_in_blocks(replicas, block))
+    _in_blocks(replicas, block)
     widths = np.diff(edges)
     mean = counts.mean(axis=0) / widths
     se = counts.std(axis=0, ddof=1) / np.sqrt(replicas) / widths

@@ -202,7 +202,7 @@ class DurationModel:
         )
         idx = self.interval_index(at_arr)
         out = np.empty(at_arr.shape, dtype=float)
-        for i in np.unique(idx):
+        for i in np.flatnonzero(np.bincount(idx.ravel())):
             m = idx == i
             out[m] = fn(self.mixtures[i], *(a[m] for a in arrays))
         return float(out.flat[0]) if all(map(np.isscalar, (at, *values))) else out

@@ -473,6 +473,16 @@ class TestExitCodes:
                    "--surge-end", "12"])
         assert rc == 2
 
+    def test_non_finite_rate_slope(self, tiny_model, tmp_path, capsys):
+        # a step of 1/h over 2.2e-313 h: its slope overflows to inf
+        payload = json.loads(tiny_model.read_text())
+        payload["rate"] = {"knots": [[0.0, 0.0], [2.2250738585e-313, 1.0]], "horizon": 0.05}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        for command in ("simulate", "reconstruct"):
+            assert main(["--out", str(tmp_path / command), command, "--model", str(path)]) == 2
+        assert "slopes must be finite" in capsys.readouterr().err
+
     def test_insufficient_samples(self, tmp_path):
         data = tmp_path / "tiny.csv"
         data.write_text(

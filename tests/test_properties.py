@@ -38,6 +38,7 @@ from gridres import (
     recovery_rate_curve,
     replica_rng,
     sample_durations,
+    sample_nhpp,
     simulate_events,
 )
 from gridres import recovery, simulate
@@ -456,11 +457,19 @@ def test_quantile_inverts_cdf(mix, log10_x):
     assert abs(got - x) <= tol
 
 
+def finite_slopes(t, v) -> bool:
+    """Whether knots (t, v) have finite slopes, as RateFunction requires:
+    two knot times a subnormal gap apart with a step between them do not."""
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(np.diff(v) / np.diff(t))))
+
+
 @st.composite
 def rate_functions(draw):
     n = draw(st.integers(1, 6))
     t = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n, unique=True)))
     v = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
+    assume(finite_slopes(t, v))
     horizon = draw(st.floats(max(t[-1], 1e-3), 150.0))
     return RateFunction(knots=tuple(zip(t, v)), horizon=horizon)
 
@@ -485,6 +494,68 @@ def test_cumulative_matches_fine_trapezoid(rate, frac):
 
 
 @st.composite
+def inversion_rates(draw):
+    """Rates with zero-intensity stretches and tails, falling segments, knots
+    at 0 or past it and horizons at the last knot or beyond it."""
+    n = draw(st.integers(1, 6))
+    t = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n, unique=True)))
+    v = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0)), min_size=n, max_size=n))
+    assume(finite_slopes(t, v))
+    horizon = draw(st.one_of(st.just(max(t[-1], 1e-3)), st.floats(max(t[-1], 1e-3), 150.0)))
+    return RateFunction(knots=tuple(zip(t, v)), horizon=horizon)
+
+
+def inversion_tolerance(rate) -> float:
+    """A few roundings of the levels (up to the total) and of the times (up
+    to the horizon, at up to the peak intensity), and a few of the smallest
+    doubles for subnormal intensities."""
+    f = np.finfo(float)
+    return 32.0 * f.eps * (rate.total + rate.peak * rate.horizon) + 16.0 * f.smallest_subnormal
+
+
+@settings(max_examples=300)
+@given(inversion_rates(), st.data())
+def test_inverse_cumulative_inverts_cumulative(rate, data):
+    total = rate.total
+    # levels on segment edges (the cumulative at every knot), 0 and exactly
+    # the total among uniform ones
+    edges = [float(rate.cumulative(k)) for k, _ in rate.knots]
+    one = st.one_of(st.sampled_from([0.0, total, *edges]), st.floats(0.0, total))
+    u = np.sort(np.asarray(data.draw(st.lists(one, min_size=1, max_size=30))))
+    x = rate.inverse_cumulative(u)
+    tol = inversion_tolerance(rate)
+    assert np.all(np.isfinite(x)) and np.all((x >= 0.0) & (x <= rate.horizon))
+    # Lambda(Lambda^-1(u)) = u
+    assert np.all(np.abs(rate.cumulative(x) - u) <= tol)
+    # sorted levels give nondecreasing times, up to one rounding of a time
+    assert np.all(np.diff(x) >= -2.0 * np.spacing(rate.horizon))
+
+    # Lambda^-1(Lambda(t)) = t where the intensity is positive around t: in
+    # the middle third of a knot segment with positive intensity at both ends
+    # it is at least m = min(ends) there, so |x - t| <= tol / m; elsewhere it
+    # lands where Lambda is flat between the two
+    t = np.asarray(data.draw(st.lists(st.floats(0.0, rate.horizon), min_size=1, max_size=10)))
+    x = rate.inverse_cumulative(rate.cumulative(t))
+    assert np.all(np.isfinite(x)) and np.all((x >= 0.0) & (x <= rate.horizon))
+    assert np.all(np.abs(rate.cumulative(x) - rate.cumulative(t)) <= 2.0 * tol)
+    for (a, va), (b, vb) in zip(rate.knots[:-1], rate.knots[1:]):
+        m = min(va, vb)
+        middle = (t > a + (b - a) / 3.0) & (t < b - (b - a) / 3.0)
+        if 2.0 * tol < m * (b - a) / 3.0:
+            bound = 2.0 * tol / m + 2.0 * np.spacing(rate.horizon)
+            assert np.all(np.abs(x[middle] - t[middle]) <= bound)
+
+
+@settings(max_examples=100)
+@given(inversion_rates(), st.integers(0, 2**32 - 1))
+def test_sample_nhpp_strictly_increasing_in_range(rate, seed):
+    assume(rate.total <= 2000.0)
+    t = sample_nhpp(rate, replica_rng(seed, 0))
+    assert np.all(np.isfinite(t)) and np.all((t >= 0.0) & (t <= rate.horizon))
+    assert np.all(np.diff(t) > 0.0)
+
+
+@st.composite
 def lattice_cases(draw):
     """(rate, model, step, lattice nodes): 1-5 knots and a 1-4 interval model
     whose knots and boundaries sit on lattice nodes or between them."""
@@ -497,6 +568,7 @@ def lattice_cases(draw):
                                       min_size=1, max_size=5, unique=True)))
     values = draw(st.lists(st.floats(0.0, 50.0), min_size=len(knot_times),
                            max_size=len(knot_times)))
+    assume(finite_slopes(knot_times, values))
     rate = RateFunction(knots=tuple(zip(knot_times, values)), horizon=span)
     inner = sorted(draw(st.lists(inside, max_size=3, unique=True)))
     b = [draw(st.sampled_from([0.0, -1.0])), *inner, draw(st.sampled_from([span, span + 5.0]))]
@@ -507,7 +579,7 @@ def lattice_cases(draw):
 def cell_rule_recovered(rate, model, t, h):
     """expected_recovered at one time by the per-point trapezoid rule."""
     return recovery._forward_quad(
-        rate, model, t, h, lambda grid: rate.value(grid) * model.cdf(t - grid, at=grid))
+        rate, model, t, h, lambda s, at: rate.value(s) * model.cdf(t - s, at=at))
 
 
 @settings(max_examples=150)
@@ -559,6 +631,7 @@ def light_rates(draw):
     t = sorted(draw(st.lists(st.floats(0.0, horizon), min_size=1, max_size=4, unique=True)))
     v = draw(st.one_of(st.just([0.0] * len(t)),
                        st.lists(st.floats(0.0, 5.0), min_size=len(t), max_size=len(t))))
+    assume(finite_slopes(t, v))
     return RateFunction(knots=tuple(zip(t, v)), horizon=horizon)
 
 

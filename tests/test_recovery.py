@@ -305,3 +305,33 @@ def test_quadrature_step_refinement_converges():
     finer = recovery_rate(rate, model, 11.0, quad_step=0.0125)
     assert abs(fine - finer) < abs(coarse - finer) + 1e-12
     assert fine == pytest.approx(finer, rel=1e-3)
+
+
+def split_model(boundary):
+    """Restoration with mean 0.5 h for failures before `boundary`, 50 h after."""
+    return DurationModel(boundaries=(0.0, boundary, 100.0), mixtures=(
+        WeibullMixture(components=((1.0, 0.5, 1.0),)),
+        WeibullMixture(components=((1.0, 50.0, 1.0),)),
+    ))
+
+
+def test_boundary_on_a_node_takes_both_one_sided_limits():
+    # constant 10/h, the boundary at 5 h on a trapezoid node, or 1e-12 h to
+    # its right: the curves differ by O(1e-12), not by h times the jump of
+    # the integrand there (52.418 against 51.287 at 10 h when the node took
+    # the right-hand mixture with its whole weight)
+    rate = RateFunction.constant(10.0, 20.0)
+    on, off = split_model(5.0), split_model(5.0 + 1e-12)
+    times = np.asarray([10.0, 17.5, 10.1])  # two lattice times, one off the lattice
+    for fn in (expected_recovered, lambda r, m, t, h: np.asarray(
+            [expected_in_failure(r, m, x, h) for x in t])):
+        for h in (0.25, 0.05):
+            np.testing.assert_allclose(fn(rate, on, times, h), fn(rate, off, times, h),
+                                       rtol=1e-9)
+    # and the trapezoid keeps its O(h^2) error against the closed form
+    t = 10.0
+    exact = 10.0 * (5.0 - 0.5 * (math.exp(-(t - 5.0) / 0.5) - math.exp(-t / 0.5))) \
+        + 10.0 * (5.0 - 50.0 * (1.0 - math.exp(-(t - 5.0) / 50.0)))
+    err = [abs(expected_recovered(rate, on, t, h) - exact) for h in (0.25, 0.125)]
+    assert err[0] < 2e-4
+    assert 3.5 < err[0] / err[1] < 4.5

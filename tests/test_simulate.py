@@ -1,4 +1,5 @@
-"""Event simulation: thinning, duration draws, paths, replica aggregation."""
+"""Event simulation: time-rescaled failure draws, duration draws, paths,
+replica aggregation."""
 
 import numpy as np
 import pytest
@@ -51,12 +52,46 @@ def test_sample_nhpp_basics():
 
 
 def test_sample_nhpp_candidate_ceiling():
-    # 1e9/h over 12 h would ask numpy for ~1.2e10 candidates; no draw is made
+    # 1e9/h over 12 h would expect ~1.2e10 events per replica; no draw is made
     rng = replica_rng(0, 0)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="candidates"):
+    with pytest.raises(ValueError, match="expected events"):
         sample_nhpp(RateFunction.constant(1e9, 12.0), rng)
     assert rng.bit_generator.state == state
+
+
+def test_ties_dropped_with_their_uniforms():
+    # 500 expected events in 1e-9 h just past 1e6 h, where doubles are
+    # 1.16e-10 h apart: most times tie, and only the first of each is kept
+    rate = RateFunction(knots=((1e6, 0.0), (1e6 + 1e-9, 1e12)), horizon=1e6 + 1e-9)
+    model = DurationModel(boundaries=(0.0, 1e6 + 5e-10, 2e6), mixtures=(
+        WeibullMixture(components=((0.5, 1.0, 1.0), (0.5, 10.0, 2.0))),
+        WeibullMixture(components=((1.0, 3.0, 0.7),))))
+    for i in range(40):
+        t = sample_nhpp(rate, replica_rng(4, i))
+        assert np.all(np.diff(t) > 0.0) and 0 < len(t) < 20
+        assert t[0] >= 1e6 and t[-1] <= rate.horizon
+        # the block route draws what sample_nhpp and sample_durations draw,
+        # and drops each tied time together with its two uniforms
+        rng = replica_rng(4, i)
+        n = rng.poisson(rate.total)
+        c = np.cumsum(rng.standard_exponential(n + 1))
+        every = rate.inverse_cumulative(c[:n] / c[n] * rate.total)
+        u_comp, u_dur = rng.random(n), rng.random(n)
+        top = np.maximum.accumulate(every)
+        first = np.concatenate(([True], top[1:] > top[:-1]))
+        times, durations = simulate_events(rate, model, 4, i)
+        np.testing.assert_array_equal(times, every[first])
+        np.testing.assert_array_equal(times, t)
+        np.testing.assert_array_equal(durations, model.by_interval(
+            WeibullMixture.from_uniforms, times, u_comp[first], u_dur[first]))
+    grid = np.linspace(1e6 - 1.0, 1e6 + 20.0, 50)
+    out = mean_paths(rate, model, grid, replicas=40, seed=4)
+    paths = [build_path(*simulate_events(rate, model, 4, i)) for i in range(40)]
+    np.testing.assert_array_equal(
+        out["nf_mean"], np.mean([p.n_failed(grid) for p in paths], axis=0))
+    np.testing.assert_array_equal(
+        out["nr_mean"], np.mean([p.n_recovered(grid) for p in paths], axis=0))
 
 
 def test_sample_nhpp_mean_count():
