@@ -247,6 +247,46 @@ def _final_loglik(logd: np.ndarray, w, g, k) -> float:
     return float(_log_normalise(joint)[0].sum())
 
 
+def _start_labels(logd: np.ndarray, c: int, seed: int, idx: int) -> np.ndarray:
+    """k-means labels of start `idx`: quantile centres at 0, then seeded draws."""
+    rng = None if idx == 0 else np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(idx,))
+    )
+    return _kmeans_logd(logd, c, rng)
+
+
+def _run_start(logd: np.ndarray, labels: np.ndarray, c: int, tol: float, max_iter: int) -> FitResult:
+    """EM from the moment start of `labels`, dropping dead components."""
+    w, g, k = _moment_start(logd, labels, c)
+    flags: list[str] = []
+    history: list[float] = []
+    converged = False
+    for _ in range(c):
+        try:
+            w, g, k, hist, converged, run_flags = _em_once(logd, w, g, k, tol, max_iter)
+            history.extend(hist)
+            flags.extend(f for f in run_flags if f not in flags)
+            break
+        except _DroppedComponent as drop:
+            # each row of resp sums to 1, so the masses sum to n >= c and
+            # the largest is >= 1: `keep` is never empty
+            keep = drop.keep
+            flags.append(f"dropped degenerate component (kept {int(keep.sum())})")
+            w, g, k = w[keep], g[keep], k[keep]
+            w = w / w.sum()
+    ll = _final_loglik(logd, w, g, k)
+    order = np.lexsort((k, g))
+    comps = tuple((float(w[j]), float(g[j]), float(k[j])) for j in order)
+    return FitResult(
+        mixture=WeibullMixture(components=comps),
+        log_likelihood=ll,
+        iterations=len(history),
+        converged=converged,
+        flags=tuple(flags),
+        history=tuple(history),
+    )
+
+
 def fit_weibull_mixture(
     durations,
     n_components: int,
@@ -269,41 +309,19 @@ def fit_weibull_mixture(
         raise ValueError(f"{len(d)} durations cannot support {n_components} components")
     logd = np.log(d)
 
-    def one_start(idx: int) -> FitResult:
-        rng = None if idx == 0 else np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(idx,))
-        )
-        labels = _kmeans_logd(logd, n_components, rng)
-        w, g, k = _moment_start(logd, labels, n_components)
-        flags: list[str] = []
-        history: list[float] = []
-        converged = False
-        for _ in range(n_components):
-            try:
-                w, g, k, hist, converged, run_flags = _em_once(logd, w, g, k, tol, max_iter)
-                history.extend(hist)
-                flags.extend(f for f in run_flags if f not in flags)
-                break
-            except _DroppedComponent as drop:
-                # each row of resp sums to 1, so the masses sum to n >= c and
-                # the largest is >= 1: `keep` is never empty
-                keep = drop.keep
-                flags.append(f"dropped degenerate component (kept {int(keep.sum())})")
-                w, g, k = w[keep], g[keep], k[keep]
-                w = w / w.sum()
-        ll = _final_loglik(logd, w, g, k)
-        order = np.lexsort((k, g))
-        comps = tuple((float(w[j]), float(g[j]), float(k[j])) for j in order)
-        return FitResult(
-            mixture=WeibullMixture(components=comps),
-            log_likelihood=ll,
-            iterations=len(history),
-            converged=converged,
-            flags=tuple(flags),
-            history=tuple(history),
-        )
+    # a start is fixed by its k-means labels, so a start whose labels repeat
+    # an earlier one's would repeat its whole run: only the first is run,
+    # which keeps ties going to the lowest start index
+    starts: dict[bytes, np.ndarray] = {}
+    for idx in range(max(1, n_starts)):
+        labels = _start_labels(logd, n_components, seed, idx)
+        starts.setdefault(labels.tobytes(), labels)
+    distinct = list(starts.values())
 
-    results = run_indexed(max(1, n_starts), one_start)
+    def one_start(i: int) -> FitResult:
+        return _run_start(logd, distinct[i], n_components, tol, max_iter)
+
+    results = run_indexed(len(distinct), one_start)
     best = results[0]
     for r in results[1:]:
         if r.log_likelihood > best.log_likelihood:

@@ -1,6 +1,7 @@
 """Weibull mixture EM: recovery of known generators, monotonicity, guards."""
 
 import warnings
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from gridres import (
     WeibullMixture,
     fit_duration_model,
     fit_weibull_mixture,
+    ingest_pipeline,
     replica_rng,
 )
 import gridres.fitting
 from gridres.fitting import ZERO_DURATION_SHIFT, _DroppedComponent, _em_once, _mstep_shapes
 
-from conftest import reference_mixture
+from conftest import WINDOW_END, WINDOW_START, make_raw_csv, reference_mixture
 
 
 def test_input_guards():
@@ -163,6 +165,26 @@ def test_degenerate_drop_flagged_through_public_fit(monkeypatch):
     assert any("dropped degenerate component" in f for f in fit.flags)
     assert fit.mixture.n_components == 1
     assert np.isfinite(fit.log_likelihood)
+
+
+def test_storm_runs_each_distinct_start_once(monkeypatch):
+    # the README storm: 5 intervals x 5 starts, of which 10 have distinct
+    # k-means labels; repeated labels would repeat a whole EM run
+    dataset, _ = ingest_pipeline(make_raw_csv(), datetime.fromisoformat(WINDOW_START),
+                                 datetime.fromisoformat(WINDOW_END))
+    real = gridres.fitting._em_once
+    iterations = []
+
+    def counted(logd, w, g, k, tol, max_iter):
+        out = real(logd, w, g, k, tol, max_iter)
+        iterations.append(len(out[3]))
+        return out
+
+    monkeypatch.setattr(gridres.fitting, "_em_once", counted)
+    _, fits = fit_duration_model(dataset.times, dataset.durations,
+                                 (0.0, 12.0, 20.0, 28.0, 36.0, 45.0), (2,) * 5, seed=11)
+    assert len(iterations) == 10
+    assert sum(f.iterations for f in fits) == 525
 
 
 def test_multi_start_keeps_best_likelihood():

@@ -3,7 +3,9 @@
 Each merged route (the per-interval dispatch, the component draw and the
 interval lookup) is compared with a direct computation on random inputs.
 The Newton M-step is compared with lock-step bisection on adversarial
-durations, and EM's log-likelihood is checked never to decrease.  The
+durations, EM's log-likelihood is checked never to decrease, and the
+multi-start fit that runs each distinct start once is compared with one
+that runs every start.  The
 columnar ingest is compared with the record-at-a-time pipeline it
 replaced, on random raw files.  The mixture cdf and quantile, and the
 rate function's cumulative intensity, are checked against their
@@ -42,7 +44,15 @@ from gridres import (
     simulate_events,
 )
 from gridres import recovery, simulate
-from gridres.fitting import _SHAPE_HI, _SHAPE_LO, _SHAPE_XTOL, _mstep_shapes, _prepare
+from gridres.fitting import (
+    _SHAPE_HI,
+    _SHAPE_LO,
+    _SHAPE_XTOL,
+    _mstep_shapes,
+    _prepare,
+    _run_start,
+    _start_labels,
+)
 from gridres.ingest import ParseIssue, Provenance, normalize_ts
 from gridres.weibull import interval_of
 
@@ -245,6 +255,49 @@ def test_em_log_likelihood_never_decreases(case, seed):
     # the reported value follows one more M-step than the history's last
     h = np.asarray(fit.history + (fit.log_likelihood,))
     assert np.all(np.diff(h) >= -1e-9 * np.maximum(1.0, np.abs(h[:-1])))
+
+
+def every_start_fit(durations, c, seed, tol, max_iter, n_starts):
+    """Multi-start EM that runs every start, repeated labels included.
+
+    The best log-likelihood wins, ties going to the lowest start index.
+    """
+    logd = np.log(_prepare(durations))
+    results = [_run_start(logd, _start_labels(logd, c, seed, idx), c, tol, max_iter)
+               for idx in range(max(1, n_starts))]
+    best = results[0]
+    for r in results[1:]:
+        if r.log_likelihood > best.log_likelihood:
+            best = r
+    return best
+
+
+@st.composite
+def overlapping_clusters(draw, c):
+    """Up to 80 durations from one to three overlapping log-normal clusters.
+
+    Kept to two decimals as the feed records them, so ties and zeros
+    occur.  Starts' k-means labels differ on these more often than on
+    adversarial_durations, where most collide.
+    """
+    n = draw(st.integers(5 * c, 80))
+    m = draw(st.integers(1, 3))
+    centres = np.asarray(draw(st.lists(st.floats(-2.0, 4.0), min_size=m, max_size=m)))
+    spread = draw(st.floats(0.1, 1.5))
+    rng = replica_rng(draw(st.integers(0, 2**32 - 1)), 0)
+    logd = centres[rng.integers(0, m, n)] + spread * rng.standard_normal(n)
+    return np.round(np.exp(logd), 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda c: st.tuples(
+           st.just(c), st.one_of(adversarial_durations(c), overlapping_clusters(c)))),
+       st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_distinct_starts_fit_matches_every_start(case, n_starts, seed):
+    c, d = case
+    got = fit_weibull_mixture(d, c, seed=seed, n_starts=n_starts, max_iter=60)
+    want = every_start_fit(d, c, seed, 1e-6, 60, n_starts)
+    assert repr(got) == repr(want)
 
 
 @dataclass(frozen=True)
