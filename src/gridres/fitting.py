@@ -112,29 +112,38 @@ def _moment_start(logd: np.ndarray, labels: np.ndarray, c: int) -> tuple[np.ndar
 
 
 def _log_pdf_matrix(logd: np.ndarray, g: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """log Weibull density of each point under each component, (n, c)."""
+    """log Weibull density of each point under each component, (c, n)."""
     lng = np.log(g)
-    u = logd[:, None] - lng[None, :]
+    u = logd - lng[:, None]
     # (d/g)**k may overflow to inf; the log density's limit is then -inf
     with np.errstate(over="ignore"):
-        z = np.exp(k[None, :] * u)
-    return np.log(k)[None, :] - lng[None, :] + (k - 1.0)[None, :] * u - z
+        z = np.exp(k[:, None] * u)
+    u *= (k - 1.0)[:, None]
+    u += (np.log(k) - lng)[:, None]
+    u -= z
+    return u
 
 
 def _log_normalise(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row log-sum-exp of an (n, c) array and the rows divided by their sums."""
-    top = joint.max(axis=1, keepdims=True)
+    """Column log-sum-exp of a (c, n) array and the columns divided by their sums."""
+    top = joint.max(axis=0)
     top[~np.isfinite(top)] = 0.0
     p = np.exp(joint - top)
-    s = p.sum(axis=1, keepdims=True)
-    # a row of zeros gives -inf (and NaN responsibilities), which callers
+    s = p.sum(axis=0)
+    # a column of zeros gives -inf (and NaN responsibilities), which callers
     # treat as a non-finite log-likelihood
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (top + np.log(s))[:, 0], p / s
+        p /= s
+        return top + np.log(s), p
+
+
+def _moments(logd: np.ndarray) -> np.ndarray:
+    """(log d, log d squared), (2, n): the M-step's weighted sums use both."""
+    return np.stack([logd, logd * logd])
 
 
 def _mstep_shapes(
-    logd: np.ndarray, resp: np.ndarray, k: np.ndarray
+    logd: np.ndarray, resp: np.ndarray, k: np.ndarray, moments: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Weighted Weibull MLE for every component at once, warm-started at `k`.
 
@@ -142,7 +151,7 @@ def _mstep_shapes(
     responsibility-weighted mean of log d and m(k) the mean of log d under
     weights r_i * d_i**k.  f' = -1/k**2 - Var(log d) < 0, so the root is
     unique.  Newton steps run lock-step across components in log space:
-    the weights come from e = log r + k log d less its column maximum, so
+    the weights come from e = log r + k log d less its row maximum, so
     no term underflows at any shape in the bracket.  A point with f > 0
     raises the lower end of the bracket [0.05, 100] and any other point
     lowers the upper end; a Newton point outside the bracket (or NaN) is
@@ -151,23 +160,28 @@ def _mstep_shapes(
     bracket (tied data) ends the solve at the bound one step later.  A
     component stops when its step is at most 1e-10 * max(1, k) or its
     bracket at most 1e-8, keeping the last shape its sums were taken at;
-    the scale is
-    exp((logsumexp(e) - log sum(r)) / k) from those sums.
+    the scale is exp((logsumexp(e) - log sum(r)) / k) from those sums.
+
+    `resp` has one row per component, (c, n); `moments` is `_moments(logd)`,
+    built here when not given.
     """
-    c = resp.shape[1]
-    s0 = resp.sum(axis=0)
-    target = (resp.T @ logd) / s0
+    c = resp.shape[0]
+    s0 = resp.sum(axis=1)
+    target = (resp @ logd) / s0
     # a zero responsibility contributes exp(-inf) = 0 to every sum
     with np.errstate(divide="ignore"):
         logr = np.log(resp)
-    moments = np.stack([logd, logd * logd])
+    if moments is None:
+        moments = _moments(logd)
 
     def sums(k: np.ndarray):
-        e = logr + k[None, :] * logd[:, None]
-        top = e.max(axis=0)
-        p = np.exp(e - top[None, :])
-        a = p.sum(axis=0)
-        m1, m2 = (moments @ p) / a
+        e = k[:, None] * logd
+        e += logr
+        top = e.max(axis=1)
+        e -= top[:, None]
+        p = np.exp(e, out=e)
+        a = p.sum(axis=1)
+        m1, m2 = (moments @ p.T) / a
         return top, a, m1, m2 - m1 * m1
 
     k = np.clip(k, _SHAPE_LO, _SHAPE_HI)
@@ -216,22 +230,23 @@ def _em_once(
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool, list[str]]:
     n = len(logd)
+    moments = _moments(logd)
     history: list[float] = []
     flags: list[str] = []
     prev = -np.inf
     converged = False
     for _ in range(max_iter):
-        norm, resp = _log_normalise(_log_pdf_matrix(logd, g, k) + np.log(w)[None, :])
+        norm, resp = _log_normalise(_log_pdf_matrix(logd, g, k) + np.log(w)[:, None])
         ll = float(norm.sum())
         if not np.isfinite(ll):
             flags.append("non-finite log-likelihood")
             break
         history.append(ll)
-        mass = resp.sum(axis=0)
+        mass = resp.sum(axis=1)
         if np.any(mass < _DEGENERATE_MASS):
             raise _DroppedComponent(keep=mass >= _DEGENERATE_MASS)
         w = mass / n
-        g, k, step_flags = _mstep_shapes(logd, resp, k)
+        g, k, step_flags = _mstep_shapes(logd, resp, k, moments)
         for f in step_flags:
             if f not in flags:
                 flags.append(f)
@@ -243,7 +258,7 @@ def _em_once(
 
 
 def _final_loglik(logd: np.ndarray, w, g, k) -> float:
-    joint = _log_pdf_matrix(logd, np.asarray(g), np.asarray(k)) + np.log(np.asarray(w))[None, :]
+    joint = _log_pdf_matrix(logd, np.asarray(g), np.asarray(k)) + np.log(np.asarray(w))[:, None]
     return float(_log_normalise(joint)[0].sum())
 
 
@@ -268,7 +283,7 @@ def _run_start(logd: np.ndarray, labels: np.ndarray, c: int, tol: float, max_ite
             flags.extend(f for f in run_flags if f not in flags)
             break
         except _DroppedComponent as drop:
-            # each row of resp sums to 1, so the masses sum to n >= c and
+            # each column of resp sums to 1, so the masses sum to n >= c and
             # the largest is >= 1: `keep` is never empty
             keep = drop.keep
             flags.append(f"dropped degenerate component (kept {int(keep.sum())})")

@@ -108,7 +108,7 @@ def test_short_cluster_shape_reaches_bound():
 def test_one_value_shape_reaches_bound_in_few_steps(monkeypatch, k0):
     # on one distinct value f(k) = 1/k, so Newton doubles k; the first point
     # past 100 evaluates f at 100 instead of halving the bracket ~30 times
-    logd, resp = np.log(np.full(20, 3.0)), np.ones((20, 1))
+    logd, resp = np.log(np.full(20, 3.0)), np.ones((1, 20))
 
     def steps_to_bound():
         for cap in range(1, 80):

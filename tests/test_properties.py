@@ -135,21 +135,23 @@ def test_interval_lookup_matches_model(data, b):
 def bisect_mstep_shapes(logd, resp):
     """Lock-step bisection M-step: the solver the Newton M-step replaced.
 
+    `resp` has one row per component, (c, n).
+
     Powers d**k are taken relative to the largest log-duration, so they
     underflow for a component whose points all sit far below it.  Returns
     the shapes and bound flags, and per component whether any weighted
     power it summed underflowed.
     """
-    c = resp.shape[1]
-    target = (resp.T @ logd) / resp.sum(axis=0)
+    c = resp.shape[0]
+    target = (resp @ logd) / resp.sum(axis=1)
     ld = logd - logd.max()
     underflow = np.zeros(c, dtype=bool)
 
     def equation(k):
         with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
-            terms = resp * np.exp(ld[:, None] * k[None, :])
-            underflow[:] |= np.any((resp > 0.0) & (terms < np.finfo(float).tiny), axis=0)
-            return 1.0 / k + target - (terms * logd[:, None]).sum(axis=0) / terms.sum(axis=0)
+            terms = resp * np.exp(k[:, None] * ld)
+            underflow[:] |= np.any((resp > 0.0) & (terms < np.finfo(float).tiny), axis=1)
+            return 1.0 / k + target - (terms * logd).sum(axis=1) / terms.sum(axis=1)
 
     lo = np.full(c, _SHAPE_LO)
     hi = np.full(c, _SHAPE_HI)
@@ -169,10 +171,10 @@ def bisect_mstep_shapes(logd, resp):
 
 def profile_equation(logd, resp, k):
     """f(k) = 1/k + target - m(k) per component, with m(k) by signed logsumexp."""
-    e = np.log(resp, where=resp > 0.0, out=np.full(resp.shape, -np.inf)) + k[None, :] * logd[:, None]
-    num, sign = logsumexp(e, b=np.broadcast_to(logd[:, None], e.shape), axis=0, return_sign=True)
-    m = sign * np.exp(num - logsumexp(e, axis=0))
-    return 1.0 / k + (resp.T @ logd) / resp.sum(axis=0) - m
+    e = np.log(resp, where=resp > 0.0, out=np.full(resp.shape, -np.inf)) + k[:, None] * logd
+    num, sign = logsumexp(e, b=np.broadcast_to(logd, e.shape), axis=1, return_sign=True)
+    m = sign * np.exp(num - logsumexp(e, axis=1))
+    return 1.0 / k + (resp @ logd) / resp.sum(axis=1) - m
 
 
 @st.composite
@@ -203,15 +205,19 @@ def adversarial_durations(draw, c):
 
 @st.composite
 def mstep_inputs(draw):
-    """Log-durations, responsibilities (some exactly 0) and warm-start shapes."""
+    """Log-durations, responsibilities (some exactly 0) and warm-start shapes.
+
+    The responsibilities hold one row per component, (c, n), as the M-step
+    takes them.
+    """
     c = draw(st.integers(1, 3))
     logd = np.log(_prepare(draw(adversarial_durations(c))))
     n = len(logd)
     cell = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
-    raw = np.asarray(draw(st.lists(cell, min_size=n * c, max_size=n * c))).reshape(n, c)
-    raw[raw.sum(axis=1) == 0.0] = 1.0
-    resp = raw / raw.sum(axis=1, keepdims=True)
-    assume(np.all(resp.sum(axis=0) >= 1e-8))
+    raw = np.asarray(draw(st.lists(cell, min_size=n * c, max_size=n * c))).reshape(c, n)
+    raw[:, raw.sum(axis=0) == 0.0] = 1.0
+    resp = raw / raw.sum(axis=0)
+    assume(np.all(resp.sum(axis=1) >= 1e-8))
     k0 = np.asarray(draw(st.lists(st.floats(_SHAPE_LO, _SHAPE_HI), min_size=c, max_size=c)))
     return logd, resp, k0
 
