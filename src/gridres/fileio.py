@@ -107,8 +107,11 @@ def read_dataset(path) -> OutageDataset:
 def _mixture_payload(mix: WeibullMixture, fit: FitResult | None) -> dict:
     out = {"components": [list(c) for c in mix.components]}
     if fit is not None:
+        # JSON has no -Infinity: a fit that never reached a finite
+        # log-likelihood (flagged, so never converged) records null
+        ll = fit.log_likelihood
         out.update(
-            log_likelihood=fit.log_likelihood,
+            log_likelihood=ll if math.isfinite(ll) else None,
             iterations=fit.iterations,
             converged=fit.converged,
             flags=list(fit.flags),

@@ -18,7 +18,7 @@ import gridres
 from gridres import DurationModel, RateFunction, WeibullMixture
 from gridres import cli
 from gridres.cli import build_parser, main
-from gridres.fileio import save_model
+from gridres.fileio import load_model, save_model
 
 from conftest import WINDOW_END, WINDOW_START, make_raw_csv
 
@@ -502,6 +502,34 @@ class TestExitCodes:
         payload = json.loads((out / "model.json").read_text())
         assert payload["config"]["partial"] is True
         assert any(not m["converged"] for m in payload["durations"]["mixtures"])
+
+    def test_overflowing_starts_exit_3_with_valid_model(self, pipeline, tmp_path, monkeypatch):
+        # every start's scales sit 20 e-folds below the largest duration at
+        # shape 100, so every component's (d/g)**k overflows there
+        import gridres.fitting as fitting
+
+        real = fitting._moment_start
+
+        def overflowing(logd, labels, c):
+            w, _, _ = real(logd, labels, c)
+            return w, np.full(c, np.exp(logd.max() - 20.0)), np.full(c, 100.0)
+
+        monkeypatch.setattr(fitting, "_moment_start", overflowing)
+        out = tmp_path / "overflow"
+        rc = main(["--out", str(out), "fit", "--dataset", str(pipeline[0] / "dataset.csv"),
+                   "--boundaries", BOUNDARIES, "--components", "2,2,2,2,2"])
+        assert rc == 3
+
+        def reject(name):
+            raise ValueError(f"{name} in model.json")
+
+        payload = json.loads((out / "model.json").read_text(), parse_constant=reject)
+        assert payload["config"]["partial"] is True
+        for m in payload["durations"]["mixtures"]:
+            assert m["log_likelihood"] is None
+            assert "non-finite log-likelihood" in m["flags"]
+        _, model, _ = load_model(out / "model.json")
+        assert model.n_intervals == 5
 
     def test_surge_flags_must_come_together(self, tiny_model, tmp_path):
         rc = main(["--out", str(tmp_path), "simulate", "--model", str(tiny_model),

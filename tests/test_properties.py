@@ -5,17 +5,18 @@ interval lookup) is compared with a direct computation on random inputs.
 The Newton M-step is compared with lock-step bisection on adversarial
 durations, EM's log-likelihood is checked never to decrease, and the
 multi-start fit that runs each distinct start once is compared with one
-that runs every start.  The
-columnar ingest is compared with the record-at-a-time pipeline it
-replaced, on random raw files.  The mixture cdf and quantile, and the
+that runs every start.  The columnar ingest is compared with the
+record-at-a-time pipeline it replaced, on random raw files.  The mixture cdf and quantile, and the
 rate function's cumulative intensity, are checked against their
 definitions.  The lattice pass of the recovery curves is compared with
-the per-point cell rule, and the block Monte Carlo route with the
-replica-at-a-time loop it replaced.
+the per-point cell rule, the block Monte Carlo route with the
+replica-at-a-time loop it replaced, and the resilience curve's moving
+average with its window-at-a-time loop.
 """
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -43,7 +44,8 @@ from gridres import (
     sample_nhpp,
     simulate_events,
 )
-from gridres import recovery, simulate
+from gridres import fitting, recovery, resilience, simulate
+from gridres.fileio import save_model
 from gridres.fitting import (
     _SHAPE_HI,
     _SHAPE_LO,
@@ -306,6 +308,58 @@ def test_distinct_starts_fit_matches_every_start(case, n_starts, seed):
     assert repr(got) == repr(want)
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and infinities, which JSON does not allow."""
+    def reject(name):
+        raise ValueError(f"{name} in JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda c: st.tuples(
+           st.just(c), st.one_of(adversarial_durations(c), overlapping_clusters(c)))),
+       st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from(["first", "all"]))
+def test_overflowing_start_loses_to_finite_starts(tmp_path_factory, case, n_starts, seed, spoil):
+    """A start whose every component overflows at the largest duration.
+
+    A moment start cannot get there below about 3e5 points: its own
+    cluster keeps (d/g)**k below exp(1.28 sqrt(n)).  So the start's scales
+    are set 20 e-folds below the largest duration at shape 100, where
+    (d/g)**k = exp(2000) overflows in every component and the start's
+    log-likelihood is -inf.  The fit must then return the best finite
+    start; with no finite start it returns a flagged, unconverged fit
+    whose model file is still valid JSON.
+    """
+    c, d = case
+    logd = np.log(_prepare(d))
+    first = _start_labels(logd, c, seed, 0).tobytes()
+    real = fitting._moment_start
+
+    def overflowing(logd, labels, c):
+        w, g, k = real(logd, labels, c)
+        if spoil == "all" or labels.tobytes() == first:
+            g, k = np.full(c, math.exp(logd.max() - 20.0)), np.full(c, _SHAPE_HI)
+        return w, g, k
+
+    with mock.patch.object(fitting, "_moment_start", overflowing):
+        got = fit_weibull_mixture(d, c, seed=seed, n_starts=n_starts, max_iter=60)
+        want = every_start_fit(d, c, seed, 1e-6, 60, n_starts)
+        each = [_run_start(logd, _start_labels(logd, c, seed, idx), c, 1e-6, 60)
+                for idx in range(n_starts)]
+    finite = [f.log_likelihood for f in each if math.isfinite(f.log_likelihood)]
+    assert repr(got) == repr(want)
+    if finite:
+        assert got.log_likelihood == max(finite)
+    else:
+        assert got.log_likelihood == -math.inf
+        assert "non-finite log-likelihood" in got.flags and not got.converged
+        path = tmp_path_factory.mktemp("overflow") / "model.json"
+        save_model(path, RateFunction(knots=((0.0, 1.0),), horizon=1.0),
+                   DurationModel(boundaries=(0.0, 1.0), mixtures=(got.mixture,)), fits=(got,))
+        payload = strict_json(path.read_text())
+        assert payload["durations"]["mixtures"][0]["log_likelihood"] is None
+
+
 @dataclass(frozen=True)
 class RawRecord:
     id: str
@@ -489,6 +543,34 @@ def test_columnar_ingest_matches_record_pipeline(raw, rule, resolution):
     assert issues == ref_issues
     assert ds.provenance == ref_prov
     assert ds.provenance.consistent()
+
+
+def loop_smooth(values, window):
+    """The truncated moving average one window at a time, as it was written
+    before the window sums became one convolution."""
+    if window <= 1:
+        return values
+    r = window // 2
+    out = np.empty_like(values)
+    n = len(values)
+    for i in range(n):
+        lo, hi = max(0, i - r), min(n, i + r + 1)
+        out[i] = values[lo:hi].mean()
+    return out
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e6), st.just(0.0)),
+                min_size=1, max_size=80),
+       st.integers(0, 90), st.booleans())
+def test_smooth_matches_window_loop(values, window, falling):
+    # restored fractions are >= 0; a falling curve puts small windows after
+    # a large prefix, where differences of a cumulative sum lose digits
+    v = np.sort(np.asarray(values))
+    if falling:
+        v = v[::-1].copy()
+    np.testing.assert_allclose(resilience._smooth(v, window), loop_smooth(v, window),
+                               rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=200)
