@@ -66,15 +66,16 @@ class ThresholdPick:
 
 
 def _smooth(values: np.ndarray, window: int) -> np.ndarray:
+    """Mean of values[i - r : i + r + 1] at each i, r = window // 2, cut at the ends."""
     if window <= 1:
         return values
     r = window // 2
-    out = np.empty_like(values)
     n = len(values)
-    for i in range(n):
-        lo, hi = max(0, i - r), min(n, i + r + 1)
-        out[i] = values[lo:hi].mean()
-    return out
+    i = np.arange(n)
+    counts = np.minimum(n, i + r + 1) - np.maximum(0, i - r)
+    # each window is summed on its own: differences of one cumulative sum
+    # would lose a small window's digits after a large prefix
+    return np.convolve(values, np.ones(2 * r + 1))[r:r + n] / counts
 
 
 def pick_threshold(grid, values, smoothing: int = 5) -> ThresholdPick:
