@@ -12,7 +12,13 @@ decreases, which the fitter records per iteration.
 Initialization splits log-durations with a small k-means and seeds each
 cluster by log-space method of moments; multiple starts (default 5) are
 scored and the best log-likelihood wins, ties going to the lowest start
-index.
+index.  A start is fixed by its k-means labels, so a start whose labels
+repeat an earlier start's is run once: it would repeat that run bit for
+bit.
+
+The E-step's densities and responsibilities and the M-step's weighted
+sums hold one row per component, (c, n), so every reduction over the
+points runs along contiguous memory.
 """
 
 import math

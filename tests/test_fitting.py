@@ -184,6 +184,7 @@ def test_storm_runs_each_distinct_start_once(monkeypatch):
     _, fits = fit_duration_model(dataset.times, dataset.durations,
                                  (0.0, 12.0, 20.0, 28.0, 36.0, 45.0), (2,) * 5, seed=11)
     assert len(iterations) == 10
+    assert sum(iterations) == 1135
     assert sum(f.iterations for f in fits) == 525
 
 
