@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .rates import RateFunction
 from .recovery import DEFAULT_QUAD_STEP, expected_recovered, recovery_rate_curve
@@ -194,7 +193,10 @@ def pearson_nhpp_test(
     mu = np.diff(rf.cumulative(edges))
     j = np.arange(k + 1)
     # the Poisson pmf, P(X >= k) and chi-square quantile below are the
-    # formulas scipy.stats evaluates, without importing scipy.stats
+    # formulas scipy.stats evaluates; scipy.special is imported here, not at
+    # module level, so that only this test pays for loading scipy
+    from scipy import special
+
     pmf = np.exp(special.xlogy(j[:, None], mu) - special.gammaln(j[:, None] + 1) - mu)
     expected = pmf.sum(axis=1)
     if k >= 1:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 __all__ = ["WeibullMixture", "DurationModel", "interval_of"]
 
@@ -109,7 +108,8 @@ class WeibullMixture:
         return float(out[0]) if np.isscalar(d) else out
 
     def mean(self) -> float:
-        return float(np.sum(self._w * self._g * _gamma_fn(1.0 + 1.0 / self._k)))
+        terms = zip(self._w.tolist(), self._g.tolist(), self._k.tolist())
+        return sum(w * g * math.gamma(1.0 + 1.0 / k) for w, g, k in terms)
 
     def quantile(self, q: float) -> float:
         """Inverse cdf by bisection to a relative width of 1e-12 (no closed form exists)."""
