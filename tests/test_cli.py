@@ -34,6 +34,15 @@ def assert_lists_commands(help_text):
     assert not missing, help_text
 
 
+def checkout_env():
+    """The environment with the imported gridres package first on PYTHONPATH."""
+    package_root = str(Path(gridres.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def read_csv_columns(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -492,10 +501,10 @@ class TestExitCodes:
                    "--boundaries", "0,10", "--components", "2"])
         assert rc == 2
 
-    def test_non_convergence_writes_flagged_partial_model(self, workspace, tmp_path):
+    def test_non_convergence_writes_flagged_partial_model(self, pipeline, tmp_path):
         out = tmp_path / "partial"
         rc = main(["--seed", "3", "--out", str(out), "fit",
-                   "--dataset", str(workspace / "run" / "dataset.csv"),
+                   "--dataset", str(pipeline[0] / "dataset.csv"),
                    "--boundaries", BOUNDARIES, "--components", "2,2,2,2,2",
                    "--starts", "1", "--max-iter", "1"])
         assert rc == 3
@@ -639,6 +648,60 @@ class TestCommandExtras:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_package_import_skips_scipy(self):
+        """Only `gridres test` needs scipy; importing the package loads none of it."""
+        code = ("import sys, gridres, gridres.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_run_without_scipy(self, workspace, tmp_path, monkeypatch):
+        """Every README command but `test` runs, byte for byte, with scipy blocked."""
+        # relative paths, so that the echoed options match between the two runs
+        (tmp_path / "raw.csv").write_bytes((workspace / "raw.csv").read_bytes())
+        commands = [
+            ["--out", "run", "ingest", "--input", "../raw.csv",
+             "--window-start", WINDOW_START, "--window-end", WINDOW_END],
+            ["--seed", "11", "--out", "run", "fit", "--dataset", "run/dataset.csv",
+             "--boundaries", BOUNDARIES, "--components", "2,2,2,2,2",
+             "--starts", "2", "--max-iter", "500"],
+            ["--seed", "11", "--out", "run", "simulate", "--model", "run/model.json",
+             "--replicas", "30", "--grid-step", "1", "--save-events", "2"],
+            ["--out", "run", "resilience", "--model", "run/model.json",
+             "--dataset", "run/dataset.csv", "--grid-max", "60", "--grid-step", "0.5"],
+            ["--out", "run", "reconstruct", "--model", "run/model.json",
+             "--grid-step", "5", "--quad-step", "0.1"],
+        ]
+        blocked, normal = tmp_path / "blocked", tmp_path / "normal"
+        blocked.mkdir()
+        normal.mkdir()
+        # a None entry makes every `import scipy...` raise ImportError
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from gridres.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    rc = main(argv)\n"
+            "    if rc:\n"
+            "        sys.exit(f'exit {rc}: {argv}')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                              cwd=blocked, env=checkout_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+        monkeypatch.chdir(normal)
+        for argv in commands:
+            assert main(argv) == 0, argv
+        products = sorted(p.name for p in (normal / "run").iterdir())
+        assert len(products) == 10, products
+        assert sorted(p.name for p in (blocked / "run").iterdir()) == products
+        for name in products:
+            assert ((blocked / "run" / name).read_bytes()
+                    == (normal / "run" / name).read_bytes()), name
 
     def test_console_entry_point(self):
         """The declared `gridres` script target runs as its wrapper would."""

@@ -8,10 +8,11 @@ multi-start fit that runs each distinct start once is compared with one
 that runs every start.  The columnar ingest is compared with the
 record-at-a-time pipeline it replaced, on random raw files.  The mixture cdf and quantile, and the
 rate function's cumulative intensity, are checked against their
-definitions.  The lattice pass of the recovery curves is compared with
-the per-point cell rule, the block Monte Carlo route with the
-replica-at-a-time loop it replaced, and the resilience curve's moving
-average with its window-at-a-time loop.
+definitions, and the mixture mean against scipy's gamma function.  The
+lattice pass of the recovery curves is compared with the per-point cell
+rule, the block Monte Carlo route with the replica-at-a-time loop it
+replaced, and the resilience curve's moving average with its
+window-at-a-time loop.
 """
 
 import csv
@@ -25,7 +26,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import gamma, logsumexp
 
 from gridres import (
     DurationModel,
@@ -596,6 +597,27 @@ def test_quantile_inverts_cdf(mix, log10_x):
     # error in x, on top of the bisection's relative stopping width
     tol = 1e-11 * x + 8.0 * np.finfo(float).eps * q / mix.pdf(x)
     assert abs(got - x) <= tol
+
+
+@st.composite
+def fitted_mixtures(draw):
+    """1-4 components, with shapes anywhere in the fit's bracket and scales
+    spanning seven decades."""
+    n = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    log_scales = draw(st.lists(st.floats(-3.0, 4.0), min_size=n, max_size=n))
+    shapes = draw(st.lists(st.floats(_SHAPE_LO, _SHAPE_HI), min_size=n, max_size=n))
+    total = sum(raw)
+    return WeibullMixture(components=tuple(
+        (w / total, 10.0**s, k) for w, s, k in zip(raw, log_scales, shapes)
+    ))
+
+
+@settings(max_examples=200)
+@given(fitted_mixtures())
+def test_mixture_mean_matches_scipy_gamma(mix):
+    ref = sum(w * g * float(gamma(1.0 + 1.0 / k)) for w, g, k in mix.components)
+    assert abs(mix.mean() - ref) <= 1e-13 * ref
 
 
 def finite_slopes(t, v) -> bool:
