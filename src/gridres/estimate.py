@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import RateFunction
-from .recovery import DEFAULT_QUAD_STEP, expected_recovered, recovery_rate_curve
+from .recovery import CLAMP_WARN_TOL, DEFAULT_QUAD_STEP, expected_recovered, recovery_rate_curve
 from .weibull import DurationModel
 
 __all__ = [
@@ -286,12 +286,11 @@ def reconstruct(
     pass each over the whole grid (recovery_rate_curve, expected_recovered):
     per duration interval, the failure intensity on that interval's cells
     convolved with the interval's duration law on a lattice of step
-    quad_step.  At grid times on the lattice (multiples of quad_step) this
-    is the per-point cell rule up to rounding, about 1e-15 of the curve's
-    peak; knots and boundaries off the lattice split their cells as that
-    rule does.  Grid times off the lattice go through the per-point rule.
-    N is cum_f - cum_r; tiny negative excursions from quadrature noise are
-    clamped at zero (with a warning beyond 1e-9).
+    quad_step; knots and boundaries off the lattice split their cells.  A
+    grid time t off the lattice gets a pass of its own, of step
+    t / max(1, round(t / quad_step)).  N is cum_f - cum_r; tiny negative
+    excursions from quadrature noise are clamped at zero (with a warning
+    beyond CLAMP_WARN_TOL).
     """
     rf = _as_rate_function(rate)
     if grid is None:
@@ -309,7 +308,7 @@ def reconstruct(
         raise ValueError("grid extends beyond the intensity horizon")
     lam_r = recovery_rate_curve(rf, model, grid, quad_step)
     raw = rf.cumulative(grid) - expected_recovered(rf, model, grid, quad_step)
-    if np.any(raw < -1e-9):
+    if np.any(raw < -CLAMP_WARN_TOL):
         warnings.warn(
             f"expected outage curve dips to {raw.min():.3g} < 0; clamped",
             RuntimeWarning,

@@ -7,30 +7,24 @@ The recoveries then arrive with intensity
     lr(t) = integral_0^t lf(s) g(t - s | s) ds,
 
 and the expected number of simultaneously failed entities is the running
-integral of lf - lr.  This module evaluates those integrals by a cell rule
-and provides the day-to-day and surge closed forms.
+integral of lf - lr: the exact cumulative of lf less the expected
+recoveries.  This module evaluates both integrals in one lattice pass and
+provides the day-to-day and surge closed forms.
 
-The cell rule at one time t (recovery_rate, and the trapezoid behind
-expected_recovered) cuts [0, t] into round(t / quad_step) equal cells
-plus the rate's knots and the model's boundaries.  The trapezoid takes
-each cell's own one-sided limits at its ends, so a node on an inner
-boundary weighs the left-hand mixture with its left half-cell and the
-right-hand one with its right half-cell: the curve does not jump when a
-boundary moves onto a node.  Over a grid of times,
-recovery_rate_curve and expected_recovered evaluate it in one lattice
-pass instead: within duration interval i the law G_i does not depend on
-the failure time, so the sum over cells is a discrete convolution of the
-failure intensity on interval i's cells with G_i on the lag lattice
-j * quad_step (np.convolve, or an rfft product on supports of 500 cells
-or more).  A grid time t = n * quad_step gets the rule's own cell terms,
-added in another order: exact up to rounding, about 1e-15 of the curve's
-peak through rfft.  That needs t / n to be quad_step itself, as it is for
-whole-hour times and the default step; otherwise the rule's own cells sit
-an ulp beside the nodes, and a boundary exactly on a node can fall on the
-other side of one trapezoid node.  A cell that a knot or boundary off the
-lattice cuts is split and its parts added one by one, as the rule splits
-it.  A grid time off the lattice gets the rule itself.  Work memory is
-O(t / quad_step).
+The pass cuts the failure times [0, t] into cells of step h, split at the
+rate's knots and the model's boundaries.  lr takes each cell's intensity
+at its midpoint against the duration cdf's exact increment over the cell's
+lags, finite even where an infant component (shape < 1) has an infinite
+density at zero lag.  The expected recoveries are the trapezoid rule for
+lf(s) G(t - s | s); at a node on an inner boundary each adjacent cell takes
+its own side's mixture, so the curve does not jump when a boundary moves
+onto a node.  Within duration interval i, G_i does not depend on the
+failure time, so the sum over the lattice cells is one convolution per
+interval (np.convolve, or an rfft product on supports of 500 cells or
+more); a cell that a knot or boundary cuts is split and its parts added one
+by one.  Times within 1e-12 (relative) of the quad_step lattice share one
+pass and take their node's value; any other time t gets a pass of its own,
+of step t / max(1, round(t / quad_step)).  Work memory is O(t / quad_step).
 """
 
 import warnings
@@ -57,12 +51,15 @@ __all__ = [
 DEFAULT_QUAD_STEP = 0.05
 # most cells one quadrature may hold; the same ceiling as a CLI grid's points
 _MAX_CELLS = 10**7
-# a grid time this close to a lattice node, relative to the time, is that node
+# a time this close to a lattice node, relative to the time, is that node
 _ON_LATTICE_RTOL = 1e-12
 # np.convolve below this support length, an rfft product from it on; on a
 # 2-core x86 host the two cost the same at a support of about 500 cells,
 # whatever the kernel's length (100 to 9000)
 _FFT_MIN_SUPPORT = 500
+# an expected failed count below -CLAMP_WARN_TOL is more than quadrature
+# noise: it is clamped at 0 with a RuntimeWarning
+CLAMP_WARN_TOL = 1e-9
 
 
 def check_quad_step(extent: float, quad_step: float) -> None:
@@ -75,71 +72,37 @@ def check_quad_step(extent: float, quad_step: float) -> None:
                          f"the limit of {_MAX_CELLS:.0e}")
 
 
-def _cell_edges(rate: RateFunction, model: DurationModel, t: float, quad_step: float,
-                lag: bool = False) -> np.ndarray | None:
-    """Edges of round(t / quad_step) equal cells on [0, t] (None at t = 0),
-    plus the rate's knots and the model's boundaries, or their lags t - c,
-    so the intensity is linear and one mixture governs in every cell."""
-    if t < 0.0 or t > rate.horizon + 1e-9:
-        raise ValueError("t must lie in [0, rate horizon]")
-    check_quad_step(t, quad_step)
-    if t == 0.0:
-        return None
-    grid = np.linspace(0.0, t, max(1, int(round(t / quad_step))) + 1)
-    cuts = [kt for kt, _ in rate.knots] + list(model.boundaries)
-    if lag:
-        cuts = [t - c for c in cuts]
-    inner = [c for c in cuts if 0.0 < c < t]
-    if not inner:
-        return grid
-    return np.unique(np.concatenate([grid, np.asarray(inner, dtype=float)]))
-
-
-def recovery_rate(
-    rate: RateFunction,
-    model: DurationModel,
-    t: float,
-    quad_step: float = DEFAULT_QUAD_STEP,
-) -> float:
-    """Recovery intensity at time t (events/hour).
-
-    Product-integration rule in the lag variable v = t - s: on each cell
-    the failure intensity is taken at the cell midpoint and the duration
-    density is integrated exactly through its cdf.  Kinks of the failure
-    intensity and interval boundaries of the duration model are inserted
-    as cell edges, so the intensity is linear and the governing mixture
-    constant within every cell.  The rule is exact for a constant
-    intensity and, unlike an endpoint rule, untroubled by the density
-    blow-up of infant components (shape < 1) at zero lag.
-    """
-    t = float(t)
-    grid = _cell_edges(rate, model, t, quad_step, lag=True)
-    if grid is None:
-        return 0.0
-    s_mid = t - 0.5 * (grid[1:] + grid[:-1])
-    lo = model.cdf(grid[:-1], at=s_mid)
-    hi = model.cdf(grid[1:], at=s_mid)
-    return float(np.sum(rate.value(s_mid) * (hi - lo)))
-
-
-def _lattice(rate: RateFunction, model: DurationModel, times, quad_step: float):
-    """What both lattice passes share: the times as an array, each time's
-    lattice index (-1 off the lattice), the nodes j * quad_step out to the
-    last time on it, and the knots and boundaries strictly inside that span
-    that no node hits exactly (the cuts, sorted)."""
+def _evaluate(rate: RateFunction, model: DurationModel, times, quad_step: float,
+              lattice_pass) -> np.ndarray:
+    """lattice_pass(rate, model, t, n, step) at each time in `times`, t the
+    times and n their node indices on the lattice j * step: the times on the
+    quad_step lattice in one pass, each other time t in its own, on the
+    lattice of step t / n with n = max(1, round(t / quad_step))."""
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if t.ndim != 1:
         raise ValueError("times must be a scalar or a 1-d array")
-    if np.any(t < 0.0) or np.any(t > rate.horizon + 1e-9):
+    if not np.all((t >= 0.0) & (t <= rate.horizon + 1e-9)):
         raise ValueError("t must lie in [0, rate horizon]")
     check_quad_step(float(t.max(initial=0.0)), quad_step)
     n = np.rint(t / quad_step)
     on = np.abs(t - n * quad_step) <= _ON_LATTICE_RTOL * t
-    nodes = np.arange(int(n[on].max(initial=0.0)) + 1) * quad_step
+    out = np.zeros(len(t))
+    if on.any():
+        out[on] = lattice_pass(rate, model, t[on], n[on].astype(int), quad_step)
+    for i in np.flatnonzero(~on):
+        k = max(1, int(n[i]))
+        out[i] = lattice_pass(rate, model, t[i:i + 1], np.asarray([k]), t[i] / k)[0]
+    return out
+
+
+def _nodes_and_cuts(rate: RateFunction, model: DurationModel, last: int, step: float):
+    """The nodes j * step for j up to `last`, and the knots and boundaries
+    strictly inside their span that no node hits exactly (the cuts, sorted)."""
+    nodes = np.arange(last + 1) * step
     cuts = np.asarray([kt for kt, _ in rate.knots] + list(model.boundaries), dtype=float)
     cuts = np.unique(cuts[(cuts > 0.0) & (cuts < nodes[-1])])
-    cuts = cuts[nodes[np.rint(cuts / quad_step).astype(int)] != cuts]
-    return t, np.where(on, n, -1).astype(int), nodes, cuts
+    cuts = cuts[nodes[np.rint(cuts / step).astype(int)] != cuts]
+    return nodes, cuts
 
 
 def _convolve(a: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
@@ -169,89 +132,59 @@ def _by_interval_convolution(model, interval, coef, nodes, out, shift):
         out[lo + shift:] += _convolve(a[lo:hi], kernel, m - lo + 1 - shift)
 
 
+def _rate_pass(rate, model, t, n, step):
+    """lr at the times t = n * step: sum over cells j of
+    lf((j + 1/2) step) (G_i((n - j) step) - G_i((n - j - 1) step)), i the
+    interval of the cell's midpoint, one convolution per interval; a cell
+    cut by a knot or boundary is split and its parts added directly."""
+    nodes, cuts = _nodes_and_cuts(rate, model, int(n.max()), step)
+    mid = (np.arange(len(nodes) - 1) + 0.5) * step
+    cell = np.searchsorted(nodes, cuts) - 1  # the cell each cut splits
+    coef = rate.value(mid)
+    coef[cell] = 0.0
+    lam = np.zeros(len(nodes))
+    _by_interval_convolution(model, model.interval_index(mid), coef, nodes, lam, 1)
+    out = lam[n]
+    for j in np.unique(cell):
+        # the split cell's parts, at every time past the cell; the lags of
+        # its lattice ends are lattice lags
+        at = n > j
+        edges = np.concatenate(([nodes[j]], cuts[cell == j], [nodes[j + 1]]))
+        lags = [nodes[n[at] - j], *(t[at] - c for c in edges[1:-1]), nodes[n[at] - j - 1]]
+        for k, s in enumerate(0.5 * (edges[1:] + edges[:-1])):
+            out[at] += rate.value(s) * (model.cdf(lags[k], at=s) - model.cdf(lags[k + 1], at=s))
+    return out
+
+
 def recovery_rate_curve(
     rate: RateFunction,
     model: DurationModel,
     times,
     quad_step: float = DEFAULT_QUAD_STEP,
 ) -> np.ndarray:
-    """recovery_rate at each time in `times`, from one lattice pass.
-
-    On the lattice the value is lr(n h) = sum over cells j of
-    lf((j + 1/2) h) (G_i((n - j) h) - G_i((n - j - 1) h)), i the interval of
-    the cell's midpoint: one convolution per interval.  A cell cut by a
-    knot or boundary is split and its parts added directly; a time off the
-    lattice goes through recovery_rate.  Work memory is O(t / quad_step).
-    """
-    t, idx, nodes, cuts = _lattice(rate, model, times, quad_step)
-    mid = (np.arange(len(nodes) - 1) + 0.5) * quad_step
-    cell = np.searchsorted(nodes, cuts) - 1  # the cell each cut splits
-    coef = rate.value(mid)
-    coef[cell] = 0.0
-    lam = np.zeros(len(nodes))
-    _by_interval_convolution(model, model.interval_index(mid), coef, nodes, lam, 1)
-    on = idx >= 0
-    out = np.zeros(len(t))
-    out[on] = lam[idx[on]]
-    for j in np.unique(cell):
-        # the split cell's parts, at every lattice time past the cell; the
-        # lags of its lattice ends are lattice lags, as in the rule
-        at = on & (idx > j)
-        edges = np.concatenate(([nodes[j]], cuts[cell == j], [nodes[j + 1]]))
-        lags = [nodes[idx[at] - j], *(t[at] - c for c in edges[1:-1]), nodes[idx[at] - j - 1]]
-        for k, s in enumerate(0.5 * (edges[1:] + edges[:-1])):
-            out[at] += rate.value(s) * (model.cdf(lags[k], at=s) - model.cdf(lags[k + 1], at=s))
-    out[~on] = [recovery_rate(rate, model, x, quad_step) for x in t[~on]]
-    return out
+    """Recovery intensity lr (events/hour) at each time in `times`."""
+    return _evaluate(rate, model, times, quad_step, _rate_pass)
 
 
-def _from_left(s):
-    """A failure time an ulp left of s, to look up the mixture that governs
-    just before s: at an inner boundary, the left-hand interval's."""
-    return np.nextafter(s, -np.inf)
-
-
-def _forward_quad(rate, model, t, quad_step, integrand):
-    """Trapezoid rule for integrand(s, at) over the failure time s in [0, t],
-    `at` the failure time whose interval's mixture applies.
-
-    Each cell takes the limits at its own ends, so at a node on an inner
-    model boundary the cell to the left takes the left-hand mixture, and
-    with equal cells the node gets the mean of its one-sided limits.
-    """
-    grid = _cell_edges(rate, model, t, quad_step)
-    if grid is None:
-        return 0.0
-    y = integrand(grid, grid)
-    out = float(np.trapezoid(y, grid))
-    j = 1 + np.flatnonzero(np.isin(grid[1:], model.boundaries[1:-1]))
-    if len(j):
-        left = integrand(grid[j], _from_left(grid[j]))
-        out += float(np.sum(0.5 * (grid[j] - grid[j - 1]) * (left - y[j])))
-    return out
-
-
-def expected_recovered(
+def recovery_rate(
     rate: RateFunction,
     model: DurationModel,
-    t,
+    t: float,
     quad_step: float = DEFAULT_QUAD_STEP,
-):
-    """Expected number of recoveries completed by time(s) t.
+) -> float:
+    """recovery_rate_curve at the one time t."""
+    return float(recovery_rate_curve(rate, model, float(t), quad_step)[0])
 
-    Equal to the integral of the recovery intensity from 0 to t: the
-    trapezoid rule for lf(s) G(t - s | s) over the failure time s, with
-    nodes on the lattice j h plus the knots and boundaries.  On the lattice
-    the lattice nodes' part is one convolution per interval of their
-    weighted intensities with G_i; each knot or boundary off the lattice
-    adds its own node, and a node on an inner boundary moves its left
-    half-weight to the left-hand mixture.  A time off the lattice gets its
-    own trapezoid.  Returns a float for a scalar t, else an array.
-    """
-    times, idx, nodes, cuts = _lattice(rate, model, t, quad_step)
+
+def _recovered_pass(rate, model, t, n, step):
+    """The expected recoveries at the times t = n * step: the lattice nodes'
+    part is one convolution per interval of their weighted intensities with
+    G_i; each cut adds its own node, and a node on an inner boundary moves
+    its left half-weight to the left-hand mixture."""
+    nodes, cuts = _nodes_and_cuts(rate, model, int(n.max()), step)
     # trapezoid weights of every node, lattice and cut, over the whole span:
-    # at a lattice time t they differ from t's own trapezoid only at the
-    # node t itself, where G(0) = 0
+    # at a time t on the lattice they differ from t's own trapezoid only at
+    # the node t itself, where G(0) = 0
     s = np.concatenate((nodes, cuts))
     order = np.argsort(s, kind="stable")
     half = 0.5 * np.diff(s[order])
@@ -262,24 +195,29 @@ def expected_recovered(
     cum = np.zeros(len(nodes))
     coef = w[: len(nodes)] * rate.value(nodes)
     _by_interval_convolution(model, model.interval_index(nodes), coef, nodes, cum, 0)
-    on = idx >= 0
-    out = np.zeros(len(times))
-    out[on] = cum[idx[on]]
+    out = cum[n]
     for c, wc in zip(cuts, w[len(nodes):]):
-        at = on & (times > c)
-        out[at] += wc * rate.value(c) * model.cdf(times[at] - c, at=c)
+        at = t > c
+        out[at] += wc * rate.value(c) * model.cdf(t[at] - c, at=c)
     # a node on an inner boundary took the right-hand mixture with its whole
-    # weight; its left half takes the left-hand one, as in _forward_quad
+    # weight; its left half takes the left-hand one, from an ulp before it
     for b in model.boundaries[1:-1]:
         if 0.0 < b < nodes[-1]:
-            at = on & (times > b)
+            at = t > b
             out[at] += left[np.flatnonzero(s == b)[0]] * rate.value(b) * (
-                model.cdf(times[at] - b, at=_from_left(b)) - model.cdf(times[at] - b, at=b))
-    out[~on] = [
-        _forward_quad(rate, model, x, quad_step,
-                      lambda s, at, x=x: rate.value(s) * model.cdf(x - s, at=at))
-        for x in times[~on]
-    ]
+                model.cdf(t[at] - b, at=np.nextafter(b, -np.inf)) - model.cdf(t[at] - b, at=b))
+    return out
+
+
+def expected_recovered(
+    rate: RateFunction,
+    model: DurationModel,
+    t,
+    quad_step: float = DEFAULT_QUAD_STEP,
+):
+    """Expected number of recoveries completed by time(s) t, the integral of
+    lr from 0 to t; a float for a scalar t, else an array."""
+    out = _evaluate(rate, model, t, quad_step, _recovered_pass)
     return float(out[0]) if np.isscalar(t) else out
 
 
@@ -289,25 +227,23 @@ def expected_in_failure(
     t: float,
     quad_step: float = DEFAULT_QUAD_STEP,
 ) -> float:
-    """Expected number of entities still failed at time t (exact convolution)."""
-    return _forward_quad(
-        rate, model, float(t), quad_step,
-        lambda s, at: rate.value(s) * (1.0 - model.cdf(float(t) - s, at=at)),
-    )
+    """Expected number of entities still failed at time t: the exact
+    cumulative failure intensity less expected_recovered."""
+    t = float(t)
+    return rate.cumulative(t) - expected_recovered(rate, model, t, quad_step)
 
 
 def expected_failed(
     rate_f: RateFunction,
     rate_r: RateFunction,
     t: float,
-    warn_tol: float = 1e-9,
 ) -> float:
     """Expected simultaneously-failed count at t from two fitted intensities.
 
     Integrates rate_f - rate_r over [0, t] exactly (both are piecewise
     linear).  Quadrature noise can push the result slightly negative; the
     value is clamped at 0 and a RuntimeWarning is emitted when the raw
-    result falls below -warn_tol.
+    result falls below -CLAMP_WARN_TOL.
     """
     t = float(t)
     if t < 0.0:
@@ -315,7 +251,7 @@ def expected_failed(
     if t > rate_f.horizon + 1e-9 or t > rate_r.horizon + 1e-9:
         raise ValueError("mismatched horizons: both rates must be defined on [0, t]")
     raw = rate_f.cumulative(t) - rate_r.cumulative(t)
-    if raw < -warn_tol:
+    if raw < -CLAMP_WARN_TOL:
         warnings.warn(
             f"expected failed count at t={t} is {raw:.3g} < 0; clamped to 0",
             RuntimeWarning,

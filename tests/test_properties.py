@@ -32,13 +32,13 @@ from gridres import (
     DurationModel,
     RateFunction,
     WeibullMixture,
+    expected_in_failure,
     expected_recovered,
     fit_weibull_mixture,
     ingest_pipeline,
     interval_weights,
     mean_paths,
     monte_carlo_recovery_rate,
-    recovery_rate,
     recovery_rate_curve,
     replica_rng,
     sample_durations,
@@ -739,10 +739,71 @@ def lattice_cases(draw):
     return rate, DurationModel(boundaries=tuple(b), mixtures=tuple(mix)), h, nodes
 
 
-def cell_rule_recovered(rate, model, t, h):
-    """expected_recovered at one time by the per-point trapezoid rule."""
-    return recovery._forward_quad(
-        rate, model, t, h, lambda s, at: rate.value(s) * model.cdf(t - s, at=at))
+def cell_rule_edges(rate, model, t, h):
+    """Edges of round(t / h) equal cells on [0, t], plus the rate's knots and
+    the model's boundaries inside it, as failure times."""
+    grid = np.linspace(0.0, t, max(1, round(t / h)) + 1)
+    cuts = [c for c in [*(kt for kt, _ in rate.knots), *model.boundaries] if 0.0 < c < t]
+    return np.unique(np.concatenate([grid, np.asarray(cuts, dtype=float)]))
+
+
+def cell_rule_rate(rate, model, t, h):
+    """The recovery intensity at one time by the per-point cell rule: each
+    cell's intensity at its midpoint against the increment of the duration
+    cdf over its lags t - s_j."""
+    if t == 0.0:
+        return 0.0
+    s = cell_rule_edges(rate, model, t, h)
+    mid = 0.5 * (s[1:] + s[:-1])
+    return float(np.sum(rate.value(mid) * (model.cdf(t - s[:-1], at=mid)
+                                           - model.cdf(t - s[1:], at=mid))))
+
+
+def cell_rule_trapezoid(rate, model, t, h, integrand):
+    """Trapezoid rule for integrand(s, at) over the failure time s in [0, t],
+    `at` the failure time whose interval's mixture applies.  Each cell takes
+    the limits at its own ends: at a node on an inner boundary the cell to
+    the left takes the left-hand mixture."""
+    if t == 0.0:
+        return 0.0
+    s = cell_rule_edges(rate, model, t, h)
+    y = integrand(s, s)
+    out = float(np.trapezoid(y, s))
+    j = 1 + np.flatnonzero(np.isin(s[1:], model.boundaries[1:-1]))
+    if len(j):
+        left = integrand(s[j], np.nextafter(s[j], -np.inf))
+        out += float(np.sum(0.5 * (s[j] - s[j - 1]) * (left - y[j])))
+    return out
+
+
+def check_against_cell_rule(rate, model, h, on, off, fft_from):
+    """The lattice pass at the times `on` (multiples of h) and `off` against
+    the per-point cell rule, within 1e-9 of each quantity's scale, or the
+    smallest normal double where the whole curve is subnormal."""
+    nodes = np.arange(round(rate.horizon / h) + 1) * h
+    times = np.asarray(on + off)
+    # fft_from 1 sends every convolution through rfft, 10**9 none
+    with mock.patch.object(recovery, "_FFT_MIN_SUPPORT", fft_from):
+        lam = recovery_rate_curve(rate, model, times, h)
+        cum = expected_recovered(rate, model, times, h)
+        out = np.asarray([expected_in_failure(rate, model, t, h) for t in times])
+        lam_peak = recovery_rate_curve(rate, model, nodes, h).max()
+        cum_peak = expected_recovered(rate, model, nodes, h).max()
+    lam_ref = np.asarray([cell_rule_rate(rate, model, t, h) for t in times])
+    cum_ref = np.asarray([cell_rule_trapezoid(
+        rate, model, t, h, lambda s, at, t=t: rate.value(s) * model.cdf(t - s, at=at))
+        for t in times])
+    out_ref = np.asarray([cell_rule_trapezoid(
+        rate, model, t, h, lambda s, at, t=t: rate.value(s) * (1.0 - model.cdf(t - s, at=at)))
+        for t in times])
+    tiny = np.finfo(float).tiny
+    # the pass adds the rule's cell terms in another order (an rfft product:
+    # to about 1e-15 of the peak), on cells an ulp apart off the lattice
+    assert np.all(np.abs(lam - lam_ref) <= max(1e-9 * lam_peak, tiny))
+    assert np.all(np.abs(cum - cum_ref) <= max(1e-9 * cum_peak, tiny))
+    # the number still failed is the cumulative intensity less the
+    # recoveries: its cancellation is bounded on that cumulative's scale
+    assert np.all(np.abs(out - out_ref) <= max(1e-9 * rate.cumulative(rate.horizon), tiny))
 
 
 @settings(max_examples=150)
@@ -756,23 +817,22 @@ def test_lattice_pass_matches_cell_rule(case, data, fft_from):
     on = [float(nodes[k]) for k in n if k == 0 or nodes[k] / k == h]
     off = data.draw(st.lists(st.floats(0.0, float(nodes[-1])), max_size=4))
     off = [t for t in off if abs(t / h - round(t / h)) > 1e-6]
-    times = np.asarray(on + off)
-    # fft_from 1 sends every convolution through rfft, 10**9 none
-    with mock.patch.object(recovery, "_FFT_MIN_SUPPORT", fft_from):
-        lam = recovery_rate_curve(rate, model, times, h)
-        cum = expected_recovered(rate, model, times, h)
-        lam_peak = recovery_rate_curve(rate, model, nodes, h).max()
-        cum_peak = expected_recovered(rate, model, nodes, h).max()
-    lam_ref = np.asarray([recovery_rate(rate, model, t, h) for t in times])
-    cum_ref = np.asarray([cell_rule_recovered(rate, model, t, h) for t in times])
-    k = len(on)
-    # on the lattice the pass adds the rule's cell terms in another order
-    # (an rfft product: to about 1e-15 of the peak)
-    assert np.all(np.abs(lam[:k] - lam_ref[:k]) <= 1e-9 * lam_peak)
-    assert np.all(np.abs(cum[:k] - cum_ref[:k]) <= 1e-9 * cum_peak)
-    # off it each time goes through the rule itself
-    np.testing.assert_array_equal(lam[k:], lam_ref[k:])
-    np.testing.assert_array_equal(cum[k:], cum_ref[k:])
+    check_against_cell_rule(rate, model, h, on, off, fft_from)
+
+
+def test_lattice_pass_matches_cell_rule_on_edge_cases():
+    unit = WeibullMixture(components=((1.0, 1.0, 1.0),))
+    cases = [
+        # a knot 1e-12 h after 0: a rule whose midpoints are t minus a lag
+        # midpoint is off by up to eps * t, 2.68e-18 against a bound of 4.76e-22
+        (RateFunction(knots=((0.0, 1.0), (1e-12, 0.0)), horizon=0.05), [0.0, 0.05], [0.024]),
+        # a subnormal intensity: the rfft route gives 5e-324 where the rule gives 0
+        (RateFunction(knots=((0.0, 5e-324),), horizon=0.8), [0.0, 0.4, 0.8], [0.33]),
+    ]
+    for rate, on, off in cases:
+        model = DurationModel(boundaries=(0.0, rate.horizon), mixtures=(unit,))
+        for fft_from in (1, 10**9):
+            check_against_cell_rule(rate, model, 0.05, on, off, fft_from)
 
 
 def reference_path_counts(rate, model, grid, replicas, seed):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gridres import (
     surge_expected,
     surge_recovery_rate,
 )
+from gridres import recovery
 
 from conftest import reference_mixture, reference_model
 
@@ -335,3 +337,41 @@ def test_boundary_on_a_node_takes_both_one_sided_limits():
     err = [abs(expected_recovered(rate, on, t, h) - exact) for h in (0.25, 0.125)]
     assert err[0] < 2e-4
     assert 3.5 < err[0] / err[1] < 4.5
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(1e-300, id="tiny"),
+    pytest.param(0.024, id="below-half-a-step"),
+    pytest.param(math.nextafter(5.0, math.inf), id="ulp-past-boundary"),
+    pytest.param(20.0 + 1e-10, id="past-horizon"),
+])
+def test_scalar_times_take_one_pass(t):
+    # a scalar goes through the curve's own pass, once: a time off the
+    # lattice is the last node of a lattice of its own, never re-dispatched;
+    # 0.024 is under half a step, so its lattice has one cell
+    h = 0.05
+    rate = RateFunction(knots=((0.0, 2.0), (7.0, 6.0), (20.0, 1.0)), horizon=20.0)
+    infant = WeibullMixture(components=((0.7, 1.5, 0.6), (0.3, 20.0, 0.6)))
+    model = DurationModel(boundaries=(0.0, 5.0, 20.0), mixtures=(infant, reference_mixture(0)))
+    with mock.patch.object(recovery, "_rate_pass", wraps=recovery._rate_pass) as lam_pass, \
+            mock.patch.object(recovery, "_recovered_pass", wraps=recovery._recovered_pass) as cum_pass:
+        lam = recovery_rate(rate, model, t, h)
+        cum = expected_recovered(rate, model, t, h)
+        out = expected_in_failure(rate, model, t, h)
+    assert (lam_pass.call_count, cum_pass.call_count) == (1, 2)
+    assert all(np.isfinite(v) for v in (lam, cum, out))
+    times = np.asarray([t])
+    assert lam == recovery_rate_curve(rate, model, times, h)[0]
+    assert cum == expected_recovered(rate, model, times, h)[0]
+    assert out == (rate.cumulative(times) - expected_recovered(rate, model, times, h))[0]
+
+
+def test_time_within_rtol_of_a_node_takes_its_value():
+    # 1e-13 h past an inner boundary on a node, with an infant mixture on
+    # its left: the node's value, as a grid time in reconstruct gets
+    rate = RateFunction.constant(3.0, 10.0)
+    infant = WeibullMixture(components=((1.0, 2.0, 0.6),))
+    model = DurationModel(boundaries=(0.0, 5.0, 10.0), mixtures=(infant, reference_mixture(0)))
+    assert recovery_rate(rate, model, 5.0 + 1e-13) == recovery_rate(rate, model, 5.0)
+    assert expected_in_failure(rate, model, 5.0 + 1e-13) == pytest.approx(
+        expected_in_failure(rate, model, 5.0), rel=1e-12)
