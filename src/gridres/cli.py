@@ -6,7 +6,8 @@ is flags, then the JSON config file (per-command section first, then top
 level), then built-in defaults; a config value passes its flag's checks.
 Every option's resolved value is echoed into the command's JSON report.
 Outputs are byte-identical across reruns with the same inputs and seed,
-whatever GRIDRES_THREADS is.
+whatever GRIDRES_THREADS is (it sizes the pool of `fit`'s tasks, one per
+distinct component count).
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 numerical
 non-convergence (partial results are still written, flagged).

@@ -16,13 +16,21 @@ index.  A start is fixed by its k-means labels, so a start whose labels
 repeat an earlier start's is run once: it would repeat that run bit for
 bit.
 
-The E-step's densities and responsibilities and the M-step's weighted
-sums hold one row per component, (c, n), so every reduction over the
-points runs along contiguous memory.
+Every distinct start of every interval of one fit runs in lock-step.
+Runs with the same component count share (runs, c, n_max) arrays, one
+row per run and one row per component inside it, so each round makes one
+E-step and one M-step for every live run.  A run's points fill the first
+n of its row; the padding after them carries no responsibility, and every
+sum over points is taken per interval on exact-length slices, so a run's
+numbers are bit for bit those of the run alone.  A run leaves the live
+set when it converges, reaches max_iter or meets a non-finite
+log-likelihood; one whose component loses its mass re-enters with the
+components left, from its start, with a fresh history.
 """
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +53,10 @@ _NEWTON_RTOL = 1e-10
 _NEWTON_MAX_STEPS = 2 * math.ceil(math.log2((_SHAPE_HI - _SHAPE_LO) / _SHAPE_XTOL))
 _EULER_GAMMA = 0.57721566490153286
 _DEGENERATE_MASS = 1e-8
+# runs whose shapes are all solved leave the Newton loop once they hold
+# this many (run, component, point) cells: below it, one more step on
+# them costs less than the copies that take them out
+_NEWTON_COMPACT_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -117,84 +129,131 @@ def _moment_start(logd: np.ndarray, labels: np.ndarray, c: int) -> tuple[np.ndar
     return w, g, k
 
 
-def _log_pdf_matrix(logd: np.ndarray, g: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """log Weibull density of each point under each component, (c, n)."""
-    lng = np.log(g)
-    u = logd - lng[:, None]
-    # (d/g)**k may overflow to inf; the log density's limit is then -inf
-    with np.errstate(over="ignore"):
-        z = np.exp(k[:, None] * u)
-    u *= (k - 1.0)[:, None]
-    u += (np.log(k) - lng)[:, None]
-    u -= z
-    return u
-
-
-def _log_normalise(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column log-sum-exp of a (c, n) array and the columns divided by their sums."""
-    top = joint.max(axis=0)
-    top[~np.isfinite(top)] = 0.0
-    p = np.exp(joint - top)
-    s = p.sum(axis=0)
-    # a column of zeros gives -inf (and NaN responsibilities), which callers
-    # treat as a non-finite log-likelihood
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p /= s
-        return top + np.log(s), p
-
-
 def _moments(logd: np.ndarray) -> np.ndarray:
     """(log d, log d squared), (2, n): the M-step's weighted sums use both."""
     return np.stack([logd, logd * logd])
 
 
-def _mstep_shapes(
-    logd: np.ndarray, resp: np.ndarray, k: np.ndarray, moments: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Weighted Weibull MLE for every component at once, warm-started at `k`.
+class _Rows:
+    """Where the points of each lock-step run sit.
 
-    Each shape solves f(k) = 1/k + target - m(k) = 0, where target is the
-    responsibility-weighted mean of log d and m(k) the mean of log d under
-    weights r_i * d_i**k.  f' = -1/k**2 - Var(log d) < 0, so the root is
-    unique.  Newton steps run lock-step across components in log space:
-    the weights come from e = log r + k log d less its row maximum, so
-    no term underflows at any shape in the bracket.  A point with f > 0
-    raises the lower end of the bracket [0.05, 100] and any other point
-    lowers the upper end; a Newton point outside the bracket (or NaN) is
-    replaced by its midpoint, except that a point past an upper end of 100
-    where f was not yet taken is replaced by 100, so a root beyond the
-    bracket (tied data) ends the solve at the bound one step later.  A
-    component stops when its step is at most 1e-10 * max(1, k) or its
-    bracket at most 1e-8, keeping the last shape its sums were taken at;
-    the scale is exp((logsumexp(e) - log sum(r)) / k) from those sums.
-
-    `resp` has one row per component, (c, n); `moments` is `_moments(logd)`,
-    built here when not given.
+    Row r of a (runs, ..., n_max) array holds its run's log-durations in
+    its first n_r places and padding after them.  Every sum over points is
+    taken on exact-length slices, one per stretch of adjacent rows of one
+    interval, so it equals, bit for bit, the sum of the run alone.
+    `points` holds each interval's (log d, moments); `intervals` gives each
+    row's interval.
     """
-    c = resp.shape[0]
-    s0 = resp.sum(axis=1)
-    target = (resp @ logd) / s0
+
+    def __init__(self, points: list, intervals: list[int]):
+        self.points, self.intervals = points, intervals
+        self.spans = []
+        a = 0
+        for i, group in itertools.groupby(intervals):
+            b = a + len(list(group))
+            self.spans.append((a, b, *points[i]))
+            a = b
+        width = max(len(logd) for _, _, logd, _ in self.spans)
+        self.logd = np.zeros((len(intervals), 1, width))
+        self.n = np.empty(len(intervals))
+        for a, b, logd, _ in self.spans:
+            self.logd[a:b, 0, :len(logd)] = logd
+            self.n[a:b] = len(logd)
+        pad = np.arange(width) >= self.n[:, None, None]
+        self.pad = pad if pad.any() else None
+
+    def take(self, sel: np.ndarray) -> "_Rows":
+        """The rows `sel` (in order), padded to the longest of them."""
+        return _Rows(self.points, [self.intervals[j] for j in sel])
+
+    def _each(self, x: np.ndarray, fn) -> np.ndarray:
+        """fn(slice, log d, moments) per interval, stacked along the runs."""
+        parts = [fn(x[a:b, ..., :len(logd)], logd, moments) for a, b, logd, moments in self.spans]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """Sum over the points, the last axis."""
+        return self._each(x, lambda s, logd, moments: s.sum(axis=-1))
+
+    def dot(self, resp: np.ndarray) -> np.ndarray:
+        """(runs, c, n_max) weights times log d, summed over the points."""
+        return self._each(resp, lambda s, logd, moments: s @ logd)
+
+    def moments(self, p: np.ndarray) -> np.ndarray:
+        """(runs, 2, c): weighted sums of log d and log d squared."""
+        return self._each(p, lambda s, logd, moments: moments @ np.swapaxes(s, -1, -2))
+
+
+def _log_pdf_matrix(logd: np.ndarray, g: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """log Weibull density of each point under each component, (..., c, n)."""
+    lng = np.log(g)
+    u = logd - lng[..., None]
+    # (d/g)**k may overflow to inf; the log density's limit is then -inf
+    with np.errstate(over="ignore"):
+        z = np.exp(k[..., None] * u)
+    u *= (k - 1.0)[..., None]
+    u += (np.log(k) - lng)[..., None]
+    u -= z
+    return u
+
+
+def _log_normalise(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-sum-exp over the components of (..., c, n) and the columns divided by their sums."""
+    top = joint.max(axis=-2)
+    top[~np.isfinite(top)] = 0.0
+    p = np.exp(joint - top[..., None, :])
+    s = p.sum(axis=-2)
+    # a column of zeros gives -inf (and NaN responsibilities), which callers
+    # treat as a non-finite log-likelihood
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p /= s[..., None, :]
+        return top + np.log(s), p
+
+
+def _estep(rows: _Rows, w: np.ndarray, g: np.ndarray, k: np.ndarray):
+    """Each run's log-likelihood, responsibilities (runs, c, n_max) and their masses."""
+    joint = _log_pdf_matrix(rows.logd, g, k)
+    joint += np.log(w)[..., None]
+    norm, resp = _log_normalise(joint)
+    if rows.pad is not None:
+        # padding holds no point: zero, not a product with 0, so a NaN there stays out
+        np.copyto(resp, 0.0, where=rows.pad)
+    return rows.sum(norm), resp, rows.sum(resp)
+
+
+def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray):
+    """Weighted Weibull MLE for every component of every run, warm-started at `k`.
+
+    `resp` is (runs, c, n_max), zero on the padding; `s0` its sums over
+    the points.  Returns the scales and shapes, (runs, c); see
+    `_mstep_shapes` for the solve.  A run whose every shape is solved
+    keeps its shapes and sums as they are, in the loop or out of it.
+    """
+    target = rows.dot(resp) / s0
     # a zero responsibility contributes exp(-inf) = 0 to every sum
     with np.errstate(divide="ignore"):
         logr = np.log(resp)
-    if moments is None:
-        moments = _moments(logd)
 
+    # sums() reads `rows` and `logr` as they stand when solved runs have left
     def sums(k: np.ndarray):
-        e = k[:, None] * logd
+        e = k[..., None] * rows.logd
         e += logr
-        top = e.max(axis=1)
-        e -= top[:, None]
+        top = e.max(axis=-1)
+        e -= top[..., None]
         p = np.exp(e, out=e)
-        a = p.sum(axis=1)
-        m1, m2 = (moments @ p.T) / a
-        return top, a, m1, m2 - m1 * m1
+        a = rows.sum(p)
+        m = rows.moments(p) / a[..., None, :]
+        m1 = m[..., 0, :]
+        return top, a, m1, m[..., 1, :] - m1 * m1
 
     k = np.clip(k, _SHAPE_LO, _SHAPE_HI)
-    lo = np.full(c, _SHAPE_LO)
-    hi = np.full(c, _SHAPE_HI)
-    active = np.ones(c, dtype=bool)
+    lo = np.full(k.shape, _SHAPE_LO)
+    hi = np.full(k.shape, _SHAPE_HI)
+    active = np.ones(k.shape, dtype=bool)
     hi_tried = k == _SHAPE_HI
+    # once solved runs leave: the rows still in the loop, and every row's
+    # shapes and sums
+    left = None
     for _ in range(_NEWTON_MAX_STEPS):
         top, a, mean, var = sums(k)
         f = 1.0 / k + target - mean
@@ -211,61 +270,174 @@ def _mstep_shapes(
         if not active.any():
             break
         k = np.where(active, new, k)
+        if logr.size < _NEWTON_COMPACT_CELLS:
+            continue
+        solved = ~active.any(axis=-1)
+        if solved.sum() * logr[0].size >= _NEWTON_COMPACT_CELLS:
+            if left is None:
+                left, solution = np.arange(len(k)), np.empty((3, *k.shape))
+            solution[:, left[solved]] = k[solved], top[solved], a[solved]
+            stay = np.flatnonzero(~solved)
+            left = left[stay]
+            rows = rows.take(stay)
+            k, lo, hi, active, hi_tried, target = (x[stay] for x in (k, lo, hi, active, hi_tried, target))
+            logr = logr[stay, :, :rows.logd.shape[-1]]
     else:
         top, a, _, _ = sums(k)
-    flags = []
-    if np.any(k > _SHAPE_HI - 10.0 * _SHAPE_XTOL):
-        flags.append("shape at upper bound (degenerate data)")
-    if np.any(k < _SHAPE_LO + 10.0 * _SHAPE_XTOL):
-        flags.append("shape at lower bound")
+    if left is not None:
+        solution[:, left] = k, top, a
+        k, top, a = solution
     g = np.exp((top + np.log(a) - np.log(s0)) / k)
-    return g, k, flags
+    return g, k
 
 
-class _DroppedComponent(Exception):
-    def __init__(self, keep: np.ndarray):
-        self.keep = keep
+def _bound_flags(k: np.ndarray) -> list[list[str]]:
+    """The bound flags of each run's shapes, (runs, c)."""
+    upper = np.any(k > _SHAPE_HI - 10.0 * _SHAPE_XTOL, axis=-1).tolist()
+    lower = np.any(k < _SHAPE_LO + 10.0 * _SHAPE_XTOL, axis=-1).tolist()
+    return [["shape at upper bound (degenerate data)"] * u + ["shape at lower bound"] * v
+            for u, v in zip(upper, lower)]
 
 
-def _em_once(
-    logd: np.ndarray,
-    w: np.ndarray,
-    g: np.ndarray,
-    k: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool, list[str]]:
-    n = len(logd)
-    moments = _moments(logd)
-    history: list[float] = []
-    flags: list[str] = []
-    prev = -np.inf
-    converged = False
+def _mstep_shapes(logd: np.ndarray, resp: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Weighted Weibull MLE for every component of one run, warm-started at `k`.
+
+    Each shape solves f(k) = 1/k + target - m(k) = 0, where target is the
+    responsibility-weighted mean of log d and m(k) the mean of log d under
+    weights r_i * d_i**k.  f' = -1/k**2 - Var(log d) < 0, so the root is
+    unique.  Newton steps run lock-step across components in log space:
+    the weights come from e = log r + k log d less its row maximum, so
+    no term underflows at any shape in the bracket.  A point with f > 0
+    raises the lower end of the bracket [0.05, 100] and any other point
+    lowers the upper end; a Newton point outside the bracket (or NaN) is
+    replaced by its midpoint, except that a point past an upper end of 100
+    where f was not yet taken is replaced by 100, so a root beyond the
+    bracket (tied data) ends the solve at the bound one step later.  A
+    component stops when its step is at most 1e-10 * max(1, k) or its
+    bracket at most 1e-8, keeping the last shape its sums were taken at;
+    the scale is exp((logsumexp(e) - log sum(r)) / k) from those sums.
+
+    `resp` has one row per component, (c, n).  EM runs the same solve on
+    every live run at once (`_newton_shapes`).
+    """
+    rows = _Rows([(logd, _moments(logd))], [0])
+    resp = resp[None]
+    g, k = _newton_shapes(rows, resp, rows.sum(resp), np.asarray(k, dtype=float)[None])
+    return g[0], k[0], _bound_flags(k)[0]
+
+
+@dataclass
+class _Run:
+    """One start on one interval's points, carried across dropped components.
+
+    `w`, `g`, `k` are the start of the current EM pass until the pass ends,
+    then its result; `flags` holds the drops, `pass_flags` and `history`
+    the current pass's flags and log-likelihoods.
+    """
+
+    interval: int
+    w: np.ndarray
+    g: np.ndarray
+    k: np.ndarray
+    flags: list[str] = field(default_factory=list)
+    pass_flags: list[str] = field(default_factory=list)
+    history: list[float] = field(default_factory=list)
+    converged: bool = False
+
+    def end(self, w, g, k, converged: bool) -> None:
+        self.w, self.g, self.k, self.converged = w, g, k, converged
+
+    def drop(self, keep: np.ndarray) -> None:
+        """Restart from the pass's start without the components not kept."""
+        # each column of resp sums to 1, so the masses sum to n >= c and the
+        # largest is >= 1: `keep` is never empty
+        self.flags.append(f"dropped degenerate component (kept {int(keep.sum())})")
+        w = self.w[keep]
+        self.w, self.g, self.k = w / w.sum(), self.g[keep], self.k[keep]
+        self.pass_flags, self.history = [], []
+
+    def result(self, logd: np.ndarray) -> FitResult:
+        joint = _log_pdf_matrix(logd, self.g, self.k) + np.log(self.w)[:, None]
+        ll = float(_log_normalise(joint)[0].sum())
+        order = np.lexsort((self.k, self.g))
+        comps = tuple((float(self.w[j]), float(self.g[j]), float(self.k[j])) for j in order)
+        return FitResult(
+            mixture=WeibullMixture(components=comps),
+            log_likelihood=ll,
+            iterations=len(self.history),
+            converged=self.converged,
+            flags=tuple(self.flags + self.pass_flags),
+            history=tuple(self.history),
+        )
+
+
+def _em_lockstep(points: list, runs: list[_Run], tol: float, max_iter: int) -> list[tuple[_Run, np.ndarray]]:
+    """One EM pass of every run, all with one component count, in lock-step.
+
+    Each round makes one E-step and one M-step for every live run.  A run
+    leaves when it converges, after max_iter rounds, or at a non-finite
+    log-likelihood (keeping the parameters that gave it); those runs end
+    here.  A run with a component whose responsibility mass is below 1e-8
+    leaves too, its pass discarded: it is returned with the components
+    it keeps.
+    """
+    # rows of one interval side by side make one slice per interval
+    live = sorted(runs, key=lambda r: r.interval)
+    w, g, k = (np.array([getattr(r, name) for r in live]) for name in "wgk")
+    prev = np.full(len(live), -np.inf)
+    dropped = []
+    rows = None
     for _ in range(max_iter):
-        norm, resp = _log_normalise(_log_pdf_matrix(logd, g, k) + np.log(w)[:, None])
-        ll = float(norm.sum())
-        if not np.isfinite(ll):
-            flags.append("non-finite log-likelihood")
+        if not live:
             break
-        history.append(ll)
-        mass = resp.sum(axis=1)
-        if np.any(mass < _DEGENERATE_MASS):
-            raise _DroppedComponent(keep=mass >= _DEGENERATE_MASS)
-        w = mass / n
-        g, k, step_flags = _mstep_shapes(logd, resp, k, moments)
-        for f in step_flags:
-            if f not in flags:
-                flags.append(f)
-        if prev > -np.inf and ll - prev <= tol * abs(prev):
-            converged = True
-            break
+        if rows is None:
+            rows = _Rows(points, [r.interval for r in live])
+        ll, resp, mass = _estep(rows, w, g, k)
+        bad = ~np.isfinite(ll)
+        dead = ~bad & np.any(mass < _DEGENERATE_MASS, axis=-1)
+        if bad.any() or dead.any():
+            for j in np.flatnonzero(bad):
+                live[j].pass_flags.append("non-finite log-likelihood")
+                live[j].end(w[j], g[j], k[j], converged=False)
+            dropped += [(live[j], mass[j] >= _DEGENERATE_MASS) for j in np.flatnonzero(dead)]
+            stay = np.flatnonzero(~(bad | dead))
+            live = [live[j] for j in stay]
+            if not live:
+                break
+            rows = rows.take(stay)
+            resp = resp[stay, :, :rows.logd.shape[-1]]
+            ll, mass, k, prev = ll[stay], mass[stay], k[stay], prev[stay]
+        for run, value in zip(live, ll.tolist()):
+            run.history.append(value)
+        w = mass / rows.n[:, None]
+        g, k = _newton_shapes(rows, resp, mass, k)
+        for run, flags in zip(live, _bound_flags(k)):
+            run.pass_flags += [f for f in flags if f not in run.pass_flags]
+        done = (prev > -np.inf) & (ll - prev <= tol * np.abs(prev))
         prev = ll
-    return w, g, k, history, converged, flags
+        if done.any():
+            for j in np.flatnonzero(done):
+                live[j].end(w[j], g[j], k[j], converged=True)
+            stay = np.flatnonzero(~done)
+            live = [live[j] for j in stay]
+            w, g, k, prev = w[stay], g[stay], k[stay], prev[stay]
+            rows = None
+    for j, run in enumerate(live):
+        run.end(w[j], g[j], k[j], converged=False)
+    return dropped
 
 
-def _final_loglik(logd: np.ndarray, w, g, k) -> float:
-    joint = _log_pdf_matrix(logd, np.asarray(g), np.asarray(k)) + np.log(np.asarray(w))[:, None]
-    return float(_log_normalise(joint)[0].sum())
+def _run_starts(points: list, starts: list[tuple[int, np.ndarray]], c: int, tol: float,
+                max_iter: int) -> list[FitResult]:
+    """EM from the moment start of each (interval, labels), all with c
+    components, dropping dead components; results in the order of `starts`."""
+    runs = [_Run(i, *_moment_start(points[i][0], labels, c)) for i, labels in starts]
+    batches = {c: runs}
+    for size in range(c, 0, -1):
+        for run, keep in _em_lockstep(points, batches.pop(size, []), tol, max_iter):
+            run.drop(keep)
+            batches.setdefault(int(keep.sum()), []).append(run)
+    return [run.result(points[run.interval][0]) for run in runs]
 
 
 def _start_labels(logd: np.ndarray, c: int, seed: int, idx: int) -> np.ndarray:
@@ -276,36 +448,35 @@ def _start_labels(logd: np.ndarray, c: int, seed: int, idx: int) -> np.ndarray:
     return _kmeans_logd(logd, c, rng)
 
 
-def _run_start(logd: np.ndarray, labels: np.ndarray, c: int, tol: float, max_iter: int) -> FitResult:
-    """EM from the moment start of `labels`, dropping dead components."""
-    w, g, k = _moment_start(logd, labels, c)
-    flags: list[str] = []
-    history: list[float] = []
-    converged = False
-    for _ in range(c):
-        try:
-            w, g, k, hist, converged, run_flags = _em_once(logd, w, g, k, tol, max_iter)
-            history.extend(hist)
-            flags.extend(f for f in run_flags if f not in flags)
-            break
-        except _DroppedComponent as drop:
-            # each column of resp sums to 1, so the masses sum to n >= c and
-            # the largest is >= 1: `keep` is never empty
-            keep = drop.keep
-            flags.append(f"dropped degenerate component (kept {int(keep.sum())})")
-            w, g, k = w[keep], g[keep], k[keep]
-            w = w / w.sum()
-    ll = _final_loglik(logd, w, g, k)
-    order = np.lexsort((k, g))
-    comps = tuple((float(w[j]), float(g[j]), float(k[j])) for j in order)
-    return FitResult(
-        mixture=WeibullMixture(components=comps),
-        log_likelihood=ll,
-        iterations=len(history),
-        converged=converged,
-        flags=tuple(flags),
-        history=tuple(history),
-    )
+def _fit_intervals(logds: list[np.ndarray], counts: list[int], seeds: list[int], tol: float,
+                   max_iter: int, n_starts: int) -> list[FitResult]:
+    """The best of each interval's distinct starts, every start run in lock-step.
+
+    The runs of one component count make one `run_indexed` task.
+    """
+    points = [(logd, _moments(logd)) for logd in logds]
+    starts = []
+    for i, (logd, c, seed) in enumerate(zip(logds, counts, seeds)):
+        # a start is fixed by its k-means labels, so a start whose labels
+        # repeat an earlier one's would repeat its whole run: only the first
+        # is run, which keeps ties going to the lowest start index
+        distinct: dict[bytes, np.ndarray] = {}
+        for idx in range(max(1, n_starts)):
+            labels = _start_labels(logd, c, seed, idx)
+            distinct.setdefault(labels.tobytes(), labels)
+        starts += [(i, labels) for labels in distinct.values()]
+    sizes = list(dict.fromkeys(counts))
+    tasks = [[s for s in starts if counts[s[0]] == c] for c in sizes]
+
+    def one_task(j: int) -> list[FitResult]:
+        return _run_starts(points, tasks[j], sizes[j], tol, max_iter)
+
+    best: list[FitResult | None] = [None] * len(logds)
+    for task, results in zip(tasks, run_indexed(len(tasks), one_task)):
+        for (i, _), r in zip(task, results):
+            if best[i] is None or r.log_likelihood > best[i].log_likelihood:
+                best[i] = r
+    return best
 
 
 def fit_weibull_mixture(
@@ -328,26 +499,7 @@ def fit_weibull_mixture(
     d = _prepare(durations)
     if len(d) < n_components:
         raise ValueError(f"{len(d)} durations cannot support {n_components} components")
-    logd = np.log(d)
-
-    # a start is fixed by its k-means labels, so a start whose labels repeat
-    # an earlier one's would repeat its whole run: only the first is run,
-    # which keeps ties going to the lowest start index
-    starts: dict[bytes, np.ndarray] = {}
-    for idx in range(max(1, n_starts)):
-        labels = _start_labels(logd, n_components, seed, idx)
-        starts.setdefault(labels.tobytes(), labels)
-    distinct = list(starts.values())
-
-    def one_start(i: int) -> FitResult:
-        return _run_start(logd, distinct[i], n_components, tol, max_iter)
-
-    results = run_indexed(len(distinct), one_start)
-    best = results[0]
-    for r in results[1:]:
-        if r.log_likelihood > best.log_likelihood:
-            best = r
-    return best
+    return _fit_intervals([np.log(d)], [n_components], [seed], tol, max_iter, n_starts)[0]
 
 
 def fit_duration_model(
@@ -364,7 +516,9 @@ def fit_duration_model(
 
     `components` gives the component count per interval and must match the
     interval count.  Every interval must hold at least five samples per
-    requested component.
+    requested component.  Each interval's fit is `fit_weibull_mixture` on
+    its durations with the interval's child seed, bit for bit; the starts
+    of all intervals run together.
     """
     t = np.asarray(times, dtype=float)
     d = np.asarray(durations, dtype=float)
@@ -386,12 +540,12 @@ def fit_duration_model(
                 f"interval {i} [{b[i]}, {b[i + 1]}) has {n_i} samples, "
                 f"needs at least {5 * c} for {c} components"
             )
-    fits = []
-    for i, c in enumerate(counts):
-        child = int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
-        fits.append(fit_weibull_mixture(
-            d[idx == i], c, seed=child, tol=tol, max_iter=max_iter, n_starts=n_starts,
-        ))
+    if any(c < 1 for c in counts):
+        raise ValueError("n_components must be >= 1")
+    logds = [np.log(_prepare(d[idx == i])) for i in range(len(counts))]
+    seeds = [int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
+             for i in range(len(counts))]
+    fits = _fit_intervals(logds, counts, seeds, tol, max_iter, n_starts)
     model = DurationModel(
         boundaries=tuple(float(x) for x in b),
         mixtures=tuple(f.mixture for f in fits),

@@ -224,12 +224,14 @@ def expected_recovered(
 def expected_in_failure(
     rate: RateFunction,
     model: DurationModel,
-    t: float,
+    t,
     quad_step: float = DEFAULT_QUAD_STEP,
-) -> float:
-    """Expected number of entities still failed at time t: the exact
-    cumulative failure intensity less expected_recovered."""
-    t = float(t)
+):
+    """Expected number of entities still failed at time(s) t: the exact
+    cumulative failure intensity less expected_recovered, in one lattice
+    pass; a float for a scalar t, else an array."""
+    if np.ndim(t) == 0:
+        t = float(t)
     return rate.cumulative(t) - expected_recovered(rate, model, t, quad_step)
 
 

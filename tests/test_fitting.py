@@ -2,6 +2,7 @@
 
 import warnings
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gridres import (
     replica_rng,
 )
 import gridres.fitting
-from gridres.fitting import ZERO_DURATION_SHIFT, _DroppedComponent, _em_once, _mstep_shapes
+from gridres.fitting import ZERO_DURATION_SHIFT, _em_lockstep, _moments, _mstep_shapes, _Run
 
 from conftest import WINDOW_END, WINDOW_START, make_raw_csv, reference_mixture
 
@@ -133,32 +134,37 @@ def test_fit_raises_no_runtime_warning():
 
 
 def test_degenerate_component_dropped():
-    # poison one component so its responsibility mass underflows
+    # poison one component so its responsibility mass underflows: the run
+    # leaves the lock-step with the components it keeps, its pass discarded
     rng = replica_rng(3, 0)
     logd = np.log(rng.uniform(0.8, 1.2, 200))
     w = np.array([0.5, 0.5])
     g = np.array([1.0, 1e9])
     k = np.array([1.0, 60.0])
-    with pytest.raises(_DroppedComponent) as exc:
-        _em_once(logd, w, g, k, tol=1e-6, max_iter=50)
-    np.testing.assert_array_equal(exc.value.keep, [True, False])
+    run = _Run(0, w, g, k)
+    dropped = _em_lockstep([(logd, _moments(logd))], [run], tol=1e-6, max_iter=50)
+    assert len(dropped) == 1 and dropped[0][0] is run
+    np.testing.assert_array_equal(dropped[0][1], [True, False])
+    assert run.history == []
 
 
 def test_degenerate_drop_flagged_through_public_fit(monkeypatch):
-    # force the first EM pass to report a dead component, then verify the
+    # force the first E-step to report a dead component, then verify the
     # public fit retries with one fewer and flags it
     import gridres.fitting as fitting
 
-    real = fitting._em_once
+    real = fitting._estep
     calls = {"n": 0}
 
-    def flaky(logd, w, g, k, tol, max_iter):
+    def flaky(rows, w, g, k):
+        ll, resp, mass = real(rows, w, g, k)
         calls["n"] += 1
         if calls["n"] == 1:
-            raise _DroppedComponent(keep=np.arange(len(w)) != len(w) - 1)
-        return real(logd, w, g, k, tol, max_iter)
+            mass = mass.copy()
+            mass[:, -1] = 0.0
+        return ll, resp, mass
 
-    monkeypatch.setattr(fitting, "_em_once", flaky)
+    monkeypatch.setattr(fitting, "_estep", flaky)
     rng = replica_rng(9, 0)
     d = 5.0 * rng.weibull(1.5, 400)
     fit = fitting.fit_weibull_mixture(d, 2, seed=0, n_starts=1)
@@ -167,25 +173,70 @@ def test_degenerate_drop_flagged_through_public_fit(monkeypatch):
     assert np.isfinite(fit.log_likelihood)
 
 
+def storm_dataset():
+    dataset, _ = ingest_pipeline(make_raw_csv(), datetime.fromisoformat(WINDOW_START),
+                                 datetime.fromisoformat(WINDOW_END))
+    return dataset
+
+
 def test_storm_runs_each_distinct_start_once(monkeypatch):
     # the README storm: 5 intervals x 5 starts, of which 10 have distinct
     # k-means labels; repeated labels would repeat a whole EM run
-    dataset, _ = ingest_pipeline(make_raw_csv(), datetime.fromisoformat(WINDOW_START),
-                                 datetime.fromisoformat(WINDOW_END))
-    real = gridres.fitting._em_once
-    iterations = []
+    dataset = storm_dataset()
+    real_runs, real_estep = gridres.fitting._run_starts, gridres.fitting._estep
+    runs, rounds = [], []
 
-    def counted(logd, w, g, k, tol, max_iter):
-        out = real(logd, w, g, k, tol, max_iter)
-        iterations.append(len(out[3]))
+    def counted(*args):
+        out = real_runs(*args)
+        runs.extend(out)
         return out
 
-    monkeypatch.setattr(gridres.fitting, "_em_once", counted)
+    def estep(rows, w, g, k):
+        rounds.append(len(w))
+        return real_estep(rows, w, g, k)
+
+    monkeypatch.setattr(gridres.fitting, "_run_starts", counted)
+    monkeypatch.setattr(gridres.fitting, "_estep", estep)
     _, fits = fit_duration_model(dataset.times, dataset.durations,
                                  (0.0, 12.0, 20.0, 28.0, 36.0, 45.0), (2,) * 5, seed=11)
-    assert len(iterations) == 10
-    assert sum(iterations) == 1135
+    assert len(runs) == 10
+    assert sum(r.iterations for r in runs) == 1135
     assert sum(f.iterations for f in fits) == 525
+    # lock-step: one E-step per round serves every live run, so the rounds
+    # are as many as the longest run's iterations
+    assert len(rounds) == max(r.iterations for r in runs) == 200
+    assert sum(rounds) == 1135
+
+
+def test_interval_fits_equal_single_interval_fits():
+    # padding to the longest interval must not move any run: each interval
+    # of a lock-step fit equals fit_weibull_mixture on its own durations
+    dataset = storm_dataset()
+    boundaries, components = (0.0, 12.0, 28.0, 45.0), (2, 3, 2)
+    _, fits = fit_duration_model(dataset.times, dataset.durations, boundaries, components,
+                                 seed=11, n_starts=4)
+    idx = np.searchsorted(boundaries, dataset.times, side="right") - 1
+    assert len(set(np.bincount(idx))) == 3
+    for i, c in enumerate(components):
+        child = int(np.random.SeedSequence(entropy=11, spawn_key=(i,)).generate_state(1)[0])
+        alone = fit_weibull_mixture(dataset.durations[idx == i], c, seed=child, n_starts=4)
+        assert repr(fits[i]) == repr(alone)
+
+
+def test_solved_runs_leaving_newton_change_nothing(monkeypatch):
+    # runs whose shapes are solved leave the Newton loop only on large
+    # arrays; taking them out at every step or never gives the same fits
+    dataset = storm_dataset()
+    out = {}
+    for name, cells in (("always", 0), ("never", 10**12)):
+        monkeypatch.setattr(gridres.fitting, "_NEWTON_COMPACT_CELLS", cells)
+        with mock.patch.object(gridres.fitting._Rows, "take", autospec=True,
+                               side_effect=gridres.fitting._Rows.take) as take:
+            _, fits = fit_duration_model(dataset.times, dataset.durations, (0.0, 12.0, 28.0, 45.0),
+                                         (2, 3, 2), seed=11, n_starts=4)
+        out[name] = (repr(fits), take.call_count)
+    assert out["always"][0] == out["never"][0]
+    assert out["always"][1] > out["never"][1]
 
 
 def test_multi_start_keeps_best_likelihood():
@@ -220,6 +271,23 @@ def test_fit_is_deterministic(monkeypatch):
     b = fit_weibull_mixture(d, 3, seed=11, n_starts=3)
     assert a.mixture.components == b.mixture.components
     assert a.log_likelihood == b.log_likelihood
+    # one pool task per component count: a mixed fit fans out
+    real = gridres.fitting.run_indexed
+    tasks = []
+
+    def recorded(n, fn, threads=None):
+        tasks.append(n)
+        return real(n, fn, threads)
+
+    monkeypatch.setattr(gridres.fitting, "run_indexed", recorded)
+    times = np.repeat([1.0, 3.0, 5.0], len(d) // 3)
+    mixed = {}
+    for threads in ("1", "3"):
+        monkeypatch.setenv("GRIDRES_THREADS", threads)
+        mixed[threads] = fit_duration_model(times, d[:len(times)], (0.0, 2.0, 4.0, 6.0),
+                                            (3, 1, 2), seed=11, n_starts=3)
+    assert tasks == [3, 3]
+    assert repr(mixed["1"]) == repr(mixed["3"])
 
 
 class TestFitDurationModel:

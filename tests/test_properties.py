@@ -51,9 +51,10 @@ from gridres.fitting import (
     _SHAPE_HI,
     _SHAPE_LO,
     _SHAPE_XTOL,
+    _moments,
     _mstep_shapes,
     _prepare,
-    _run_start,
+    _run_starts,
     _start_labels,
 )
 from gridres.ingest import ParseIssue, Provenance, normalize_ts
@@ -266,13 +267,18 @@ def test_em_log_likelihood_never_decreases(case, seed):
     assert np.all(np.diff(h) >= -1e-9 * np.maximum(1.0, np.abs(h[:-1])))
 
 
+def run_alone(logd, labels, c, tol, max_iter):
+    """One start's EM run with no other run beside it."""
+    return _run_starts([(logd, _moments(logd))], [(0, labels)], c, tol, max_iter)[0]
+
+
 def every_start_fit(durations, c, seed, tol, max_iter, n_starts):
     """Multi-start EM that runs every start, repeated labels included.
 
     The best log-likelihood wins, ties going to the lowest start index.
     """
     logd = np.log(_prepare(durations))
-    results = [_run_start(logd, _start_labels(logd, c, seed, idx), c, tol, max_iter)
+    results = [run_alone(logd, _start_labels(logd, c, seed, idx), c, tol, max_iter)
                for idx in range(max(1, n_starts))]
     best = results[0]
     for r in results[1:]:
@@ -345,7 +351,7 @@ def test_overflowing_start_loses_to_finite_starts(tmp_path_factory, case, n_star
     with mock.patch.object(fitting, "_moment_start", overflowing):
         got = fit_weibull_mixture(d, c, seed=seed, n_starts=n_starts, max_iter=60)
         want = every_start_fit(d, c, seed, 1e-6, 60, n_starts)
-        each = [_run_start(logd, _start_labels(logd, c, seed, idx), c, 1e-6, 60)
+        each = [run_alone(logd, _start_labels(logd, c, seed, idx), c, 1e-6, 60)
                 for idx in range(n_starts)]
     finite = [f.log_likelihood for f in each if math.isfinite(f.log_likelihood)]
     assert repr(got) == repr(want)
@@ -359,6 +365,43 @@ def test_overflowing_start_loses_to_finite_starts(tmp_path_factory, case, n_star
                    DurationModel(boundaries=(0.0, 1.0), mixtures=(got.mixture,)), fits=(got,))
         payload = strict_json(path.read_text())
         assert payload["durations"]["mixtures"][0]["log_likelihood"] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda c: st.tuples(st.just(c), st.lists(
+           st.one_of(adversarial_durations(c), overlapping_clusters(c)), min_size=1, max_size=3))),
+       st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_overflowing_run_leaves_the_lockstep_alone(case, n_starts, seed, data):
+    """A run whose every component overflows, beside finite runs.
+
+    The starts of one to three intervals of different lengths run in one
+    lock-step.  One start's scales are set 20 e-folds below its largest
+    duration at shape 100, so (d/g)**k = exp(2000) overflows there in every
+    component: that run ends at its first E-step, flagged, with no
+    iteration and a log-likelihood of -inf.  Every other run gives exactly
+    what it gives run alone.
+    """
+    c, samples = case
+    points = [(logd, _moments(logd)) for logd in (np.log(_prepare(d)) for d in samples)]
+    starts = [(i, _start_labels(logd, c, seed, idx))
+              for i, (logd, _) in enumerate(points) for idx in range(n_starts)]
+    spoiled = data.draw(st.integers(0, len(starts) - 1))
+    real = fitting._moment_start
+
+    def overflowing(logd, labels, c):
+        w, g, k = real(logd, labels, c)
+        if labels is starts[spoiled][1]:
+            g, k = np.full(c, math.exp(logd.max() - 20.0)), np.full(c, _SHAPE_HI)
+        return w, g, k
+
+    with mock.patch.object(fitting, "_moment_start", overflowing):
+        together = _run_starts(points, starts, c, 1e-6, 60)
+    for j, (got, (i, labels)) in enumerate(zip(together, starts)):
+        if j == spoiled:
+            assert got.log_likelihood == -math.inf and got.iterations == 0
+            assert not got.converged and "non-finite log-likelihood" in got.flags
+        else:
+            assert repr(got) == repr(run_alone(points[i][0], labels, c, 1e-6, 60))
 
 
 @dataclass(frozen=True)

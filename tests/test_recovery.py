@@ -140,6 +140,23 @@ def test_in_failure_plus_recovered_is_total():
         assert lhs == pytest.approx(rate.cumulative(t), rel=1e-9, abs=1e-9)
 
 
+def test_in_failure_array_matches_scalar_loop():
+    # the README's library example: one lattice pass for the whole grid
+    rate = RateFunction(knots=((0.0, 2.0), (10.0, 9.0), (48.0, 1.0)), horizon=48.0)
+    model = DurationModel.stationary(
+        WeibullMixture(components=((0.4, 3.0, 0.8), (0.6, 30.0, 2.2))), horizon=48.0)
+    grid = np.linspace(0.0, 48.0, 25)
+    with mock.patch.object(recovery, "_recovered_pass", wraps=recovery._recovered_pass) as cum_pass:
+        curve = expected_in_failure(rate, model, grid)
+    assert cum_pass.call_count == 1
+    loop = [expected_in_failure(rate, model, t) for t in grid]
+    assert all(type(v) is float for v in loop)
+    assert type(expected_in_failure(rate, model, np.float64(3.0))) is float
+    # relative 1e-12, with that share of the total count as the floor at t = 0
+    # (the two lattices' lengths round differently: 5.7e-14 apart here)
+    np.testing.assert_allclose(curve, loop, rtol=1e-12, atol=1e-12 * rate.total)
+
+
 def test_expected_failed_hand_computed():
     f = RateFunction(knots=((0.0, 4.0),), horizon=10.0)
     r = RateFunction(knots=((0.0, 0.0), (10.0, 4.0)), horizon=10.0)
