@@ -104,7 +104,8 @@ def _kmeans_logd(logd: np.ndarray, c: int, rng: np.random.Generator | None) -> n
                 # reseed an empty cluster at the point farthest from its center
                 far = np.argmax(np.abs(logd - centers[labels]))
                 new[j] = logd[far]
-        if np.allclose(new, centers):
+        # np.allclose's test, without its overhead: centers are finite
+        if np.all(np.abs(new - centers) <= 1e-8 + 1e-5 * np.abs(centers)):
             centers = new
             break
         centers = new
@@ -167,21 +168,39 @@ class _Rows:
         return _Rows(self.points, [self.intervals[j] for j in sel])
 
     def _each(self, x: np.ndarray, fn) -> np.ndarray:
-        """fn(slice, log d, moments) per interval, stacked along the runs."""
-        parts = [fn(x[a:b, ..., :len(logd)], logd, moments) for a, b, logd, moments in self.spans]
+        """fn(slice, log d) per interval, stacked along the runs."""
+        parts = [fn(x[a:b, ..., :len(logd)], logd) for a, b, logd, _ in self.spans]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def sum(self, x: np.ndarray) -> np.ndarray:
         """Sum over the points, the last axis."""
-        return self._each(x, lambda s, logd, moments: s.sum(axis=-1))
+        return self._each(x, lambda s, logd: s.sum(axis=-1))
 
     def dot(self, resp: np.ndarray) -> np.ndarray:
         """(runs, c, n_max) weights times log d, summed over the points."""
-        return self._each(resp, lambda s, logd, moments: s @ logd)
+        return self._each(resp, lambda s, logd: s @ logd)
 
-    def moments(self, p: np.ndarray) -> np.ndarray:
-        """(runs, 2, c): weighted sums of log d and log d squared."""
-        return self._each(p, lambda s, logd, moments: moments @ np.swapaxes(s, -1, -2))
+    def weighted_sums(self, c: int):
+        """A (runs, c, n_max) buffer and a function that returns its sums
+        over the points, (runs, c), and its sums weighted by log d and
+        log d squared, (runs, 2, c).  The slices are cut once, so a loop
+        that refills the buffer pays two calls per interval for its sums;
+        each call overwrites the sums the last one returned."""
+        buf = np.empty((len(self.n), c, self.logd.shape[-1]))
+        total = np.empty(buf.shape[:-1])
+        weighted = np.empty((len(buf), 2, c))
+        cuts = []
+        for a, b, logd, moments in self.spans:
+            s = buf[a:b, :, :len(logd)]
+            cuts.append((s, moments, s.swapaxes(-1, -2), total[a:b], weighted[a:b]))
+
+        def sums():
+            for s, moments, s_t, t, w in cuts:
+                np.add.reduce(s, axis=-1, out=t)
+                np.matmul(moments, s_t, out=w)
+            return total, weighted
+
+        return buf, sums
 
 
 def _log_pdf_matrix(logd: np.ndarray, g: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -234,15 +253,18 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
     with np.errstate(divide="ignore"):
         logr = np.log(resp)
 
-    # sums() reads `rows` and `logr` as they stand when solved runs have left
+    e, point_sums = rows.weighted_sums(k.shape[-1])
+
+    # sums() reads `rows`, `logr`, `e` and `point_sums` as they stand after
+    # solved runs have left
     def sums(k: np.ndarray):
-        e = k[..., None] * rows.logd
-        e += logr
+        np.multiply(k[..., None], rows.logd, out=e)
+        np.add(e, logr, out=e)
         top = e.max(axis=-1)
-        e -= top[..., None]
-        p = np.exp(e, out=e)
-        a = rows.sum(p)
-        m = rows.moments(p) / a[..., None, :]
+        np.subtract(e, top[..., None], out=e)
+        np.exp(e, out=e)
+        a, m = point_sums()
+        m = m / a[..., None, :]
         m1 = m[..., 0, :]
         return top, a, m1, m[..., 1, :] - m1 * m1
 
@@ -282,6 +304,7 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
             rows = rows.take(stay)
             k, lo, hi, active, hi_tried, target = (x[stay] for x in (k, lo, hi, active, hi_tried, target))
             logr = logr[stay, :, :rows.logd.shape[-1]]
+            e, point_sums = rows.weighted_sums(k.shape[-1])
     else:
         top, a, _, _ = sums(k)
     if left is not None:
@@ -293,8 +316,8 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
 
 def _bound_flags(k: np.ndarray) -> list[list[str]]:
     """The bound flags of each run's shapes, (runs, c)."""
-    upper = np.any(k > _SHAPE_HI - 10.0 * _SHAPE_XTOL, axis=-1).tolist()
-    lower = np.any(k < _SHAPE_LO + 10.0 * _SHAPE_XTOL, axis=-1).tolist()
+    upper = (k > _SHAPE_HI - 10.0 * _SHAPE_XTOL).any(axis=-1).tolist()
+    lower = (k < _SHAPE_LO + 10.0 * _SHAPE_XTOL).any(axis=-1).tolist()
     return [["shape at upper bound (degenerate data)"] * u + ["shape at lower bound"] * v
             for u, v in zip(upper, lower)]
 
@@ -394,7 +417,7 @@ def _em_lockstep(points: list, runs: list[_Run], tol: float, max_iter: int) -> l
             rows = _Rows(points, [r.interval for r in live])
         ll, resp, mass = _estep(rows, w, g, k)
         bad = ~np.isfinite(ll)
-        dead = ~bad & np.any(mass < _DEGENERATE_MASS, axis=-1)
+        dead = ~bad & (mass < _DEGENERATE_MASS).any(axis=-1)
         if bad.any() or dead.any():
             for j in np.flatnonzero(bad):
                 live[j].pass_flags.append("non-finite log-likelihood")

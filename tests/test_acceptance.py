@@ -133,7 +133,7 @@ def test_criterion_03_day_to_day_limit_and_surge_approximation():
     model = DurationModel.stationary(surge_mix, horizon=horizon)
     composite = spec.to_rate_function(horizon)
     probe = np.linspace(0.0, horizon, 81)
-    exact = np.asarray([expected_in_failure(composite, model, t) for t in probe])
+    exact = expected_in_failure(composite, model, probe)
     approx = np.asarray([surge_expected(spec, model, t) for t in probe])
     floor = 0.01 * exact.max()
     live = exact > floor
