@@ -273,8 +273,8 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
     hi = np.full(k.shape, _SHAPE_HI)
     active = np.ones(k.shape, dtype=bool)
     hi_tried = k == _SHAPE_HI
-    # once solved runs leave: the rows still in the loop, and every row's
-    # shapes and sums
+    # once solved runs have left, `left` maps the loop's rows to the
+    # caller's and `solution` holds every row's shapes and sums
     left = None
     for _ in range(_NEWTON_MAX_STEPS):
         top, a, mean, var = sums(k)
