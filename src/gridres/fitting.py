@@ -19,7 +19,10 @@ bit.
 Every distinct start of every interval of one fit runs in lock-step.
 Runs with the same component count share (runs, c, n_max) arrays, one
 row per run and one row per component inside it, so each round makes one
-E-step and one M-step for every live run.  A run's points fill the first
+E-step and one M-step for every live run.  Runs are batched, shortest
+interval first, so that a batch's arrays hold at most 2**18 cells (2 MB
+of float64): the working set does not grow with the number of starts or
+intervals, and a run alone is never split.  A run's points fill the first
 n of its row; the padding after them carries no responsibility, and every
 sum over points is taken per interval on exact-length slices, so a run's
 numbers are bit for bit those of the run alone.  A run leaves the live
@@ -53,10 +56,9 @@ _NEWTON_RTOL = 1e-10
 _NEWTON_MAX_STEPS = 2 * math.ceil(math.log2((_SHAPE_HI - _SHAPE_LO) / _SHAPE_XTOL))
 _EULER_GAMMA = 0.57721566490153286
 _DEGENERATE_MASS = 1e-8
-# runs whose shapes are all solved leave the Newton loop once they hold
-# this many (run, component, point) cells: below it, one more step on
-# them costs less than the copies that take them out
-_NEWTON_COMPACT_CELLS = 1 << 15
+# runs in one lock-step batch hold at most this many (run, component,
+# point) cells, 2 MB per float64 array, unless one run alone holds more
+_LOCKSTEP_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,7 @@ def _kmeans_logd(logd: np.ndarray, c: int, rng: np.random.Generator | None) -> n
                 # reseed an empty cluster at the point farthest from its center
                 far = np.argmax(np.abs(logd - centers[labels]))
                 new[j] = logd[far]
-        # np.allclose's test, without its overhead: centers are finite
-        if np.all(np.abs(new - centers) <= 1e-8 + 1e-5 * np.abs(centers)):
+        if np.allclose(new, centers):
             centers = new
             break
         centers = new
@@ -246,7 +247,7 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
     `resp` is (runs, c, n_max), zero on the padding; `s0` its sums over
     the points.  Returns the scales and shapes, (runs, c); see
     `_mstep_shapes` for the solve.  A run whose every shape is solved
-    keeps its shapes and sums as they are, in the loop or out of it.
+    leaves the loop with its shapes and sums as they are.
     """
     target = rows.dot(resp) / s0
     # a zero responsibility contributes exp(-inf) = 0 to every sum
@@ -292,10 +293,8 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
         if not active.any():
             break
         k = np.where(active, new, k)
-        if logr.size < _NEWTON_COMPACT_CELLS:
-            continue
         solved = ~active.any(axis=-1)
-        if solved.sum() * logr[0].size >= _NEWTON_COMPACT_CELLS:
+        if solved.any():
             if left is None:
                 left, solution = np.arange(len(k)), np.empty((3, *k.shape))
             solution[:, left[solved]] = k[solved], top[solved], a[solved]
@@ -450,16 +449,31 @@ def _em_lockstep(points: list, runs: list[_Run], tol: float, max_iter: int) -> l
     return dropped
 
 
+def _batches(points: list, runs: list[_Run], c: int):
+    """`runs`, shortest interval first, in lock-step batches of at most
+    _LOCKSTEP_CELLS cells of c components; a run that alone holds more is
+    a batch of its own."""
+    batch = []
+    for run in sorted(runs, key=lambda r: (len(points[r.interval][0]), r.interval)):
+        if batch and (len(batch) + 1) * c * len(points[run.interval][0]) > _LOCKSTEP_CELLS:
+            yield batch
+            batch = []
+        batch.append(run)
+    if batch:
+        yield batch
+
+
 def _run_starts(points: list, starts: list[tuple[int, np.ndarray]], c: int, tol: float,
                 max_iter: int) -> list[FitResult]:
     """EM from the moment start of each (interval, labels), all with c
     components, dropping dead components; results in the order of `starts`."""
     runs = [_Run(i, *_moment_start(points[i][0], labels, c)) for i, labels in starts]
-    batches = {c: runs}
+    pending = {c: runs}
     for size in range(c, 0, -1):
-        for run, keep in _em_lockstep(points, batches.pop(size, []), tol, max_iter):
-            run.drop(keep)
-            batches.setdefault(int(keep.sum()), []).append(run)
+        for batch in _batches(points, pending.pop(size, []), size):
+            for run, keep in _em_lockstep(points, batch, tol, max_iter):
+                run.drop(keep)
+                pending.setdefault(int(keep.sum()), []).append(run)
     return [run.result(points[run.interval][0]) for run in runs]
 
 

@@ -1,7 +1,7 @@
 """Deterministic fan-out for a duration fit's component-count groups.
 
-A fit runs all its starts with one component count in one lock-step, so
-it has one task per distinct count; only a fit with mixed counts fans
+A fit runs all its starts with one component count in one task, so it
+has one task per distinct count; only a fit with mixed counts fans
 out.  Monte Carlo replicas run inline (``run_indexed(n, fn, 1)``).
 Results are collected in index order, never completion order, so the
 thread count cannot change any output.

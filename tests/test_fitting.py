@@ -1,5 +1,6 @@
 """Weibull mixture EM: recovery of known generators, monotonicity, guards."""
 
+import tracemalloc
 import warnings
 from datetime import datetime
 from unittest import mock
@@ -16,7 +17,8 @@ from gridres import (
     replica_rng,
 )
 import gridres.fitting
-from gridres.fitting import ZERO_DURATION_SHIFT, _em_lockstep, _moments, _mstep_shapes, _Run
+from gridres.fitting import (ZERO_DURATION_SHIFT, _em_lockstep, _moment_start, _moments, _mstep_shapes,
+                             _Run, _start_labels)
 
 from conftest import WINDOW_END, WINDOW_START, make_raw_csv, reference_mixture
 
@@ -223,20 +225,66 @@ def test_interval_fits_equal_single_interval_fits():
         assert repr(fits[i]) == repr(alone)
 
 
-def test_solved_runs_leaving_newton_change_nothing(monkeypatch):
-    # runs whose shapes are solved leave the Newton loop only on large
-    # arrays; taking them out at every step or never gives the same fits
+def test_lockstep_working_set_is_bounded(monkeypatch):
+    # one long interval beside forty short ones: unbatched, every run would
+    # be padded to the long one, (runs, c, 2000) arrays of about 2.5 MB each;
+    # batched under a 4096-cell budget the fit's peak stays near its data's
+    sizes = [2000] + [200] * 40
+    d = reference_mixture(0).sample(sum(sizes), replica_rng(5, 0))
+    times = np.repeat(np.arange(len(sizes)) + 0.5, sizes)
+    boundaries = np.arange(len(sizes) + 1.0)
+
+    def fit():
+        return fit_duration_model(times, d, boundaries, (2,) * len(sizes), seed=3, n_starts=5,
+                                  max_iter=5)
+
+    unbatched = fit()
+    budget = 4096
+    monkeypatch.setattr(gridres.fitting, "_LOCKSTEP_CELLS", budget)
+    real, batches = gridres.fitting._em_lockstep, []
+
+    def recorded(points, runs, tol, max_iter):
+        n_max = max(len(points[r.interval][0]) for r in runs)
+        batches.append((len(runs), len(runs) * len(runs[0].w) * n_max))
+        return real(points, runs, tol, max_iter)
+
+    monkeypatch.setattr(gridres.fitting, "_em_lockstep", recorded)
+    fit()  # warm-up: first calls allocate caches of their own
+    batches.clear()
+    tracemalloc.start()
+    try:
+        batched = fit()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(n for n, _ in batches) > 40
+    assert all(n == 1 or cells <= budget for n, cells in batches)
+    assert peak < 2_000_000
+    assert repr(batched) == repr(unbatched)
+
+
+def test_solved_runs_leaving_newton_change_nothing():
+    # runs whose shapes are solved leave the Newton loop; each run's scales
+    # and shapes equal its solve alone, where no run ever leaves
     dataset = storm_dataset()
-    out = {}
-    for name, cells in (("always", 0), ("never", 10**12)):
-        monkeypatch.setattr(gridres.fitting, "_NEWTON_COMPACT_CELLS", cells)
-        with mock.patch.object(gridres.fitting._Rows, "take", autospec=True,
-                               side_effect=gridres.fitting._Rows.take) as take:
-            _, fits = fit_duration_model(dataset.times, dataset.durations, (0.0, 12.0, 28.0, 45.0),
-                                         (2, 3, 2), seed=11, n_starts=4)
-        out[name] = (repr(fits), take.call_count)
-    assert out["always"][0] == out["never"][0]
-    assert out["always"][1] > out["never"][1]
+    boundaries = (0.0, 12.0, 28.0, 45.0)
+    idx = np.searchsorted(boundaries, dataset.times, side="right") - 1
+    logds = [np.log(dataset.durations[idx == i]) for i in range(3)]
+    points = [(logd, _moments(logd)) for logd in logds]
+    intervals = [i for i in range(3) for _ in range(4)]
+    starts = [_moment_start(logds[i], _start_labels(logds[i], 2, 11, j % 4), 2)
+              for j, i in enumerate(intervals)]
+    w, g, k = (np.array([s[m] for s in starts]) for m in range(3))
+    rows = gridres.fitting._Rows(points, intervals)
+    _, resp, mass = gridres.fitting._estep(rows, w, g, k)
+    with mock.patch.object(gridres.fitting._Rows, "take", autospec=True,
+                           side_effect=gridres.fitting._Rows.take) as take:
+        g_all, k_all = gridres.fitting._newton_shapes(rows, resp, mass, k)
+    assert take.call_count > 0
+    for j, i in enumerate(intervals):
+        g_one, k_one, _ = _mstep_shapes(logds[i], resp[j, :, :len(logds[i])], k[j])
+        np.testing.assert_array_equal(g_all[j], g_one)
+        np.testing.assert_array_equal(k_all[j], k_one)
 
 
 def test_multi_start_keeps_best_likelihood():

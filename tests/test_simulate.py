@@ -21,6 +21,7 @@ from gridres import (
     simulate_events,
 )
 import gridres.parallel
+from gridres.fitting import _start_labels
 from gridres.parallel import max_threads
 
 from conftest import reference_mixture, reference_model
@@ -314,9 +315,12 @@ def test_replicas_run_inline_fit_starts_use_the_pool(monkeypatch):
     inline_mc = monte_carlo_recovery_rate(RAMP, exp_model(2.0), edges, replicas=120, seed=9)
     np.testing.assert_array_equal(inline_mc.mean_rate, mc.mean_rate)
     np.testing.assert_array_equal(inline_mc.se_rate, mc.se_rate)
-    # a fit makes one pool task per component count, so it takes two
-    # counts to reach the pool
+    # a fit makes one pool task per component count, so two distinct
+    # starts of one count stay inline and it takes two counts to reach
+    # the pool
     d = exp_model(2.0).mixtures[0].sample(200, replica_rng(3, 0))
+    logd = np.log(d)
+    assert _start_labels(logd, 2, 2, 0).tobytes() != _start_labels(logd, 2, 2, 1).tobytes()
     times = np.repeat([1.0, 3.0], 100)
     fit_weibull_mixture(d, 2, seed=2, n_starts=2)
     with pytest.raises(_PoolUsed):
