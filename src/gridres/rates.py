@@ -97,9 +97,10 @@ class RateFunction:
         out = self._cum[idx] + seg
         return float(out[0]) if np.isscalar(t) else out
 
-    def inverse_cumulative(self, levels) -> np.ndarray:
+    def inverse_cumulative(self, levels, out=None) -> np.ndarray:
         """Time at which the cumulative intensity reaches each level in
-        [0, total], in closed form (the time-rescaling map).
+        [0, total], in closed form (the time-rescaling map).  `out`, if
+        given, receives the times; it may be `levels` itself.
 
         Between breakpoints the cumulative intensity is quadratic, so a
         level Delta u past breakpoint k is reached after
@@ -136,7 +137,7 @@ class RateFunction:
         start = self._bt[k]
         x += start
         k += 1
-        return np.clip(x, start, self._bt[k], out=x).reshape(shape)
+        return np.clip(x, start, self._bt[k], out=x if out is None else out).reshape(shape)
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral of the intensity over [a, b]."""

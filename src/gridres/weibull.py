@@ -174,6 +174,20 @@ class DurationModel:
                 f"{len(b) - 1} intervals but {len(self.mixtures)} mixtures"
             )
         object.__setattr__(self, "_b", b)
+        # from_uniforms' tables: cw[j, i] is interval i's cumulative weight
+        # through component j, +inf from its last component on (a draw past
+        # every edge takes the last component); g and 1/k by (interval,
+        # component), padded with 1
+        c = max(m.n_components for m in self.mixtures)
+        cw = np.full((c, len(self.mixtures)), np.inf)
+        g, inv_k = np.ones((len(self.mixtures), c)), np.ones((len(self.mixtures), c))
+        for i, m in enumerate(self.mixtures):
+            cw[:m.n_components - 1, i] = np.cumsum(m._w)[:-1]
+            g[i, :m.n_components] = m._g
+            inv_k[i, :m.n_components] = 1.0 / m._k
+        object.__setattr__(self, "_cw", cw[:-1])
+        object.__setattr__(self, "_g", g.ravel())
+        object.__setattr__(self, "_inv_k", inv_k.ravel())
 
     @classmethod
     def stationary(cls, mixture: WeibullMixture, horizon: float) -> "DurationModel":
@@ -206,6 +220,24 @@ class DurationModel:
             m = idx == i
             out[m] = fn(self.mixtures[i], *(a[m] for a in arrays))
         return float(out.flat[0]) if all(map(np.isscalar, (at, *values))) else out
+
+    def from_uniforms(self, at, u_comp, u_dur, out=None) -> np.ndarray:
+        """Durations of failures at times `at` from paired uniforms on [0, 1):
+        each time's interval mixture's from_uniforms, bit for bit, in one
+        pass over every interval.  1-d arrays of one length; `out`, if
+        given, receives the durations."""
+        idx = interval_of(self._b, at)
+        comp = np.zeros_like(idx)
+        for edge in self._cw:
+            comp += edge[idx] <= u_comp
+        idx *= len(self._cw) + 1
+        idx += comp
+        x = np.negative(u_dur, out=out)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        x **= self._inv_k[idx]
+        x *= self._g[idx]
+        return x
 
     def pdf(self, d, at):
         """Duration density g(d | failure at time `at`).

@@ -11,7 +11,9 @@ rate function's cumulative intensity, are checked against their
 definitions, and the mixture mean against scipy's gamma function.  The
 lattice pass of the recovery curves is compared with the per-point cell
 rule, the block Monte Carlo route with the replica-at-a-time loop it
-replaced, and the resilience curve's moving average with its
+replaced, its exact-sum moments with np.mean and np.std of the replica
+stack it no longer keeps, the flat duration dispatch with each interval's
+mixture, and the resilience curve's moving average with its
 window-at-a-time loop.
 """
 
@@ -21,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -110,6 +113,48 @@ def test_dispatch_matches_interval_mixture(data, model):
         want = [getattr(model.mixtures[i], name)(x) for i, x in zip(idx, d)]
         np.testing.assert_array_equal(got, want)
         assert getattr(model, name)(float(d[0]), float(at[0])) == want[0]
+
+
+@st.composite
+def dispatch_mixtures(draw):
+    """1-4 components, zero weights among them."""
+    n = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=n, max_size=n))
+    assume(sum(raw) > 0.0)
+    scales = draw(st.lists(st.floats(0.1, 100.0), min_size=n, max_size=n))
+    shapes = draw(st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n))
+    return WeibullMixture(components=tuple(
+        (w / sum(raw), g, k) for w, g, k in zip(raw, scales, shapes)
+    ))
+
+
+@given(st.data(), boundaries, st.integers(0, 2**32 - 1))
+def test_flat_dispatch_matches_interval_mixtures(data, b, seed):
+    mixes = data.draw(st.lists(dispatch_mixtures(), min_size=len(b) - 1, max_size=len(b) - 1))
+    model = DurationModel(boundaries=tuple(b), mixtures=tuple(mixes))
+    at = data.draw(failure_times(b))
+    # u_comp anywhere, exactly on a cumulative-weight edge, or at or above
+    # the last edge
+    u_comp = []
+    for i in model.interval_index(at):
+        edges = np.cumsum(model.mixtures[i]._w).tolist()
+        u_comp.append(data.draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges),
+            st.floats(min(edges[-1], 1.0), 1.0))))
+    u_comp = np.asarray(u_comp)
+    u_dur = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                          min_size=len(at), max_size=len(at))))
+    want = model.by_interval(WeibullMixture.from_uniforms, at, u_comp, u_dur)
+    np.testing.assert_array_equal(model.from_uniforms(at, u_comp, u_dur), want)
+    out = np.empty(len(at))
+    assert model.from_uniforms(at, u_comp, u_dur, out=out) is out
+    np.testing.assert_array_equal(out, want)
+    # sample_durations draws its uniforms and takes the same route
+    rng = replica_rng(seed, 0)
+    u_comp, u_dur = rng.random(len(at)), rng.random(len(at))
+    np.testing.assert_array_equal(
+        sample_durations(at, model, replica_rng(seed, 0)),
+        model.by_interval(WeibullMixture.from_uniforms, at, u_comp, u_dur))
 
 
 @given(mixtures(), st.integers(0, 200), st.integers(0, 2**32 - 1), st.floats(-50.0, 500.0))
@@ -890,6 +935,28 @@ def reference_path_counts(rate, model, grid, replicas, seed):
     return np.stack(rows)
 
 
+def block_route_counts(rate, model, grid, replicas, seed):
+    """(replicas, 3, grid) N_f, N_r, N as mean_paths counts them, block by
+    block, before they are folded into sums."""
+    blocks = []
+    simulate._replica_counts(rate, model, replicas, seed, (3, len(grid)),
+                             partial(simulate._count_paths, grid),
+                             lambda counts, events: blocks.append(counts.copy()))
+    return np.concatenate(blocks)
+
+
+def stack_moments(stack):
+    """Mean and standard error over axis 0 as mean_paths took them from the
+    replica stack before it folded exact sums: np.mean and np.std."""
+    r = len(stack)
+    return stack.mean(axis=0), stack.std(axis=0, ddof=1 if r > 1 else 0) / np.sqrt(r)
+
+
+def block_cells(replicas_per_block, rate, points):
+    """A _BLOCK_CELLS that puts this many replicas in each block."""
+    return replicas_per_block * (math.ceil(rate.total) + points)
+
+
 @st.composite
 def light_rates(draw):
     """Intensities of at most 5/h over at most 30 h, the zero intensity among them."""
@@ -901,39 +968,63 @@ def light_rates(draw):
     return RateFunction(knots=tuple(zip(t, v)), horizon=horizon)
 
 
-_EDGE = simulate._BLOCK
-
-
 @settings(max_examples=60)
-@given(light_rates(), models(),
-       st.sampled_from([1, 2, _EDGE - 1, _EDGE, _EDGE + 1, max(100, 3 * _EDGE + 1)]),
-       st.integers(0, 2**32 - 1), st.data())
-def test_block_route_matches_replica_loop(rate, model, replicas, seed, data):
+@given(light_rates(), models(), st.sampled_from([1, 2, 31, 32, 33, 100]),
+       st.sampled_from([1, 2, 32, None]), st.integers(0, 2**32 - 1), st.data())
+def test_block_route_matches_replica_loop(rate, model, replicas, block, seed, data):
     # replica 0's own jump times among the grid times and bin edges, where
     # "a jump at t is counted at t" and np.histogram's [e_k, e_k+1) decide
     t0, d0 = simulate_events(rate, model, seed, 0)
     rec0 = np.sort(t0 + d0)
     grid = np.concatenate([data.draw(st.lists(st.floats(-1.0, 2.0 * rate.horizon),
                                               min_size=1, max_size=20)), t0[:3], rec0[:3]])
-    counts = simulate._path_counts(rate, model, grid, replicas, seed)
-    np.testing.assert_array_equal(counts, reference_path_counts(rate, model, grid, replicas, seed))
+    cells = simulate._BLOCK_CELLS if block is None else block_cells(block, rate, len(grid))
+    with mock.patch.object(simulate, "_BLOCK_CELLS", cells):
+        counts = block_route_counts(rate, model, grid, replicas, seed)
+    np.testing.assert_array_equal(counts[:, :2],
+                                  reference_path_counts(rate, model, grid, replicas, seed))
+    np.testing.assert_array_equal(counts[:, 2], counts[:, 0] - counts[:, 1])
     # N = N_f - N_r for every replica: the failed-and-not-yet-recovered count
     for i in range(replicas):
         t, d = simulate_events(rate, model, seed, i)
         out = np.sum((t[:, None] <= grid) & (grid < (t + d)[:, None]), axis=0)
-        np.testing.assert_array_equal(counts[i, 0] - counts[i, 1], out)
-    got = mean_paths(rate, model, grid, replicas, seed)
-    nf, nr = counts[:, 0], counts[:, 1]
-    np.testing.assert_array_equal(got["nf_mean"], nf.mean(axis=0))
-    np.testing.assert_array_equal(got["n_mean"], (nf - nr).mean(axis=0))
-    np.testing.assert_array_equal(got["nr_se"], nr.std(axis=0, ddof=1 if replicas > 1 else 0)
-                                  / np.sqrt(replicas))
+        np.testing.assert_array_equal(counts[i, 2], out)
     if replicas >= 100:
         top = max(rec0[-1], 1.0) if len(rec0) else 1.5 * rate.horizon
         edges = np.unique(np.concatenate([np.linspace(0.0, top, 7), rec0[:3]]))
-        mc = monte_carlo_recovery_rate(rate, model, edges, replicas, seed)
+        with mock.patch.object(simulate, "_BLOCK_CELLS", cells):
+            mc = monte_carlo_recovery_rate(rate, model, edges, replicas, seed)
         hist = np.stack([np.histogram(np.add(*simulate_events(rate, model, seed, i)),
                                       bins=edges)[0] for i in range(replicas)]).astype(float)
-        np.testing.assert_array_equal(mc.mean_rate, hist.mean(axis=0) / np.diff(edges))
-        np.testing.assert_array_equal(mc.se_rate, hist.std(axis=0, ddof=1)
-                                      / np.sqrt(replicas) / np.diff(edges))
+        mean, se = stack_moments(hist)
+        np.testing.assert_array_equal(mc.mean_rate, mean / np.diff(edges))
+        np.testing.assert_allclose(mc.se_rate, se / np.diff(edges), rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40)
+@given(light_rates(), models(), st.sampled_from([1, 2, 7, 100]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_moments_match_replica_stack(rate, model, replicas, seed, data):
+    # oracle: np.mean and np.std over the stack of every replica's counts
+    grid = np.asarray(data.draw(st.lists(st.floats(-1.0, 2.0 * rate.horizon),
+                                         min_size=1, max_size=20)))
+    stack = reference_path_counts(rate, model, grid, replicas, seed)
+    mean, se = stack_moments(np.concatenate([stack, stack[:, :1] - stack[:, 1:]], axis=1))
+    got = mean_paths(rate, model, grid, replicas, seed)
+    for j, name in enumerate(("nf", "nr", "n")):
+        np.testing.assert_array_equal(got[f"{name}_mean"], mean[j])
+        np.testing.assert_allclose(got[f"{name}_se"], se[j], rtol=1e-12, atol=0.0)
+        if replicas == 1:
+            np.testing.assert_array_equal(got[f"{name}_se"], 0.0)
+    edges = np.linspace(0.0, 1.5 * rate.horizon, 9)
+    mc = monte_carlo_recovery_rate(rate, model, edges, replicas, seed) if replicas >= 100 else None
+    # one replica per block, then every replica in one block
+    for cells in (1, 10**12):
+        with mock.patch.object(simulate, "_BLOCK_CELLS", cells):
+            again = mean_paths(rate, model, grid, replicas, seed)
+            for key, value in got.items():
+                np.testing.assert_array_equal(again[key], value)
+            if mc is not None:
+                mc_again = monte_carlo_recovery_rate(rate, model, edges, replicas, seed)
+                np.testing.assert_array_equal(mc_again.mean_rate, mc.mean_rate)
+                np.testing.assert_array_equal(mc_again.se_rate, mc.se_rate)

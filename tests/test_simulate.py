@@ -1,6 +1,10 @@
 """Event simulation: time-rescaled failure draws, duration draws, paths,
 replica aggregation."""
 
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,6 +25,7 @@ from gridres import (
     simulate_events,
 )
 import gridres.parallel
+from gridres import simulate
 from gridres.fitting import _start_labels
 from gridres.parallel import max_threads
 
@@ -290,6 +295,65 @@ class TestMeanPaths:
             out["nf_mean"], np.mean([p.n_failed(grid) for p in paths], axis=0))
         np.testing.assert_array_equal(
             out["nr_mean"], np.mean([p.n_recovered(grid) for p in paths], axis=0))
+
+
+def test_draw_buffers_grow_past_their_first_size():
+    # buffers sized for one replica's events, then a block of 40 replicas
+    model = exp_model(2.0)
+    draws = simulate._Draws(RAMP, model, 5, 1)
+    times, durations, recovered, sizes = draws.block(0, 40)
+    assert len(times) > 2 * RAMP.total
+    for i, run in enumerate(simulate._runs(sizes)):
+        t, d = simulate_events(RAMP, model, 5, i)
+        np.testing.assert_array_equal(times[run], t)
+        np.testing.assert_array_equal(durations[run], d)
+        np.testing.assert_array_equal(recovered[run], t + d)
+
+
+def test_moments_exact_past_int64():
+    # each mean and squared standard error is the correctly rounded quotient
+    # of the exact integers, as Fraction gives it: small counts, whose
+    # integers stay in int64, then sums of squares past 2**63, first across
+    # blocks, whose int64 totals move into Python integers before they
+    # could overflow, then within one block, whose squares alone would
+    big = 2**31
+    small = [np.array([[[3, 1]], [[4, 1]]]), np.array([[[6, 0]]])]
+    large = [np.array([[[big - k, k]]]) for k in range(5)]
+    large.append(np.array([[[big + 7, 3]], [[big + 9, 0]]]))
+    for blocks in (small, large):
+        moments = simulate._Moments((1, 2))
+        rows = []
+        for counts in blocks:
+            rows.extend(counts[:, 0].tolist())
+            moments.fold(counts.copy(), int(counts.sum()))
+        mean, se = moments.mean_se()
+        n = len(rows)
+        for j in range(2):
+            col = [r[j] for r in rows]
+            s, ss = sum(col), sum(x * x for x in col)
+            assert mean[0, j] == float(Fraction(s, n))
+            assert se[0, j] == math.sqrt(float(Fraction(n * ss - s * s, n * n * (n - 1))))
+    assert sum(r[0] ** 2 for r in rows) > 2**63
+
+
+def peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_replicas():
+    # the parent's (replicas, 2, grid) stack held 32 MB at 200 replicas on
+    # this grid and 320 MB at 2000
+    grid = np.linspace(0.0, 60.0, 10_001)
+    rate, model = RateFunction.constant(0.5, 60.0), exp_model(2.0)
+    for run in (lambda r: mean_paths(rate, model, grid, r, 3),
+                lambda r: monte_carlo_recovery_rate(rate, model, grid, r, 3)):
+        few, many = peak_bytes(lambda: run(200)), peak_bytes(lambda: run(2000))
+        assert many <= few + 2**18, (few, many)
 
 
 class _PoolUsed(Exception):
