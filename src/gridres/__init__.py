@@ -53,13 +53,9 @@ from .resilience import (
 )
 from .simulate import (
     MonteCarloRates,
-    SamplePath,
-    build_path,
     mean_paths,
     monte_carlo_recovery_rate,
     replica_rng,
-    sample_durations,
-    sample_nhpp,
     simulate_events,
 )
 from .weibull import DurationModel, WeibullMixture
@@ -79,11 +75,9 @@ __all__ = [
     "RawRecords",
     "Reconstruction",
     "ResilienceCurve",
-    "SamplePath",
     "SurgeSpec",
     "ThresholdPick",
     "WeibullMixture",
-    "build_path",
     "day_to_day_expected",
     "day_to_day_recovery_rate",
     "estimate_rate",
@@ -112,8 +106,6 @@ __all__ = [
     "replica_rng",
     "resilience_at",
     "resilience_curve",
-    "sample_durations",
-    "sample_nhpp",
     "simulate_events",
     "surge_expected",
     "surge_recovery_rate",

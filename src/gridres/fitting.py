@@ -435,7 +435,9 @@ def _em_lockstep(points: list, runs: list[_Run], tol: float, max_iter: int) -> l
         g, k = _newton_shapes(rows, resp, mass, k)
         for run, flags in zip(live, _bound_flags(k)):
             run.pass_flags += [f for f in flags if f not in run.pass_flags]
-        done = (prev > -np.inf) & (ll - prev <= tol * np.abs(prev))
+        # prev is -inf in a run's first round: kept out of the product, tol = 0 makes no 0 * inf
+        seen = prev > -np.inf
+        done = seen & (ll - prev <= tol * np.abs(np.where(seen, prev, 0.0)))
         prev = ll
         if done.any():
             for j in np.flatnonzero(done):

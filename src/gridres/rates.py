@@ -58,7 +58,11 @@ class RateFunction:
         bt = np.concatenate(([0.0], t, [horizon]))
         bt = np.unique(bt)
         bv = np.interp(bt, t, v)
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (bv[1:] + bv[:-1]) * np.diff(bt))))
+        with np.errstate(over="ignore"):
+            cum = np.concatenate(([0.0], np.cumsum(0.5 * (bv[1:] + bv[:-1]) * np.diff(bt))))
+        if not np.isfinite(cum[-1]):
+            raise ValueError(f"the intensity's integral over [0, {horizon:g}] h is not "
+                             "finite: it overflows a double")
         object.__setattr__(self, "_bt", bt)
         object.__setattr__(self, "_bv", bv)
         object.__setattr__(self, "_cum", cum)

@@ -6,8 +6,8 @@ count with mean the integrated intensity, sorted arrival levels on
 through the closed-form inverse of the piecewise-quadratic cumulative
 intensity.  Durations come from the duration model by exact Weibull
 inverse-cdf sampling.  Every replica gets its own generator derived from
-the root seed and the replica index.  Replicas run inline in index order,
-in blocks sized by their expected events and grid points: each replica of
+the root seed and the replica index.  Replicas run in index order, in
+blocks sized by their expected events and grid points: each replica of
 a block makes its own draws, in its own order, into buffers that a call
 allocates once; the block's levels are then inverted and its durations
 dispatched in one call each, and every replica is counted by a search of
@@ -29,13 +29,9 @@ from .rates import RateFunction
 from .weibull import DurationModel
 
 __all__ = [
-    "SamplePath",
     "MonteCarloRates",
     "replica_rng",
-    "sample_nhpp",
-    "sample_durations",
     "simulate_events",
-    "build_path",
     "monte_carlo_recovery_rate",
     "mean_paths",
 ]
@@ -93,35 +89,6 @@ def _first_of_ties(times: np.ndarray, sizes) -> np.ndarray | None:
     return keep
 
 
-def sample_nhpp(rate: RateFunction, rng: np.random.Generator) -> np.ndarray:
-    """Failure times on [0, horizon] by inverting the cumulative intensity at
-    sorted uniform levels; strictly increasing.
-
-    Draws the count, then n + 1 exponentials.  Raises ValueError before any
-    draw if the intensity's integral exceeds 10^7 expected events.
-    """
-    _check_expected(rate)
-    levels = _unit_levels(rng, np.empty(rng.poisson(rate.total) + 1))
-    levels *= rate.total
-    times = rate.inverse_cumulative(levels, out=levels)
-    keep = _first_of_ties(times, [len(times)])
-    return times if keep is None else times[keep]
-
-
-def sample_durations(
-    times, model: DurationModel, rng: np.random.Generator
-) -> np.ndarray:
-    """One duration per failure time, from that time's interval mixture.
-
-    Uniform draws are taken in event order before any grouping, so the
-    result is independent of how events split across intervals.
-    """
-    t = np.asarray(times, dtype=float)
-    u_comp = rng.random(len(t))
-    u_dur = rng.random(len(t))
-    return model.from_uniforms(t, u_comp, u_dur)
-
-
 def simulate_events(
     rate: RateFunction,
     model: DurationModel,
@@ -132,50 +99,6 @@ def simulate_events(
     that replica alone."""
     times, durations, _, _ = _Draws(rate, model, seed, 1).block(replica, replica + 1)
     return times, durations
-
-
-@dataclass(frozen=True, eq=False)
-class SamplePath:
-    """Counting processes of one replica.
-
-    n_failed / n_recovered / n_out are right-continuous step functions; a
-    jump at exactly t is included in the value at t.  n_out is the exact
-    integer difference of the other two at every point.
-    """
-
-    failure_times: np.ndarray
-    recovery_times: np.ndarray
-
-    def __post_init__(self):
-        f = np.sort(np.asarray(self.failure_times, dtype=float))
-        r = np.sort(np.asarray(self.recovery_times, dtype=float))
-        if len(f) != len(r):
-            raise ValueError("every failure needs a recovery time")
-        object.__setattr__(self, "failure_times", f)
-        object.__setattr__(self, "recovery_times", r)
-
-    def n_failed(self, t):
-        return np.searchsorted(self.failure_times, np.asarray(t, dtype=float), side="right")
-
-    def n_recovered(self, t):
-        return np.searchsorted(self.recovery_times, np.asarray(t, dtype=float), side="right")
-
-    def n_out(self, t):
-        return self.n_failed(t) - self.n_recovered(t)
-
-    @property
-    def jump_times(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.failure_times, self.recovery_times]))
-
-
-def build_path(times, durations) -> SamplePath:
-    t = np.asarray(times, dtype=float)
-    d = np.asarray(durations, dtype=float)
-    if t.shape != d.shape:
-        raise ValueError("times and durations must have matching lengths")
-    if np.any(d < 0.0):
-        raise ValueError("durations must be >= 0")
-    return SamplePath(failure_times=t, recovery_times=t + d)
 
 
 class _Draws:
@@ -196,11 +119,10 @@ class _Draws:
         event count.
 
         Each replica draws from its own generator, in this order: its count
-        and n + 1 exponentials (sample_nhpp's draws), then n component
-        uniforms and n duration uniforms (sample_durations' draws).  The
-        block's levels are then inverted in one pass, ties dropped with their
-        uniforms, and the duration dispatch run once.  The arrays are views
-        of the buffers, valid until the next block.
+        and n + 1 exponentials, then n component uniforms and n duration
+        uniforms.  The block's levels are then inverted in one pass, ties
+        dropped with their uniforms, and the duration dispatch run once.
+        The arrays are views of the buffers, valid until the next block.
         """
         total = self.rate.total
         sizes = np.empty(stop - first, dtype=np.int64)
@@ -251,7 +173,7 @@ def _replica_counts(rate: RateFunction, model: DurationModel, replicas: int, see
     """count(times, recovered, row) for every replica, block by block, into
     one int64 (block, *shape) buffer, then fold(counts, events) with each
     block's counts and event total.  count may sort `recovered` in place.
-    Each block is one run_indexed task, run inline."""
+    Each block is one run_indexed task."""
     size = min(replicas, _block_size(rate, shape[-1]))
     draws = _Draws(rate, model, seed, size)
     counts = np.empty((size, *shape), dtype=np.int64)
@@ -263,7 +185,7 @@ def _replica_counts(rate: RateFunction, model: DurationModel, replicas: int, see
             count(times[run], recovered[run], row)
         fold(counts[:stop - first], len(times))
 
-    run_indexed(-(-replicas // size), block, 1)
+    run_indexed(-(-replicas // size), block)
 
 
 class _Moments:
@@ -322,8 +244,8 @@ def _moments(rate, model, replicas, seed, shape, count) -> tuple[np.ndarray, np.
 
 
 def _count_paths(grid: np.ndarray, times, recovered, row) -> None:
-    """N_f, N_r and N = N_f - N_r of one replica at the grid times, counted
-    as SamplePath counts them (a jump at t included)."""
+    """N_f, N_r and N = N_f - N_r of one replica at the grid times, each a
+    right-continuous count: a jump at exactly t is included at t."""
     row[0] = np.searchsorted(times, grid, side="right")
     recovered.sort()
     row[1] = np.searchsorted(recovered, grid, side="right")
@@ -363,8 +285,8 @@ def monte_carlo_recovery_rate(
     """Empirical recovery intensity, binned on `edges`, across replicas.
 
     At least 100 replicas are required for the standard errors to mean
-    anything.  Replicas run inline in index order, in blocks;
-    GRIDRES_THREADS does not apply, and output is reproducible bit for bit.
+    anything.  Replicas run in index order, in blocks, and output is
+    reproducible bit for bit.
     """
     edges = np.asarray(edges, dtype=float)
     if len(edges) < 2 or np.any(np.diff(edges) <= 0.0):

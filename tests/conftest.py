@@ -1,10 +1,14 @@
-"""Shared fixtures: reference mixtures and a synthetic raw-record file."""
+"""Shared fixtures: reference mixtures, a synthetic raw-record file, and the
+replica-at-a-time sampling route that serves as the block route's oracle."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from gridres import DurationModel, WeibullMixture
+from gridres import DurationModel, RateFunction, WeibullMixture
+from gridres.simulate import _check_expected, _first_of_ties, _unit_levels
 
 # property tests draw their examples from a fixed seed and keep no example
 # database, so every run of the suite checks the same cases
@@ -97,3 +101,81 @@ def make_raw_csv(seed: int = 20080912) -> str:
 @pytest.fixture(scope="session")
 def raw_csv_text() -> str:
     return make_raw_csv()
+
+
+# The replica-at-a-time route: one replica's failure times, its durations
+# and its counting processes, each drawn or counted on its own.  The
+# package draws through gridres.simulate's block route; these make the
+# same draws in the same order, so tests hold the two bit for bit equal.
+
+def sample_nhpp(rate: RateFunction, rng: np.random.Generator) -> np.ndarray:
+    """Failure times on [0, horizon] by inverting the cumulative intensity at
+    sorted uniform levels; strictly increasing.
+
+    Draws the count, then n + 1 exponentials.  Raises ValueError before any
+    draw if the intensity's integral exceeds 10^7 expected events.
+    """
+    _check_expected(rate)
+    levels = _unit_levels(rng, np.empty(rng.poisson(rate.total) + 1))
+    levels *= rate.total
+    times = rate.inverse_cumulative(levels, out=levels)
+    keep = _first_of_ties(times, [len(times)])
+    return times if keep is None else times[keep]
+
+
+def sample_durations(
+    times, model: DurationModel, rng: np.random.Generator
+) -> np.ndarray:
+    """One duration per failure time, from that time's interval mixture.
+
+    Uniform draws are taken in event order before any grouping, so the
+    result is independent of how events split across intervals.
+    """
+    t = np.asarray(times, dtype=float)
+    u_comp = rng.random(len(t))
+    u_dur = rng.random(len(t))
+    return model.from_uniforms(t, u_comp, u_dur)
+
+
+@dataclass(frozen=True, eq=False)
+class SamplePath:
+    """Counting processes of one replica.
+
+    n_failed / n_recovered / n_out are right-continuous step functions; a
+    jump at exactly t is included in the value at t.  n_out is the exact
+    integer difference of the other two at every point.
+    """
+
+    failure_times: np.ndarray
+    recovery_times: np.ndarray
+
+    def __post_init__(self):
+        f = np.sort(np.asarray(self.failure_times, dtype=float))
+        r = np.sort(np.asarray(self.recovery_times, dtype=float))
+        if len(f) != len(r):
+            raise ValueError("every failure needs a recovery time")
+        object.__setattr__(self, "failure_times", f)
+        object.__setattr__(self, "recovery_times", r)
+
+    def n_failed(self, t):
+        return np.searchsorted(self.failure_times, np.asarray(t, dtype=float), side="right")
+
+    def n_recovered(self, t):
+        return np.searchsorted(self.recovery_times, np.asarray(t, dtype=float), side="right")
+
+    def n_out(self, t):
+        return self.n_failed(t) - self.n_recovered(t)
+
+    @property
+    def jump_times(self) -> np.ndarray:
+        return np.sort(np.concatenate([self.failure_times, self.recovery_times]))
+
+
+def build_path(times, durations) -> SamplePath:
+    t = np.asarray(times, dtype=float)
+    d = np.asarray(durations, dtype=float)
+    if t.shape != d.shape:
+        raise ValueError("times and durations must have matching lengths")
+    if np.any(d < 0.0):
+        raise ValueError("durations must be >= 0")
+    return SamplePath(failure_times=t, recovery_times=t + d)

@@ -15,7 +15,6 @@ from gridres import (
     RateFunction,
     SurgeSpec,
     WeibullMixture,
-    build_path,
     day_to_day_recovery_rate,
     estimate_rate,
     expected_in_failure,
@@ -31,15 +30,17 @@ from gridres import (
     resilience_curve,
     surge_expected,
 )
-from gridres.simulate import replica_rng, sample_nhpp
+from gridres.simulate import replica_rng
 
 from conftest import (
     REFERENCE_P13,
     WINDOW_END,
     WINDOW_START,
+    build_path,
     make_raw_csv,
     reference_mixture,
     reference_model,
+    sample_nhpp,
 )
 
 

@@ -236,21 +236,6 @@ class TestDeterminism:
         assert outs["a"] != outs["b"]
         assert outs["a"] == outs["c"]
 
-    def test_thread_count_does_not_change_results(self, tiny_model, tmp_path, monkeypatch):
-        payload = {}
-        for threads, name in (("1", "t1"), ("4", "t4")):
-            monkeypatch.setenv("GRIDRES_THREADS", threads)
-            out = tmp_path / name
-            rc = main(["--seed", "5", "--out", str(out), "simulate",
-                       "--model", str(tiny_model), "--replicas", "8",
-                       "--grid-step", "0.5"])
-            assert rc == 0
-            payload[name] = (
-                (out / "paths.csv").read_bytes(),
-                (out / "events.csv").read_bytes(),
-            )
-        assert payload["t1"] == payload["t4"]
-
     def test_out_directory_created(self, tiny_model, tmp_path):
         out = tmp_path / "deep" / "nested" / "dir"
         rc = main(["--out", str(out), "reconstruct", "--model", str(tiny_model),
@@ -492,6 +477,19 @@ class TestExitCodes:
             assert main(["--out", str(tmp_path / command), command, "--model", str(path)]) == 2
         assert "slopes must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "resilience", "reconstruct"])
+    def test_overflowing_rate_integral(self, tiny_model, tmp_path, capsys, command):
+        # finite knots whose integral overflows: a replica would expect inf
+        # events, and every quantity of the rate is inf or nan
+        payload = json.loads(tiny_model.read_text())
+        payload["rate"] = {"knots": [[0.0, 2.0], [4.0, 1.7e308], [12.0, 1.7e308]],
+                           "horizon": 12.0}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert main(["--out", str(tmp_path / "out"), command, "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "integral over [0, 12] h is not finite" in err
+
     def test_insufficient_samples(self, tmp_path):
         data = tmp_path / "tiny.csv"
         data.write_text(
@@ -650,9 +648,11 @@ class TestCommandExtras:
         assert proc.stdout.strip() == "False"
 
     def test_package_import_skips_scipy(self):
-        """Only `gridres test` needs scipy; importing the package loads none of it."""
+        """Only `gridres test` needs scipy; importing the package loads none of
+        it, and nothing of concurrent: every command runs on the calling thread."""
         code = ("import sys, gridres, gridres.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'concurrent')))")
         proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

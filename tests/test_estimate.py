@@ -17,12 +17,11 @@ from gridres import (
     reconstruct,
     reject_decision,
     replica_rng,
-    sample_nhpp,
     simulate_events,
 )
 from gridres.estimate import RateEstimate
 
-from conftest import reference_mixture
+from conftest import build_path, reference_mixture, sample_nhpp
 
 
 class TestEstimateRate:
@@ -300,8 +299,6 @@ class TestReconstruct:
         wins = 0
         for s in range(5):
             times, durations = simulate_events(rate, true_model, seed=s)
-            from gridres import build_path
-
             path = build_path(times, durations)
             est = estimate_rate(times, horizon=40.0)
             truth = path.n_out(est.grid)

@@ -311,15 +311,24 @@ def test_non_convergence_reported():
     assert fit.iterations <= 2
 
 
+def test_zero_tol_first_round_warns_nothing():
+    # a run's first round has no previous log-likelihood: at tol = 0 its
+    # stop test must not form 0 * inf
+    d = reference_mixture(0).sample(600, replica_rng(4, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = fit_weibull_mixture(d, 2, tol=0.0, max_iter=20)
+    assert fit.iterations <= 20
+    assert np.all(np.diff(fit.history) >= 0.0)
+
+
 def test_fit_is_deterministic(monkeypatch):
     d = reference_mixture(2).sample(2500, replica_rng(8, 0))
-    monkeypatch.setenv("GRIDRES_THREADS", "1")
     a = fit_weibull_mixture(d, 3, seed=11, n_starts=3)
-    monkeypatch.setenv("GRIDRES_THREADS", "3")
     b = fit_weibull_mixture(d, 3, seed=11, n_starts=3)
     assert a.mixture.components == b.mixture.components
     assert a.log_likelihood == b.log_likelihood
-    # one pool task per component count: a mixed fit fans out
+    # one run_indexed task per component count: a mixed fit has one per count
     real = gridres.fitting.run_indexed
     tasks = []
 
@@ -329,13 +338,10 @@ def test_fit_is_deterministic(monkeypatch):
 
     monkeypatch.setattr(gridres.fitting, "run_indexed", recorded)
     times = np.repeat([1.0, 3.0, 5.0], len(d) // 3)
-    mixed = {}
-    for threads in ("1", "3"):
-        monkeypatch.setenv("GRIDRES_THREADS", threads)
-        mixed[threads] = fit_duration_model(times, d[:len(times)], (0.0, 2.0, 4.0, 6.0),
-                                            (3, 1, 2), seed=11, n_starts=3)
+    mixed = [fit_duration_model(times, d[:len(times)], (0.0, 2.0, 4.0, 6.0),
+                                (3, 1, 2), seed=11, n_starts=3) for _ in range(2)]
     assert tasks == [3, 3]
-    assert repr(mixed["1"]) == repr(mixed["3"])
+    assert repr(mixed[0]) == repr(mixed[1])
 
 
 class TestFitDurationModel:

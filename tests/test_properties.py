@@ -44,8 +44,6 @@ from gridres import (
     monte_carlo_recovery_rate,
     recovery_rate_curve,
     replica_rng,
-    sample_durations,
-    sample_nhpp,
     simulate_events,
 )
 from gridres import fitting, recovery, resilience, simulate
@@ -62,6 +60,8 @@ from gridres.fitting import (
 )
 from gridres.ingest import ParseIssue, Provenance, normalize_ts
 from gridres.weibull import interval_of
+
+from conftest import sample_durations, sample_nhpp
 
 
 @st.composite

@@ -42,6 +42,17 @@ def test_non_finite_slope_rejected():
     assert steep.value(1e-300) == 1.0 and np.isfinite(steep.total)
 
 
+def test_non_finite_integral_rejected():
+    # every knot is a finite double, yet 205 h at 1.7e308/h overflows the
+    # integral: a replica's expected count would be inf
+    with pytest.raises(ValueError, match="integral over \\[0, 240\\] h is not finite"):
+        RateFunction(knots=((0.0, 2.0), (45.0, 1.7e308), (240.0, 1.7e308)), horizon=240.0)
+    with pytest.raises(ValueError, match="not finite"):
+        RateFunction.constant(1e308, 2.0)
+    # a huge rate whose integral is still a double is fine
+    assert RateFunction.constant(8e307, 1.0).total == 8e307
+
+
 def test_inverse_cumulative_hand_computed():
     # 2/h rising to 6/h over [0, 4], then flat at 6/h: Lambda(4) = 16
     rf = RateFunction(knots=((0.0, 2.0), (4.0, 6.0)), horizon=10.0)

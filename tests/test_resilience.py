@@ -13,11 +13,10 @@ from gridres import (
     pick_threshold,
     resilience_at,
     resilience_curve,
-    sample_nhpp,
     replica_rng,
 )
 
-from conftest import REFERENCE_P13, reference_mixture, reference_model
+from conftest import REFERENCE_P13, reference_mixture, reference_model, sample_nhpp
 
 
 def softplus_knee(x, delta=0.75):

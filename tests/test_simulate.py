@@ -13,23 +13,21 @@ from gridres import (
     DurationModel,
     RateFunction,
     WeibullMixture,
-    build_path,
     expected_recovered,
-    fit_duration_model,
-    fit_weibull_mixture,
     mean_paths,
     monte_carlo_recovery_rate,
     replica_rng,
-    sample_durations,
-    sample_nhpp,
     simulate_events,
 )
-import gridres.parallel
 from gridres import simulate
-from gridres.fitting import _start_labels
-from gridres.parallel import max_threads
 
-from conftest import reference_mixture, reference_model
+from conftest import (
+    build_path,
+    reference_mixture,
+    reference_model,
+    sample_durations,
+    sample_nhpp,
+)
 
 RAMP = RateFunction(knots=((0.0, 2.0), (25.0, 9.0), (60.0, 4.0)), horizon=60.0)
 
@@ -252,15 +250,6 @@ class TestMonteCarlo:
         assert within.mean() >= 0.8
         assert mc.centers[0] == pytest.approx(0.5)
 
-    def test_deterministic_across_threads(self, monkeypatch):
-        edges = np.linspace(0.0, 60.0, 13)
-        monkeypatch.setenv("GRIDRES_THREADS", "1")
-        a = monte_carlo_recovery_rate(RAMP, exp_model(2.0), edges, replicas=120, seed=9)
-        monkeypatch.setenv("GRIDRES_THREADS", "4")
-        b = monte_carlo_recovery_rate(RAMP, exp_model(2.0), edges, replicas=120, seed=9)
-        np.testing.assert_array_equal(a.mean_rate, b.mean_rate)
-        np.testing.assert_array_equal(a.se_rate, b.se_rate)
-
 
 class TestMeanPaths:
     def test_shapes_and_identity(self):
@@ -275,15 +264,6 @@ class TestMeanPaths:
         grid = np.linspace(0.0, 60.0, 7)
         out = mean_paths(RAMP, exp_model(2.0), grid, replicas=1, seed=2)
         np.testing.assert_array_equal(out["nf_se"], 0.0)
-
-    def test_thread_count_invariance(self, monkeypatch):
-        grid = np.linspace(0.0, 60.0, 13)
-        monkeypatch.setenv("GRIDRES_THREADS", "1")
-        a = mean_paths(RAMP, exp_model(2.0), grid, replicas=40, seed=5)
-        monkeypatch.setenv("GRIDRES_THREADS", "3")
-        b = mean_paths(RAMP, exp_model(2.0), grid, replicas=40, seed=5)
-        for key in ("nf_mean", "nr_mean", "n_mean", "nf_se"):
-            np.testing.assert_array_equal(a[key], b[key])
 
     def test_counts_match_sample_paths(self):
         # oracle: each replica counted through build_path, one at a time
@@ -354,51 +334,3 @@ def test_memory_does_not_grow_with_replicas():
                 lambda r: monte_carlo_recovery_rate(rate, model, grid, r, 3)):
         few, many = peak_bytes(lambda: run(200)), peak_bytes(lambda: run(2000))
         assert many <= few + 2**18, (few, many)
-
-
-class _PoolUsed(Exception):
-    pass
-
-
-def test_replicas_run_inline_fit_starts_use_the_pool(monkeypatch):
-    """GRIDRES_THREADS sizes the fit's pool only; replicas never reach it."""
-    grid = np.linspace(0.0, 60.0, 13)
-    edges = np.linspace(0.0, 60.0, 13)
-    monkeypatch.setenv("GRIDRES_THREADS", "1")
-    paths = mean_paths(RAMP, exp_model(2.0), grid, replicas=40, seed=5)
-    mc = monte_carlo_recovery_rate(RAMP, exp_model(2.0), edges, replicas=120, seed=9)
-
-    def no_pool(*args, **kwargs):
-        raise _PoolUsed
-
-    monkeypatch.setattr(gridres.parallel, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("GRIDRES_THREADS", "4")
-    inline = mean_paths(RAMP, exp_model(2.0), grid, replicas=40, seed=5)
-    for key in ("nf_mean", "nf_se", "nr_mean", "nr_se", "n_mean", "n_se"):
-        np.testing.assert_array_equal(inline[key], paths[key])
-    inline_mc = monte_carlo_recovery_rate(RAMP, exp_model(2.0), edges, replicas=120, seed=9)
-    np.testing.assert_array_equal(inline_mc.mean_rate, mc.mean_rate)
-    np.testing.assert_array_equal(inline_mc.se_rate, mc.se_rate)
-    # a fit makes one pool task per component count, so two distinct
-    # starts of one count stay inline and it takes two counts to reach
-    # the pool
-    d = exp_model(2.0).mixtures[0].sample(200, replica_rng(3, 0))
-    logd = np.log(d)
-    assert _start_labels(logd, 2, 2, 0).tobytes() != _start_labels(logd, 2, 2, 1).tobytes()
-    times = np.repeat([1.0, 3.0], 100)
-    fit_weibull_mixture(d, 2, seed=2, n_starts=2)
-    with pytest.raises(_PoolUsed):
-        fit_duration_model(times, d, (0.0, 2.0, 4.0), (1, 2), seed=2, n_starts=2)
-
-
-def test_max_threads_env(monkeypatch):
-    monkeypatch.delenv("GRIDRES_THREADS", raising=False)
-    assert max_threads() == 1
-    monkeypatch.setenv("GRIDRES_THREADS", "4")
-    assert max_threads() == 4
-    monkeypatch.setenv("GRIDRES_THREADS", "0")
-    with pytest.raises(ValueError):
-        max_threads()
-    monkeypatch.setenv("GRIDRES_THREADS", "many")
-    with pytest.raises(ValueError):
-        max_threads()
