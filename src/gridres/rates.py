@@ -58,8 +58,9 @@ class RateFunction:
         bt = np.concatenate(([0.0], t, [horizon]))
         bt = np.unique(bt)
         bv = np.interp(bt, t, v)
+        # halves, here and in cumulative: the sum of two knots past 8.99e307 overflows
         with np.errstate(over="ignore"):
-            cum = np.concatenate(([0.0], np.cumsum(0.5 * (bv[1:] + bv[:-1]) * np.diff(bt))))
+            cum = np.concatenate(([0.0], np.cumsum((0.5 * bv[1:] + 0.5 * bv[:-1]) * np.diff(bt))))
         if not np.isfinite(cum[-1]):
             raise ValueError(f"the intensity's integral over [0, {horizon:g}] h is not "
                              "finite: it overflows a double")
@@ -97,7 +98,7 @@ class RateFunction:
         clipped = np.clip(arr, 0.0, self.horizon)
         idx = np.clip(np.searchsorted(self._bt, clipped, side="right") - 1, 0, len(self._bt) - 2)
         left = self._bt[idx]
-        seg = (clipped - left) * 0.5 * (self._bv[idx] + np.interp(clipped, self._t, self._v))
+        seg = (clipped - left) * (0.5 * self._bv[idx] + 0.5 * np.interp(clipped, self._t, self._v))
         out = self._cum[idx] + seg
         return float(out[0]) if np.isscalar(t) else out
 

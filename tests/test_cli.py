@@ -648,8 +648,8 @@ class TestCommandExtras:
         assert proc.stdout.strip() == "False"
 
     def test_package_import_skips_scipy(self):
-        """Only `gridres test` needs scipy; importing the package loads none of
-        it, and nothing of concurrent: every command runs on the calling thread."""
+        """No command needs scipy; importing the package loads none of it, and
+        nothing of concurrent: every command runs on the calling thread."""
         code = ("import sys, gridres, gridres.cli; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('scipy', 'concurrent')))")
@@ -658,8 +658,23 @@ class TestCommandExtras:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_pearson_test_loads_no_scipy(self, pipeline, tmp_path):
+        """`gridres test` takes its Poisson tail and chi-square quantile from
+        numpy and math: after it runs, the interpreter holds no scipy module."""
+        out, _ = pipeline
+        code = ("import sys\n"
+                "from gridres.cli import main\n"
+                "rc = main(sys.argv[1:])\n"
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        argv = ["--out", str(tmp_path / "gof"), "test",
+                "--dataset", str(out / "dataset.csv"), "--model", str(out / "model.json")]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
     def test_commands_run_without_scipy(self, workspace, tmp_path, monkeypatch):
-        """Every README command but `test` runs, byte for byte, with scipy blocked."""
+        """Every README command runs, byte for byte, with scipy blocked."""
         # relative paths, so that the echoed options match between the two runs
         (tmp_path / "raw.csv").write_bytes((workspace / "raw.csv").read_bytes())
         commands = [
@@ -668,6 +683,7 @@ class TestCommandExtras:
             ["--seed", "11", "--out", "run", "fit", "--dataset", "run/dataset.csv",
              "--boundaries", BOUNDARIES, "--components", "2,2,2,2,2",
              "--starts", "2", "--max-iter", "500"],
+            ["--out", "run", "test", "--dataset", "run/dataset.csv", "--model", "run/model.json"],
             ["--seed", "11", "--out", "run", "simulate", "--model", "run/model.json",
              "--replicas", "30", "--grid-step", "1", "--save-events", "2"],
             ["--out", "run", "resilience", "--model", "run/model.json",
@@ -697,7 +713,7 @@ class TestCommandExtras:
         for argv in commands:
             assert main(argv) == 0, argv
         products = sorted(p.name for p in (normal / "run").iterdir())
-        assert len(products) == 10, products
+        assert len(products) == 12, products
         assert sorted(p.name for p in (blocked / "run").iterdir()) == products
         for name in products:
             assert ((blocked / "run" / name).read_bytes()

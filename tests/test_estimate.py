@@ -1,6 +1,7 @@
 """Rate estimation, the Pearson counting test, QQ diagnostics, reconstruction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,19 @@ class TestPearson:
         b = pearson_nhpp_test(self.place_counts(shuffled), rate, n_intervals=10)
         assert a.chi_square == pytest.approx(b.chi_square, rel=1e-12)
         assert a.dof == b.dof
+
+    def test_zero_intensity_stretch_warns_nothing(self):
+        # no intensity over the first 10 h: those intervals expect no event,
+        # with 0·log 0 = 0, and no floating-point warning on the way
+        rate = RateFunction(knots=((0.0, 0.0), (10.0, 0.0), (10.5, 3.0), (40.0, 3.0)),
+                            horizon=40.0)
+        events = np.sort(np.random.default_rng(4).uniform(10.5, 40.0, 90))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = pearson_nhpp_test(events, rate, n_intervals=40)
+        assert res.observed[0] >= 10
+        assert sum(res.expected) == pytest.approx(40.0, abs=1e-9)
+        assert res.expected[0] > 10.0
 
     def test_insufficient_diversity(self):
         # all interval counts 0 or 1 pool to too few cells to test anything

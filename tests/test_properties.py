@@ -9,6 +9,8 @@ that runs every start.  The columnar ingest is compared with the
 record-at-a-time pipeline it replaced, on random raw files.  The mixture cdf and quantile, and the
 rate function's cumulative intensity, are checked against their
 definitions, and the mixture mean against scipy's gamma function.  The
+Pearson test's Poisson pmf, Poisson tail and chi-square quantile are
+compared with scipy.special, which the program no longer imports.  The
 lattice pass of the recovery curves is compared with the per-point cell
 rule, the block Monte Carlo route with the replica-at-a-time loop it
 replaced, its exact-sum moments with np.mean and np.std of the replica
@@ -29,6 +31,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.special import gamma, logsumexp
 
 from gridres import (
@@ -47,6 +50,7 @@ from gridres import (
     simulate_events,
 )
 from gridres import fitting, recovery, resilience, simulate
+from gridres.estimate import _chi2_quantile, _poisson_pmf, _poisson_upper
 from gridres.fileio import save_model
 from gridres.fitting import (
     _SHAPE_HI,
@@ -706,6 +710,38 @@ def fitted_mixtures(draw):
 def test_mixture_mean_matches_scipy_gamma(mix):
     ref = sum(w * g * float(gamma(1.0 + 1.0 / k)) for w, g, k in mix.components)
     assert abs(mix.mean() - ref) <= 1e-13 * ref
+
+
+@st.composite
+def poisson_tables(draw):
+    """A largest count k and interval means: none, the smallest doubles, any
+    size up to 1e4, and multiples of k up to far past it."""
+    k = draw(st.integers(1, 500))
+    mean = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300]), st.floats(1e-300, 1e4),
+                     st.floats(0.01, 100.0).map(lambda r: r * k))
+    return k, np.array(draw(st.lists(mean, min_size=1, max_size=30)))
+
+
+@settings(max_examples=200)
+@given(poisson_tables())
+def test_poisson_pmf_and_tail_match_scipy(table):
+    k, mu = table
+    j = np.arange(k + 1)[:, None]
+    pmf = np.exp(special.xlogy(j, mu) - special.gammaln(j + 1) - mu)
+    np.testing.assert_allclose(_poisson_pmf(k, mu), pmf, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(_poisson_upper(k, mu), special.pdtrc(k - 1, mu),
+                               rtol=1e-12, atol=1e-300)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 1000),
+       st.one_of(st.floats(1e-300, 1e-3), st.floats(1e-3, 1.0 - 1e-3),
+                 st.floats(1e-15, 1e-3).map(lambda e: 1.0 - e)))
+def test_chi2_quantile_matches_scipy(dof, alpha):
+    ref = 2.0 * special.gammaincinv(dof / 2, 1.0 - alpha)
+    got = _chi2_quantile(dof, 1.0 - alpha)
+    # 1 - alpha rounds to 1 below alpha = 2^-54: both give inf
+    assert got == ref if math.isinf(ref) else abs(got - ref) <= 1e-12 * ref
 
 
 def finite_slopes(t, v) -> bool:

@@ -49,8 +49,16 @@ def test_non_finite_integral_rejected():
         RateFunction(knots=((0.0, 2.0), (45.0, 1.7e308), (240.0, 1.7e308)), horizon=240.0)
     with pytest.raises(ValueError, match="not finite"):
         RateFunction.constant(1e308, 2.0)
-    # a huge rate whose integral is still a double is fine
+    with pytest.raises(ValueError, match="not finite"):
+        RateFunction.constant(1.7e308, 2.0)
+    # a huge rate whose integral is still a double is fine, even where the
+    # sum of two knot values would overflow (above about 8.99e307)
     assert RateFunction.constant(8e307, 1.0).total == 8e307
+    for horizon in (1.0, 1.5):
+        rf = RateFunction.constant(1e308, horizon)
+        assert rf.total == 1e308 * horizon
+        assert rf.cumulative(horizon) == rf.total
+        assert rf.cumulative(0.5) == 5e307
 
 
 def test_inverse_cumulative_hand_computed():
