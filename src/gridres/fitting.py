@@ -17,9 +17,10 @@ repeat an earlier start's is run once: it would repeat that run bit for
 bit.
 
 Every distinct start of every interval of one fit runs in lock-step.
-Runs with the same component count share (runs, c, n_max) arrays, one
-row per run and one row per component inside it, so each round makes one
-E-step and one M-step for every live run.  Runs are batched, shortest
+Runs with the same component count share (runs, c, n_max) arrays, one row
+per run and one row per component inside it, so each round makes one
+E-step and one M-step for every live run; every live run stays in the
+Newton solve until the last one is solved.  Runs are batched, shortest
 interval first, so that a batch's arrays hold at most 2**18 cells (2 MB
 of float64): the working set does not grow with the number of starts or
 intervals, and a run alone is never split.  A run's points fill the first
@@ -244,20 +245,30 @@ def _estep(rows: _Rows, w: np.ndarray, g: np.ndarray, k: np.ndarray):
 def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray):
     """Weighted Weibull MLE for every component of every run, warm-started at `k`.
 
-    `resp` is (runs, c, n_max), zero on the padding; `s0` its sums over
-    the points.  Returns the scales and shapes, (runs, c); see
-    `_mstep_shapes` for the solve.  A run whose every shape is solved
-    leaves the loop with its shapes and sums as they are.
+    Each shape solves f(k) = 1/k + target - m(k) = 0, where target is the
+    responsibility-weighted mean of log d and m(k) the mean of log d under
+    weights r_i * d_i**k.  f' = -1/k**2 - Var(log d) < 0, so the root is
+    unique.  Newton steps run lock-step across components in log space: the
+    weights come from e = log r + k log d less its row maximum, so no term
+    underflows at any shape in the bracket.  A point with f > 0 raises the
+    lower end of the bracket [0.05, 100] and any other point lowers the
+    upper end; a Newton point outside the bracket (or NaN) is replaced by
+    its midpoint, except that a point past an upper end of 100 where f was
+    not yet evaluated is replaced by 100, so a root beyond the bracket (tied
+    data) ends the solve at the bound one step later.  A component stops
+    when its step is at most 1e-10 * max(1, k) or its bracket at most 1e-8,
+    keeping the last shape its sums were formed at, and every run stays in
+    the loop until the last one is solved; the scale is
+    exp((logsumexp(e) - log sum(r)) / k) from those sums.  `resp` is
+    (runs, c, n_max), zero on the padding; `s0` its sums over the points.
+    Returns the scales and shapes, (runs, c).
     """
     target = rows.dot(resp) / s0
     # a zero responsibility contributes exp(-inf) = 0 to every sum
     with np.errstate(divide="ignore"):
         logr = np.log(resp)
-
     e, point_sums = rows.weighted_sums(k.shape[-1])
 
-    # sums() reads `rows`, `logr`, `e` and `point_sums` as they stand after
-    # solved runs have left
     def sums(k: np.ndarray):
         np.multiply(k[..., None], rows.logd, out=e)
         np.add(e, logr, out=e)
@@ -274,9 +285,6 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
     hi = np.full(k.shape, _SHAPE_HI)
     active = np.ones(k.shape, dtype=bool)
     hi_tried = k == _SHAPE_HI
-    # once solved runs have left, `left` maps the loop's rows to the
-    # caller's and `solution` holds every row's shapes and sums
-    left = None
     for _ in range(_NEWTON_MAX_STEPS):
         top, a, mean, var = sums(k)
         f = 1.0 / k + target - mean
@@ -293,22 +301,8 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
         if not active.any():
             break
         k = np.where(active, new, k)
-        solved = ~active.any(axis=-1)
-        if solved.any():
-            if left is None:
-                left, solution = np.arange(len(k)), np.empty((3, *k.shape))
-            solution[:, left[solved]] = k[solved], top[solved], a[solved]
-            stay = np.flatnonzero(~solved)
-            left = left[stay]
-            rows = rows.take(stay)
-            k, lo, hi, active, hi_tried, target = (x[stay] for x in (k, lo, hi, active, hi_tried, target))
-            logr = logr[stay, :, :rows.logd.shape[-1]]
-            e, point_sums = rows.weighted_sums(k.shape[-1])
     else:
         top, a, _, _ = sums(k)
-    if left is not None:
-        solution[:, left] = k, top, a
-        k, top, a = solution
     g = np.exp((top + np.log(a) - np.log(s0)) / k)
     return g, k
 
@@ -319,33 +313,6 @@ def _bound_flags(k: np.ndarray) -> list[list[str]]:
     lower = (k < _SHAPE_LO + 10.0 * _SHAPE_XTOL).any(axis=-1).tolist()
     return [["shape at upper bound (degenerate data)"] * u + ["shape at lower bound"] * v
             for u, v in zip(upper, lower)]
-
-
-def _mstep_shapes(logd: np.ndarray, resp: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Weighted Weibull MLE for every component of one run, warm-started at `k`.
-
-    Each shape solves f(k) = 1/k + target - m(k) = 0, where target is the
-    responsibility-weighted mean of log d and m(k) the mean of log d under
-    weights r_i * d_i**k.  f' = -1/k**2 - Var(log d) < 0, so the root is
-    unique.  Newton steps run lock-step across components in log space:
-    the weights come from e = log r + k log d less its row maximum, so
-    no term underflows at any shape in the bracket.  A point with f > 0
-    raises the lower end of the bracket [0.05, 100] and any other point
-    lowers the upper end; a Newton point outside the bracket (or NaN) is
-    replaced by its midpoint, except that a point past an upper end of 100
-    where f was not yet taken is replaced by 100, so a root beyond the
-    bracket (tied data) ends the solve at the bound one step later.  A
-    component stops when its step is at most 1e-10 * max(1, k) or its
-    bracket at most 1e-8, keeping the last shape its sums were taken at;
-    the scale is exp((logsumexp(e) - log sum(r)) / k) from those sums.
-
-    `resp` has one row per component, (c, n).  EM runs the same solve on
-    every live run at once (`_newton_shapes`).
-    """
-    rows = _Rows([(logd, _moments(logd))], [0])
-    resp = resp[None]
-    g, k = _newton_shapes(rows, resp, rows.sum(resp), np.asarray(k, dtype=float)[None])
-    return g[0], k[0], _bound_flags(k)[0]
 
 
 @dataclass
@@ -405,15 +372,11 @@ def _em_lockstep(points: list, runs: list[_Run], tol: float, max_iter: int) -> l
     """
     # rows of one interval side by side make one slice per interval
     live = sorted(runs, key=lambda r: r.interval)
+    rows = _Rows(points, [r.interval for r in live])
     w, g, k = (np.array([getattr(r, name) for r in live]) for name in "wgk")
     prev = np.full(len(live), -np.inf)
     dropped = []
-    rows = None
     for _ in range(max_iter):
-        if not live:
-            break
-        if rows is None:
-            rows = _Rows(points, [r.interval for r in live])
         ll, resp, mass = _estep(rows, w, g, k)
         bad = ~np.isfinite(ll)
         dead = ~bad & (mass < _DEGENERATE_MASS).any(axis=-1)
@@ -444,8 +407,10 @@ def _em_lockstep(points: list, runs: list[_Run], tol: float, max_iter: int) -> l
                 live[j].end(w[j], g[j], k[j], converged=True)
             stay = np.flatnonzero(~done)
             live = [live[j] for j in stay]
+            if not live:
+                break
+            rows = rows.take(stay)
             w, g, k, prev = w[stay], g[stay], k[stay], prev[stay]
-            rows = None
     for j, run in enumerate(live):
         run.end(w[j], g[j], k[j], converged=False)
     return dropped

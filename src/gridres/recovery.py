@@ -8,10 +8,10 @@ The recoveries then arrive with intensity
 
 and the expected number of simultaneously failed entities is the running
 integral of lf - lr: the exact cumulative of lf less the expected
-recoveries.  This module evaluates both integrals in one lattice pass and
-provides the day-to-day and surge closed forms.
+recoveries.  This module evaluates each integral in a lattice pass of its
+own and provides the day-to-day and surge closed forms.
 
-The pass cuts the failure times [0, t] into cells of step h, split at the
+A pass cuts the failure times [0, t] into cells of step h, split at the
 rate's knots and the model's boundaries.  lr takes each cell's intensity
 at its midpoint against the duration cdf's exact increment over the cell's
 lags, finite even where an infant component (shape < 1) has an infinite

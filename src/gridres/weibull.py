@@ -97,8 +97,9 @@ class WeibullMixture:
         if np.any(arr < 0.0):
             raise ValueError("durations must be >= 0")
         out = np.zeros_like(arr)
-        for w, g, k in zip(self._w, self._g, self._k):
-            out += w * (-np.expm1(-((arr / g) ** k)))
+        with np.errstate(over="ignore"):  # d / g or its power may be inf: the cdf's limit 1
+            for w, g, k in zip(self._w, self._g, self._k):
+                out += w * (-np.expm1(-((arr / g) ** k)))
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if np.isscalar(d) else out
 
@@ -130,23 +131,6 @@ class WeibullMixture:
             if hi - lo < 1e-12 * hi:
                 break
         return 0.5 * (lo + hi)
-
-    def from_uniforms(self, u_comp, u_dur) -> np.ndarray:
-        """Durations from paired uniforms on [0, 1).
-
-        u_comp picks each draw's component by cumulative weight; u_dur
-        inverts that component's cdf exactly.
-        """
-        comp = np.searchsorted(np.cumsum(self._w), u_comp, side="right")
-        comp = np.clip(comp, 0, self.n_components - 1)
-        return self._g[comp] * (-np.log1p(-u_dur)) ** (1.0 / self._k[comp])
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n durations: n component uniforms, then n duration uniforms."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        u_comp = rng.random(n)
-        return self.from_uniforms(u_comp, rng.random(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +168,8 @@ class DurationModel:
         for i, m in enumerate(self.mixtures):
             cw[:m.n_components - 1, i] = np.cumsum(m._w)[:-1]
             g[i, :m.n_components] = m._g
-            inv_k[i, :m.n_components] = 1.0 / m._k
+            with np.errstate(over="ignore"):  # a subnormal shape's 1/k is inf
+                inv_k[i, :m.n_components] = 1.0 / m._k
         object.__setattr__(self, "_cw", cw[:-1])
         object.__setattr__(self, "_g", g.ravel())
         object.__setattr__(self, "_inv_k", inv_k.ravel())
@@ -222,10 +207,10 @@ class DurationModel:
         return float(out.flat[0]) if all(map(np.isscalar, (at, *values))) else out
 
     def from_uniforms(self, at, u_comp, u_dur, out=None) -> np.ndarray:
-        """Durations of failures at times `at` from paired uniforms on [0, 1):
-        each time's interval mixture's from_uniforms, bit for bit, in one
-        pass over every interval.  1-d arrays of one length; `out`, if
-        given, receives the durations."""
+        """Durations of failures at times `at` from paired uniforms on [0, 1),
+        in one pass: u_comp picks a component of the time's interval mixture
+        by cumulative weight, u_dur inverts its cdf exactly.  1-d arrays of
+        one length; `out`, if given, receives the durations."""
         idx = interval_of(self._b, at)
         comp = np.zeros_like(idx)
         for edge in self._cw:
@@ -235,8 +220,9 @@ class DurationModel:
         x = np.negative(u_dur, out=out)
         np.log1p(x, out=x)
         np.negative(x, out=x)
-        x **= self._inv_k[idx]
-        x *= self._g[idx]
+        with np.errstate(over="ignore"):  # a tiny shape or huge scale: the duration's limit inf
+            x **= self._inv_k[idx]
+            x *= self._g[idx]
         return x
 
     def pdf(self, d, at):

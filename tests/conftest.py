@@ -1,5 +1,6 @@
-"""Shared fixtures: reference mixtures, a synthetic raw-record file, and the
-replica-at-a-time sampling route that serves as the block route's oracle."""
+"""Shared fixtures: reference mixtures, a synthetic raw-record file, the
+replica-at-a-time sampling route that serves as the block route's oracle,
+one mixture's inverse-cdf sampler, and the one-run M-step."""
 
 from dataclasses import dataclass
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from gridres import DurationModel, RateFunction, WeibullMixture
+from gridres.fitting import _bound_flags, _moments, _newton_shapes, _Rows
 from gridres.simulate import _check_expected, _first_of_ties, _unit_levels
 
 # property tests draw their examples from a fixed seed and keep no example
@@ -43,6 +45,41 @@ def reference_model() -> DurationModel:
 @pytest.fixture
 def ref_model() -> DurationModel:
     return reference_model()
+
+
+# One mixture's sampler: the per-interval oracle of
+# DurationModel.from_uniforms.
+
+def mixture_from_uniforms(mix: WeibullMixture, u_comp, u_dur) -> np.ndarray:
+    """Durations from paired uniforms on [0, 1).
+
+    u_comp picks each draw's component by cumulative weight; u_dur
+    inverts that component's cdf exactly.
+    """
+    comp = np.searchsorted(np.cumsum(mix._w), u_comp, side="right")
+    comp = np.clip(comp, 0, mix.n_components - 1)
+    return mix._g[comp] * (-np.log1p(-u_dur)) ** (1.0 / mix._k[comp])
+
+
+def sample_mixture(mix: WeibullMixture, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n durations: n component uniforms, then n duration uniforms."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    u_comp = rng.random(n)
+    return mixture_from_uniforms(mix, u_comp, rng.random(n))
+
+
+def _mstep_shapes(logd: np.ndarray, resp: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Weighted Weibull MLE for every component of one run, warm-started at `k`.
+
+    `resp` has one row per component, (c, n).  EM runs the same solve
+    (gridres.fitting._newton_shapes) on every live run at once; this is
+    that solve on one run alone.
+    """
+    rows = _Rows([(logd, _moments(logd))], [0])
+    resp = resp[None]
+    g, k = _newton_shapes(rows, resp, rows.sum(resp), np.asarray(k, dtype=float)[None])
+    return g[0], k[0], _bound_flags(k)[0]
 
 
 # Synthetic raw-record file shaped like the benchmark storm feed: 5152 rows,

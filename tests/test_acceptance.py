@@ -40,6 +40,7 @@ from conftest import (
     make_raw_csv,
     reference_mixture,
     reference_model,
+    sample_mixture,
     sample_nhpp,
 )
 
@@ -182,7 +183,7 @@ def test_criterion_05_em_recovers_generating_mixture():
     target = mix.cdf(grid)
     close = 0
     for seed in range(100):
-        sample = mix.sample(10_000, np.random.default_rng(seed))
+        sample = sample_mixture(mix, 10_000, np.random.default_rng(seed))
         fit = fit_weibull_mixture(sample, 3, seed=seed, n_starts=2)
         history = np.asarray(fit.history)
         drops = np.diff(history) / np.maximum(np.abs(history[:-1]), 1.0)

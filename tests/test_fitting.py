@@ -3,7 +3,6 @@
 import tracemalloc
 import warnings
 from datetime import datetime
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +16,9 @@ from gridres import (
     replica_rng,
 )
 import gridres.fitting
-from gridres.fitting import (ZERO_DURATION_SHIFT, _em_lockstep, _moment_start, _moments, _mstep_shapes,
-                             _Run, _start_labels)
+from gridres.fitting import ZERO_DURATION_SHIFT, _em_lockstep, _moment_start, _moments, _Run, _start_labels
 
-from conftest import WINDOW_END, WINDOW_START, make_raw_csv, reference_mixture
+from conftest import WINDOW_END, WINDOW_START, _mstep_shapes, make_raw_csv, reference_mixture, sample_mixture
 
 
 def test_input_guards():
@@ -69,7 +67,7 @@ def test_loglik_matches_direct_evaluation():
 def test_em_history_monotone():
     g1 = reference_mixture(0)
     for s in range(3):
-        d = g1.sample(2000, replica_rng(40 + s, 0))
+        d = sample_mixture(g1, 2000, replica_rng(40 + s, 0))
         fit = fit_weibull_mixture(d, 3, seed=s, n_starts=1)
         h = np.asarray(fit.history)
         assert len(h) >= 2
@@ -78,7 +76,7 @@ def test_em_history_monotone():
 
 def test_mixture_recovery_cdf_distance():
     g1 = reference_mixture(0)
-    d = g1.sample(10_000, replica_rng(0, 0))
+    d = sample_mixture(g1, 10_000, replica_rng(0, 0))
     fit = fit_weibull_mixture(d, 3, seed=0, n_starts=2)
     x = np.linspace(0.0, 400.0, 2001)
     sup = np.abs(fit.mixture.cdf(x) - g1.cdf(x)).max()
@@ -230,7 +228,7 @@ def test_lockstep_working_set_is_bounded(monkeypatch):
     # be padded to the long one, (runs, c, 2000) arrays of about 2.5 MB each;
     # batched under a 4096-cell budget the fit's peak stays near its data's
     sizes = [2000] + [200] * 40
-    d = reference_mixture(0).sample(sum(sizes), replica_rng(5, 0))
+    d = sample_mixture(reference_mixture(0), sum(sizes), replica_rng(5, 0))
     times = np.repeat(np.arange(len(sizes)) + 0.5, sizes)
     boundaries = np.arange(len(sizes) + 1.0)
 
@@ -263,24 +261,24 @@ def test_lockstep_working_set_is_bounded(monkeypatch):
     assert repr(batched) == repr(unbatched)
 
 
-def test_solved_runs_leaving_newton_change_nothing():
-    # runs whose shapes are solved leave the Newton loop; each run's scales
-    # and shapes equal its solve alone, where no run ever leaves
+def test_lockstep_newton_matches_each_run_alone():
+    # 12 storm runs and one tied-data run (all 3.0, its shapes doubling from
+    # 0.05 to the 100 bound) finish their shape solves many steps apart; each
+    # run's scales and shapes equal its solve alone
     dataset = storm_dataset()
     boundaries = (0.0, 12.0, 28.0, 45.0)
     idx = np.searchsorted(boundaries, dataset.times, side="right") - 1
-    logds = [np.log(dataset.durations[idx == i]) for i in range(3)]
+    logds = [np.log(dataset.durations[idx == i]) for i in range(3)] + [np.log(np.full(20, 3.0))]
     points = [(logd, _moments(logd)) for logd in logds]
-    intervals = [i for i in range(3) for _ in range(4)]
+    intervals = [i for i in range(3) for _ in range(4)] + [3]
     starts = [_moment_start(logds[i], _start_labels(logds[i], 2, 11, j % 4), 2)
-              for j, i in enumerate(intervals)]
+              for j, i in enumerate(intervals[:-1])]
+    starts.append((np.array([0.5, 0.5]), np.array([3.0, 3.0]), np.array([0.05, 0.5])))
     w, g, k = (np.array([s[m] for s in starts]) for m in range(3))
     rows = gridres.fitting._Rows(points, intervals)
     _, resp, mass = gridres.fitting._estep(rows, w, g, k)
-    with mock.patch.object(gridres.fitting._Rows, "take", autospec=True,
-                           side_effect=gridres.fitting._Rows.take) as take:
-        g_all, k_all = gridres.fitting._newton_shapes(rows, resp, mass, k)
-    assert take.call_count > 0
+    g_all, k_all = gridres.fitting._newton_shapes(rows, resp, mass, k)
+    np.testing.assert_array_equal(k_all[-1], [100.0, 100.0])
     for j, i in enumerate(intervals):
         g_one, k_one, _ = _mstep_shapes(logds[i], resp[j, :, :len(logds[i])], k[j])
         np.testing.assert_array_equal(g_all[j], g_one)
@@ -289,7 +287,7 @@ def test_solved_runs_leaving_newton_change_nothing():
 
 def test_multi_start_keeps_best_likelihood():
     g2 = reference_mixture(1)
-    d = g2.sample(3000, replica_rng(21, 0))
+    d = sample_mixture(g2, 3000, replica_rng(21, 0))
     best = fit_weibull_mixture(d, 4, seed=5, n_starts=3)
     singles = [
         fit_weibull_mixture(d, 4, seed=5, n_starts=1),
@@ -298,14 +296,14 @@ def test_multi_start_keeps_best_likelihood():
 
 
 def test_components_sorted_by_scale():
-    d = reference_mixture(0).sample(4000, replica_rng(2, 0))
+    d = sample_mixture(reference_mixture(0), 4000, replica_rng(2, 0))
     fit = fit_weibull_mixture(d, 3, seed=0, n_starts=2)
     scales = [g for _, g, _ in fit.mixture.components]
     assert scales == sorted(scales)
 
 
 def test_non_convergence_reported():
-    d = reference_mixture(0).sample(3000, replica_rng(4, 0))
+    d = sample_mixture(reference_mixture(0), 3000, replica_rng(4, 0))
     fit = fit_weibull_mixture(d, 3, seed=0, n_starts=1, max_iter=2)
     assert not fit.converged
     assert fit.iterations <= 2
@@ -314,7 +312,7 @@ def test_non_convergence_reported():
 def test_zero_tol_first_round_warns_nothing():
     # a run's first round has no previous log-likelihood: at tol = 0 its
     # stop test must not form 0 * inf
-    d = reference_mixture(0).sample(600, replica_rng(4, 0))
+    d = sample_mixture(reference_mixture(0), 600, replica_rng(4, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         fit = fit_weibull_mixture(d, 2, tol=0.0, max_iter=20)
@@ -323,7 +321,7 @@ def test_zero_tol_first_round_warns_nothing():
 
 
 def test_fit_is_deterministic(monkeypatch):
-    d = reference_mixture(2).sample(2500, replica_rng(8, 0))
+    d = sample_mixture(reference_mixture(2), 2500, replica_rng(8, 0))
     a = fit_weibull_mixture(d, 3, seed=11, n_starts=3)
     b = fit_weibull_mixture(d, 3, seed=11, n_starts=3)
     assert a.mixture.components == b.mixture.components
@@ -352,7 +350,7 @@ class TestFitDurationModel:
         slow = WeibullMixture(components=((1.0, 40.0, 2.5),))
         model = DurationModel(boundaries=(0.0, 10.0, 20.0), mixtures=(fast, slow))
         durations = np.where(
-            times < 10.0, fast.sample(n, rng), slow.sample(n, rng)
+            times < 10.0, sample_mixture(fast, n, rng), sample_mixture(slow, n, rng)
         )
         return times, durations, model
 

@@ -57,7 +57,6 @@ from gridres.fitting import (
     _SHAPE_LO,
     _SHAPE_XTOL,
     _moments,
-    _mstep_shapes,
     _prepare,
     _run_starts,
     _start_labels,
@@ -65,7 +64,7 @@ from gridres.fitting import (
 from gridres.ingest import ParseIssue, Provenance, normalize_ts
 from gridres.weibull import interval_of
 
-from conftest import sample_durations, sample_nhpp
+from conftest import _mstep_shapes, mixture_from_uniforms, sample_durations, sample_mixture, sample_nhpp
 
 
 @st.composite
@@ -148,7 +147,7 @@ def test_flat_dispatch_matches_interval_mixtures(data, b, seed):
     u_comp = np.asarray(u_comp)
     u_dur = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
                                           min_size=len(at), max_size=len(at))))
-    want = model.by_interval(WeibullMixture.from_uniforms, at, u_comp, u_dur)
+    want = model.by_interval(mixture_from_uniforms, at, u_comp, u_dur)
     np.testing.assert_array_equal(model.from_uniforms(at, u_comp, u_dur), want)
     out = np.empty(len(at))
     assert model.from_uniforms(at, u_comp, u_dur, out=out) is out
@@ -158,7 +157,7 @@ def test_flat_dispatch_matches_interval_mixtures(data, b, seed):
     u_comp, u_dur = rng.random(len(at)), rng.random(len(at))
     np.testing.assert_array_equal(
         sample_durations(at, model, replica_rng(seed, 0)),
-        model.by_interval(WeibullMixture.from_uniforms, at, u_comp, u_dur))
+        model.by_interval(mixture_from_uniforms, at, u_comp, u_dur))
 
 
 @given(mixtures(), st.integers(0, 200), st.integers(0, 2**32 - 1), st.floats(-50.0, 500.0))
@@ -166,7 +165,7 @@ def test_one_interval_sample_durations_is_mixture_sample(mix, n, seed, at):
     model = DurationModel.stationary(mix, horizon=100.0)
     times = np.full(n, at)
     got = sample_durations(times, model, replica_rng(seed, 0))
-    want = mix.sample(n, replica_rng(seed, 0))
+    want = sample_mixture(mix, n, replica_rng(seed, 0))
     np.testing.assert_array_equal(got, want)
 
 

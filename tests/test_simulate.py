@@ -23,6 +23,7 @@ from gridres import simulate
 
 from conftest import (
     build_path,
+    mixture_from_uniforms,
     reference_mixture,
     reference_model,
     sample_durations,
@@ -89,7 +90,7 @@ def test_ties_dropped_with_their_uniforms():
         np.testing.assert_array_equal(times, every[first])
         np.testing.assert_array_equal(times, t)
         np.testing.assert_array_equal(durations, model.by_interval(
-            WeibullMixture.from_uniforms, times, u_comp[first], u_dur[first]))
+            mixture_from_uniforms, times, u_comp[first], u_dur[first]))
     grid = np.linspace(1e6 - 1.0, 1e6 + 20.0, 50)
     out = mean_paths(rate, model, grid, replicas=40, seed=4)
     paths = [build_path(*simulate_events(rate, model, 4, i)) for i in range(40)]

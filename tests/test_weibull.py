@@ -6,7 +6,7 @@ from scipy import stats
 
 from gridres import DurationModel, WeibullMixture
 
-from conftest import REFERENCE_P13, reference_mixture, reference_model
+from conftest import REFERENCE_P13, reference_mixture, reference_model, sample_mixture
 
 
 def scipy_mixture_cdf(components, x):
@@ -118,7 +118,7 @@ def test_mean_matches_scipy():
 def test_sampling_matches_distribution():
     m = WeibullMixture(components=((0.4, 2.0, 0.7), (0.6, 25.0, 3.0)))
     rng = np.random.default_rng(5)
-    draws = m.sample(4000, rng)
+    draws = sample_mixture(m, 4000, rng)
     assert np.all(draws > 0.0)
     res = stats.kstest(draws, m.cdf)
     assert res.pvalue > 1e-3
@@ -129,7 +129,7 @@ def test_single_component_sampling_inverse_cdf():
     # degenerate weights route every draw through one component
     m = WeibullMixture(components=((1.0, 2.0, 1.0),))
     rng = np.random.default_rng(9)
-    d = m.sample(100_000, rng)
+    d = sample_mixture(m, 100_000, rng)
     assert d.mean() == pytest.approx(2.0, rel=0.01)
 
 
