@@ -13,6 +13,7 @@ non-convergence (partial results are still written, flagged).
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections.abc import Callable
@@ -246,7 +247,7 @@ def cmd_ingest(o: dict, out: Path) -> int:
         raise CliError("empty input: no data rows")
     write_dataset(out / "dataset.csv", dataset)
     write_report(out / "provenance.json", {
-        "counts": prov.as_dict(),
+        "counts": dataclasses.asdict(prov),
         "consistent": prov.consistent(),
         "issues": [{"line": i.line, "reason": i.reason} for i in issues],
         "origin": start.isoformat(),
@@ -312,7 +313,7 @@ def cmd_test(o: dict, out: Path) -> int:
         "pooled_expected": list(result.pooled_expected),
         "effective_config": o,
     })
-    write_table(out / "qq.csv", ["exp1_quantile", "rescaled_gap"], zip(theo, emp))
+    write_table(out / "qq.csv", ["exp1_quantile", "rescaled_gap"], [theo, emp])
     verdict = "rejected" if result.rejected else "not rejected"
     print(f"test: {result.triple()} -> NHPP hypothesis {verdict} at alpha={o['alpha']:g}")
     return 0
@@ -345,17 +346,19 @@ def cmd_simulate(o: dict, out: Path) -> int:
     write_table(
         out / "paths.csv",
         ["t_hours", "nf_mean", "nf_se", "nr_mean", "nr_se", "n_mean", "n_se"],
-        zip(grid, summary["nf_mean"], summary["nf_se"], summary["nr_mean"],
-            summary["nr_se"], summary["n_mean"], summary["n_se"]),
+        [grid, summary["nf_mean"], summary["nf_se"], summary["nr_mean"],
+         summary["nr_se"], summary["n_mean"], summary["n_se"]],
     )
-    rows = []
-    for i in range(min(o["save_events"], replicas)):
-        t, d = simulate_events(rate, model, o["seed"], i)
-        rows.extend((i, tt, dd, tt + dd) for tt, dd in zip(t, d))
+    draws = [simulate_events(rate, model, o["seed"], i)
+             for i in range(min(o["save_events"], replicas))]
+    replica = np.repeat(np.arange(len(draws)), [len(t) for t, _ in draws])
+    # np.concatenate needs one array: the empty heads serve --save-events 0
+    times = np.concatenate([np.empty(0), *(t for t, _ in draws)])
+    durations = np.concatenate([np.empty(0), *(d for _, d in draws)])
     write_table(
         out / "events.csv",
         ["replica", "failure_time_hours", "duration_hours", "recovery_time_hours"],
-        rows,
+        [replica, times, durations, times + durations],
     )
     write_report(out / "summary.json", {
         "mean_total_failures": float(summary["nf_mean"][-1]),
@@ -397,7 +400,7 @@ def cmd_resilience(o: dict, out: Path) -> int:
     write_table(
         out / "curve.csv",
         ["duration_hours", "restored_fraction", "second_derivative"],
-        zip(curve.grid, curve.values, sdd),
+        [curve.grid, curve.values, sdd],
     )
     if o["d0"] is not None:
         d0 = o["d0"]
@@ -445,7 +448,7 @@ def cmd_reconstruct(o: dict, out: Path) -> int:
         rec = reconstruct(rate, flat, grid, o["quad_step"])
         header += ["recovery_rate_stationary", "expected_out_stationary"]
         cols += [rec.recovery_rate, rec.expected_out]
-    write_table(out / "nhat.csv", header, zip(*cols))
+    write_table(out / "nhat.csv", header, cols)
     write_report(out / "reconstruct.json", {
         "mode": mode,
         "stationary_weights": None if weights is None else list(weights),
@@ -491,10 +494,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         # looked up at call time, so a wrapper set on this module's cmd_* applies
         return globals()[f"cmd_{args.command}"](o, out)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,9 @@
 """Deterministic on-disk formats: datasets, model files, tables, reports.
 
-Every numeric cell is written with 9 significant digits, JSON keys are
-sorted, and nothing time- or host-dependent is emitted, so reruns with the
-same inputs produce byte-identical files.
+Table columns of an integer dtype are written exactly, every other number
+(table cell or JSON value) at 9 significant digits (`NINE_DIGITS`), JSON
+keys are sorted, and nothing time- or host-dependent is emitted, so reruns
+with the same inputs produce byte-identical files.
 """
 
 import csv
@@ -18,7 +19,6 @@ from .rates import RateFunction
 from .weibull import DurationModel, WeibullMixture
 
 __all__ = [
-    "fmt9",
     "round9",
     "write_table",
     "write_report",
@@ -29,15 +29,7 @@ __all__ = [
 ]
 
 
-def fmt9(x) -> str:
-    """Format one cell: floats at 9 significant digits, ints exactly."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".9g")
-    return str(x)
+NINE_DIGITS = "%.9g"  # `%` formats as format(x, ".9g"): inf, nan and -0 included
 
 
 def round9(obj):
@@ -47,7 +39,7 @@ def round9(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(format(float(obj), ".9g"))
+        return float(NINE_DIGITS % obj)
     if isinstance(obj, dict):
         return {str(k): round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -57,13 +49,12 @@ def round9(obj):
     return obj
 
 
-def write_table(path, header, rows) -> None:
-    """Comma-separated table with a self-describing header row."""
-    path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt9(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
+def write_table(path, header, columns) -> None:
+    """Comma-separated table with a self-describing header row, one array per
+    column: an integer column written exactly, any other at 9 significant digits."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else NINE_DIGITS for c in columns) + "\n"
+    body = "".join(map(row.__mod__, zip(*(c.tolist() for c in columns))))
+    Path(path).write_text(",".join(header) + "\n" + body)
 
 
 def write_report(path, payload: dict) -> None:
@@ -71,10 +62,7 @@ def write_report(path, payload: dict) -> None:
 
 
 def write_dataset(path, dataset: OutageDataset) -> None:
-    """t_hours,duration_hours table, each cell at 9 significant digits as fmt9 writes it."""
-    rows = zip(dataset.times.tolist(), dataset.durations.tolist())
-    body = "".join(f"{t:.9g},{d:.9g}\n" for t, d in rows)
-    Path(path).write_text("t_hours,duration_hours\n" + body)
+    write_table(path, ["t_hours", "duration_hours"], [dataset.times, dataset.durations])
 
 
 def read_dataset(path) -> OutageDataset:

@@ -98,16 +98,6 @@ class Provenance:
             + self.emitted
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "raw": self.raw,
-            "malformed": self.malformed,
-            "window_dropped": self.window_dropped,
-            "merged": self.merged,
-            "negative_dropped": self.negative_dropped,
-            "emitted": self.emitted,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class OutageDataset:

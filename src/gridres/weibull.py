@@ -103,11 +103,6 @@ class WeibullMixture:
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if np.isscalar(d) else out
 
-    def sf(self, d):
-        arr = np.atleast_1d(np.asarray(d, dtype=float))
-        out = 1.0 - self.cdf(arr)
-        return float(out[0]) if np.isscalar(d) else out
-
     def mean(self) -> float:
         terms = zip(self._w.tolist(), self._g.tolist(), self._k.tolist())
         return sum(w * g * math.gamma(1.0 + 1.0 / k) for w, g, k in terms)

@@ -649,6 +649,20 @@ class TestCommandExtras:
         # roughly base*30 + peak*3 failures on average
         assert 20.0 < summary["mean_total_failures"] < 80.0
 
+    @pytest.mark.parametrize("saved", [0, 3])
+    def test_saved_events_by_replica(self, tiny_model, tmp_path, saved):
+        out = tmp_path / "sim"
+        rc = main(["--seed", "4", "--out", str(out), "simulate",
+                   "--model", str(tiny_model), "--replicas", "4",
+                   "--save-events", str(saved)])
+        assert rc == 0
+        header, *rows = (out / "events.csv").read_text().splitlines()
+        assert header == "replica,failure_time_hours,duration_hours,recovery_time_hours"
+        replicas = [row.split(",")[0] for row in rows]
+        # replica indices written as integers, one block of rows per replica in order
+        assert replicas == sorted(replicas, key=int)
+        assert set(replicas) == {str(i) for i in range(saved)}
+
     def test_reconstruct_single_mode(self, tiny_model, tmp_path):
         out = tmp_path / "pw"
         rc = main(["--out", str(out), "reconstruct", "--model", str(tiny_model),

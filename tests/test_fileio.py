@@ -1,14 +1,16 @@
-"""Deterministic file formats: 9-digit cells, dataset and model roundtrips."""
+"""Deterministic file formats: table cells, dataset and model roundtrips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridres import RateFunction
 from gridres.fitting import FitResult
 from gridres.fileio import (
-    fmt9,
     load_model,
     read_dataset,
     round9,
@@ -22,24 +24,50 @@ from gridres.ingest import OutageDataset
 from conftest import reference_model
 
 
-class TestFmt9:
-    def test_nine_significant_digits(self):
-        assert fmt9(1.0 / 3.0) == "0.333333333"
-        assert fmt9(123456789.123) == "123456789"
-        assert fmt9(0.000123456789123) == "0.000123456789"
+def table_text(tmp_path, *columns) -> str:
+    path = tmp_path / "t.csv"
+    write_table(path, [f"c{i}" for i in range(len(columns))], list(columns))
+    return path.read_text()
 
-    def test_short_floats_stay_short(self):
-        assert fmt9(2.5) == "2.5"
-        assert fmt9(0.0) == "0"
 
-    def test_ints_and_bools(self):
-        assert fmt9(463) == "463"
-        assert fmt9(np.int64(5)) == "5"
-        assert fmt9(True) == "true"
-        assert fmt9(np.bool_(False)) == "false"
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7e308)
 
-    def test_strings_pass_through(self):
-        assert fmt9("interval_1") == "interval_1"
+
+@st.composite
+def int_and_float_columns(draw):
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for is_int in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        cells = (st.integers(-(2**63), 2**63 - 1) if is_int
+                 else st.floats() | st.sampled_from(EDGE_FLOATS))
+        values = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(values, dtype=np.int64 if is_int else np.float64))
+    return columns
+
+
+class TestWriteTable:
+    def test_nine_significant_digits(self, tmp_path):
+        column = np.array([1.0 / 3.0, 123456789.123, 0.000123456789123])
+        assert table_text(tmp_path, column) == "c0\n0.333333333\n123456789\n0.000123456789\n"
+
+    def test_short_floats_stay_short(self, tmp_path):
+        assert table_text(tmp_path, np.array([2.5, 0.0])) == "c0\n2.5\n0\n"
+
+    def test_ints_exactly(self, tmp_path):
+        column = np.array([463, 5, -(2**63), 2**63 - 1], dtype=np.int64)
+        assert table_text(tmp_path, column) == (
+            "c0\n463\n5\n-9223372036854775808\n9223372036854775807\n"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(columns=int_and_float_columns())
+    def test_cells_are_format_9g_or_str(self, tmp_path_factory, columns):
+        # the row format's %.9g and %d against format(x, ".9g") and str, cell by cell
+        rows = zip(*([str(int(x)) if c.dtype == np.int64 else format(float(x), ".9g")
+                      for x in c] for c in columns))
+        want = "".join(",".join(row) + "\n" for row in rows)
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        assert table_text(tmp_path_factory.mktemp("t"), *columns) == header + "\n" + want
 
 
 class TestRound9:
@@ -67,7 +95,7 @@ class TestRound9:
 
 def test_write_table_layout(tmp_path):
     path = tmp_path / "t.csv"
-    write_table(path, ["a", "b"], [(1.0 / 3.0, 2), (0.5, 7)])
+    write_table(path, ["a", "b"], [np.array([1.0 / 3.0, 0.5]), np.array([2, 7])])
     assert path.read_text() == "a,b\n0.333333333,2\n0.5,7\n"
 
 
@@ -114,14 +142,6 @@ class TestDatasetRoundtrip:
         write_dataset(p1, dataset)
         write_dataset(p2, read_dataset(p1))
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_cells_formatted_as_fmt9(self, tmp_path):
-        # one f-string per row writes what write_table's fmt9 cells write
-        values = np.array([0.0, -0.0, 1.0, 1.0 / 3.0, 2.5e-7, 123456789.0, 1234567890123.0, 1e300, 5e-324])
-        path, ref = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_dataset(path, OutageDataset(times=values, durations=values[::-1].copy()))
-        write_table(ref, ["t_hours", "duration_hours"], zip(values, values[::-1]))
-        assert path.read_bytes() == ref.read_bytes()
 
     def test_columns_by_name_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "swapped.csv"
