@@ -8,7 +8,6 @@ goodness-of-fit, and resilience-threshold analysis.
 
 from .estimate import (
     PearsonTestResult,
-    RateEstimate,
     Reconstruction,
     estimate_rate,
     format_triple,
@@ -70,7 +69,6 @@ __all__ = [
     "ParseIssue",
     "PearsonTestResult",
     "Provenance",
-    "RateEstimate",
     "RateFunction",
     "RawRecords",
     "Reconstruction",

@@ -269,7 +269,7 @@ def cmd_fit(o: dict, out: Path) -> int:
     times = dataset.times
     durations = dataset.durations
     try:
-        est = estimate_rate(times, window=o["tau"], bin_width=o["bin"], horizon=boundaries[-1])
+        rate = estimate_rate(times, window=o["tau"], bin_width=o["bin"], horizon=boundaries[-1])
     except ValueError as exc:
         raise CliError(f"--tau/--bin/--boundaries: {exc}") from None
     model, fits = fit_duration_model(
@@ -279,7 +279,7 @@ def cmd_fit(o: dict, out: Path) -> int:
     partial = not all(f.converged for f in fits)
     effective = {**o, "boundaries": list(boundaries), "components": list(components),
                  "partial": partial}
-    save_model(out / "model.json", est.to_rate_function(), model, fits=fits, config=effective)
+    save_model(out / "model.json", rate, model, fits=fits, config=effective)
     for i, f in enumerate(fits):
         state = "converged" if f.converged else "NOT CONVERGED"
         print(

@@ -1,10 +1,10 @@
 """Estimation and goodness-of-fit for the failure process.
 
-estimate_rate turns raw event times into a moving-average intensity on a
-regular grid.  pearson_nhpp_test checks Poissonness of interval counts
-against that intensity, qq_points supports a time-rescaling diagnostic,
-and reconstruct rebuilds the expected simultaneously-failed curve from a
-fitted intensity plus a duration model.
+estimate_rate turns raw event times into a moving-average intensity: a
+RateFunction with a knot at each point of a regular grid.  pearson_nhpp_test
+checks Poissonness of interval counts against an intensity, qq_points
+supports a time-rescaling diagnostic, and reconstruct rebuilds the expected
+simultaneously-failed curve from an intensity plus a duration model.
 """
 
 import math
@@ -19,7 +19,6 @@ from .weibull import DurationModel
 
 __all__ = [
     "regular_grid",
-    "RateEstimate",
     "estimate_rate",
     "PearsonTestResult",
     "pearson_nhpp_test",
@@ -54,40 +53,12 @@ def regular_grid(limit: float, step: float) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True, eq=False)
-class RateEstimate:
-    """Moving-average intensity estimate on a regular grid."""
-
-    grid: np.ndarray
-    rates: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        r = np.asarray(self.rates, dtype=float)
-        if g.shape != r.shape or g.ndim != 1 or len(g) < 1:
-            raise ValueError("grid and rates must be equal-length 1-d arrays")
-        if np.any(r < 0.0):
-            raise ValueError("estimated rates must be >= 0")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "rates", r)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
-
-    def to_rate_function(self) -> RateFunction:
-        if len(self.grid) == 1:
-            return RateFunction.constant(float(self.rates[0]), max(self.horizon, 1e-9))
-        knots = tuple((float(t), float(v)) for t, v in zip(self.grid, self.rates))
-        return RateFunction(knots=knots, horizon=self.horizon)
-
-
 def estimate_rate(
     event_times,
     window: float = 5.0,
     bin_width: float = 1.0,
     horizon: float | None = None,
-) -> RateEstimate:
+) -> RateFunction:
     """Centered moving-average intensity from event times.
 
     At each grid point t the events in (t - window, t + window] are counted
@@ -95,6 +66,8 @@ def estimate_rate(
     to [0, horizon] and the divisor shrinks with it.  The grid runs from 0
     to the horizon in bin_width steps (the horizon defaults to the last
     event time rounded up to a whole bin); see regular_grid for its limits.
+    Returns the intensity with a knot at each grid point, on [0, the grid's
+    end]; a grid of one point, 0, gives a constant intensity on [0, 1e-9].
     """
     if not (window > 0.0 and bin_width > 0.0):
         raise ValueError("window and bin_width must be positive")
@@ -116,7 +89,9 @@ def estimate_rate(
     counts = np.searchsorted(t, hi, side="right") - np.searchsorted(t, lo, side="right")
     span = hi - lo
     rates = np.where(span > 0.0, counts / np.where(span > 0.0, span, 1.0), 0.0)
-    return RateEstimate(grid=grid, rates=rates)
+    if len(grid) == 1:
+        return RateFunction.constant(float(rates[0]), max(float(grid[-1]), 1e-9))
+    return RateFunction(knots=tuple(zip(grid.tolist(), rates.tolist())), horizon=float(grid[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,14 +127,6 @@ def format_triple(chi_square: float, dof: int, threshold: float) -> str:
 def reject_decision(chi_square: float, threshold: float) -> bool:
     """Standard rejection rule: reject iff the statistic exceeds the quantile."""
     return chi_square > threshold
-
-
-def _as_rate_function(rate) -> RateFunction:
-    if isinstance(rate, RateEstimate):
-        return rate.to_rate_function()
-    if isinstance(rate, RateFunction):
-        return rate
-    raise TypeError(f"expected RateFunction or RateEstimate, got {type(rate).__name__}")
 
 
 # The Pearson test's Poisson tail and chi-square quantile, on numpy and math alone: for x
@@ -239,7 +206,7 @@ def _chi2_quantile(dof: int, prob: float) -> float:
 
 def pearson_nhpp_test(
     event_times,
-    rate,
+    rate: RateFunction,
     n_intervals: int = 400,
     alpha: float = 0.05,
 ) -> PearsonTestResult:
@@ -256,17 +223,16 @@ def pearson_nhpp_test(
         raise ValueError("need at least 10 intervals")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    rf = _as_rate_function(rate)
     t = np.sort(np.asarray(event_times, dtype=float))
     if len(t) == 0:
         raise ValueError("no events to test")
-    if t[0] < 0.0 or t[-1] > rf.horizon + 1e-9:
+    if t[0] < 0.0 or t[-1] > rate.horizon + 1e-9:
         raise ValueError("events outside [0, horizon]")
-    edges = np.linspace(0.0, rf.horizon, n_intervals + 1)
+    edges = np.linspace(0.0, rate.horizon, n_intervals + 1)
     counts, _ = np.histogram(t, bins=edges)
     k = int(counts.max())
     observed = np.bincount(counts, minlength=k + 1).astype(int)
-    mu = np.diff(rf.cumulative(edges))
+    mu = np.diff(rate.cumulative(edges))
     expected = _poisson_pmf(k, mu).sum(axis=1)
     if k >= 1:
         expected[k] = np.sum(_poisson_upper(k, mu))
@@ -309,7 +275,7 @@ def pearson_nhpp_test(
     )
 
 
-def qq_points(event_times, rate) -> tuple[np.ndarray, np.ndarray]:
+def qq_points(event_times, rate: RateFunction) -> tuple[np.ndarray, np.ndarray]:
     """Time-rescaling QQ coordinates (theoretical, empirical).
 
     Event times are rescaled through the integrated intensity; under a
@@ -317,14 +283,13 @@ def qq_points(event_times, rate) -> tuple[np.ndarray, np.ndarray]:
     empirical side is the sorted rescaled gaps, the theoretical side the
     Exp(1) quantiles at plotting positions (i - 0.5) / n.
     """
-    rf = _as_rate_function(rate)
     t = np.sort(np.asarray(event_times, dtype=float))
     n = len(t)
     if n < 10:
         raise ValueError("need at least 10 events")
-    if t[0] < 0.0 or t[-1] > rf.horizon + 1e-9:
+    if t[0] < 0.0 or t[-1] > rate.horizon + 1e-9:
         raise ValueError("events outside [0, horizon]")
-    z = rf.cumulative(t)
+    z = rate.cumulative(t)
     gaps = np.diff(np.concatenate(([0.0], z)))
     empirical = np.sort(gaps)
     p = (np.arange(1, n + 1) - 0.5) / n
@@ -343,40 +308,36 @@ class Reconstruction:
 
 
 def reconstruct(
-    rate,
+    rate: RateFunction,
     model: DurationModel,
     grid=None,
     quad_step: float = DEFAULT_QUAD_STEP,
 ) -> Reconstruction:
     """Rebuild the expected outage curve N(t) from a fitted intensity.
 
-    The failure side is integrated exactly (piecewise-linear cumulative).
-    The recovery rate and the expected recoveries come from one lattice
-    pass each over the whole grid (recovery_rate_curve, expected_recovered):
-    per duration interval, the failure intensity on that interval's cells
-    convolved with the interval's duration law on a lattice of step
-    quad_step; knots and boundaries off the lattice split their cells.  A
-    grid time t off the lattice gets a pass of its own, of step
-    t / max(1, round(t / quad_step)).  N is cum_f - cum_r; tiny negative
-    excursions from quadrature noise are clamped at zero (with a warning
-    beyond CLAMP_WARN_TOL).
+    The grid defaults to ceil(horizon) + 1 points evenly spaced over
+    [0, horizon].  The failure side is integrated exactly (piecewise-linear
+    cumulative).  The recovery rate and the expected recoveries come from
+    one lattice pass each over the whole grid (recovery_rate_curve,
+    expected_recovered): per duration interval, the failure intensity on
+    that interval's cells convolved with the interval's duration law on a
+    lattice of step quad_step; knots and boundaries off the lattice split
+    their cells.  A grid time t off the lattice gets a pass of its own, of
+    step t / max(1, round(t / quad_step)).  N is cum_f - cum_r; tiny
+    negative excursions from quadrature noise are clamped at zero (with a
+    warning beyond CLAMP_WARN_TOL).
     """
-    rf = _as_rate_function(rate)
     if grid is None:
-        if isinstance(rate, RateEstimate):
-            grid = rate.grid
-        else:
-            n = max(1, int(np.ceil(rf.horizon)))
-            grid = np.linspace(0.0, rf.horizon, n + 1)
+        grid = np.linspace(0.0, rate.horizon, math.ceil(rate.horizon) + 1)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be increasing with at least two points")
     if grid[0] != 0.0:
         raise ValueError("grid must start at 0")
-    if grid[-1] > rf.horizon + 1e-9:
+    if grid[-1] > rate.horizon + 1e-9:
         raise ValueError("grid extends beyond the intensity horizon")
-    lam_r = recovery_rate_curve(rf, model, grid, quad_step)
-    raw = rf.cumulative(grid) - expected_recovered(rf, model, grid, quad_step)
+    lam_r = recovery_rate_curve(rate, model, grid, quad_step)
+    raw = rate.cumulative(grid) - expected_recovered(rate, model, grid, quad_step)
     if np.any(raw < -CLAMP_WARN_TOL):
         warnings.warn(
             f"expected outage curve dips to {raw.min():.3g} < 0; clamped",
@@ -385,7 +346,7 @@ def reconstruct(
         )
     return Reconstruction(
         grid=grid,
-        failure_rate=rf.value(grid),
+        failure_rate=rate.value(grid),
         recovery_rate=lam_r,
         expected_out=np.maximum(raw, 0.0),
     )

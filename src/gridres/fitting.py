@@ -253,7 +253,8 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
     underflows at any shape in the bracket.  A point with f > 0 raises the
     lower end of the bracket [0.05, 100] and any other point lowers the
     upper end; a Newton point outside the bracket (or NaN) is replaced by
-    its midpoint, except that a point past an upper end of 100 where f was
+    its midpoint, while one on an end stays (a converged step may round
+    onto it), except that a point past an upper end of 100 where f was
     not yet evaluated is replaced by 100, so a root beyond the bracket (tied
     data) ends the solve at the bound one step later.  A component stops
     when its step is at most 1e-10 * max(1, k) or its bracket at most 1e-8,
@@ -292,7 +293,7 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
         lo = np.where(active & up, k, lo)
         hi = np.where(active & ~up, k, hi)
         new = k + f / (1.0 / (k * k) + var)
-        inside = (new > lo) & (new < hi)
+        inside = (new >= lo) & (new <= hi)
         if not inside.all():
             probe = (new >= hi) & (hi == _SHAPE_HI) & ~hi_tried
             hi_tried |= probe

@@ -269,13 +269,12 @@ def to_dataset(
 ) -> OutageDataset:
     """Convert to hours since origin, dropping negative durations.
 
-    Events come out in the canonical timestamp-then-id order.  The
+    The records must be in the canonical timestamp-then-id order, as
+    group_dependent returns them; the events keep that order.  The
     negative-duration count is folded into the provenance when one is
     passed in (its negative_dropped and emitted fields are filled here).
     """
-    ordered = _canonical(records)
-    keep = ~(ordered.durations < 0.0)
-    kept = ordered.take(keep)
+    kept = records.take(~(records.durations < 0.0))
     # integer microseconds / 1e6 / 3600, as timedelta.total_seconds() / 3600
     hours = ((kept.stamps - _micros(origin)) / 1e6) / 3600.0
     if provenance is not None:

@@ -60,6 +60,8 @@ _FFT_MIN_SUPPORT = 500
 # an expected failed count below -CLAMP_WARN_TOL is more than quadrature
 # noise: it is clamped at 0 with a RuntimeWarning
 CLAMP_WARN_TOL = 1e-9
+# width, in hours, of the ramp that stands for a surge's drop to the base rate
+_SURGE_RAMP = 1e-9
 
 
 def check_quad_step(extent: float, quad_step: float) -> None:
@@ -326,17 +328,17 @@ class SurgeSpec:
         if self.surge_end > self.surge_rate.horizon + 1e-9:
             raise ValueError("surge_end exceeds the surge intensity horizon")
 
-    def to_rate_function(self, horizon: float, ramp: float = 1e-9) -> RateFunction:
+    def to_rate_function(self, horizon: float) -> RateFunction:
         """Composite piecewise-linear intensity on [0, horizon].
 
-        The drop at surge_end is represented by a ramp of width `ramp`
+        The drop at surge_end is represented by a ramp of width _SURGE_RAMP
         (effectively a jump for quadrature and simulation purposes).
         """
         if horizon < self.surge_end:
             raise ValueError("horizon must cover surge_end")
-        t1 = float(self.surge_end)
+        t1, ramp = float(self.surge_end), _SURGE_RAMP
         if t1 <= 2.0 * ramp:
-            raise ValueError("surge_end too small for the configured ramp")
+            raise ValueError("surge_end too small for the drop's ramp")
         knots = [(0.0, self.base_rate + self.surge_rate.value(0.0))]
         for kt, _ in self.surge_rate.knots:
             if 0.0 < kt < t1 - ramp:

@@ -156,7 +156,7 @@ def test_criterion_04_pearson_size_power_and_recorded_decision():
     for seed in range(100):
         times = sample_nhpp(SIZE_RATE, replica_rng(seed, 0))
         est = estimate_rate(times, window=5.0, bin_width=1.0, horizon=120.0)
-        result = pearson_nhpp_test(times, est.to_rate_function(), n_intervals=400)
+        result = pearson_nhpp_test(times, est, n_intervals=400)
         not_rejected += not result.rejected
     assert not_rejected >= 90, not_rejected
 
@@ -166,7 +166,7 @@ def test_criterion_04_pearson_size_power_and_recorded_decision():
         center = rng.uniform(10.0, 110.0)
         times = center + np.sort(rng.uniform(0.0, 0.3, size=400))
         est = estimate_rate(times, window=5.0, bin_width=1.0, horizon=120.0)
-        result = pearson_nhpp_test(times, est.to_rate_function(), n_intervals=400)
+        result = pearson_nhpp_test(times, est, n_intervals=400)
         rejected += result.rejected
     assert rejected >= 95, rejected
 

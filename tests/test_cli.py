@@ -5,6 +5,7 @@ import csv
 import importlib
 import json
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -768,6 +769,14 @@ class TestCommandExtras:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert_lists_commands(proc.stdout)
+
+    def test_every_exported_name_resolves(self):
+        """Each name in the package's __all__ and in each module's is defined there."""
+        modules = [gridres] + [importlib.import_module(f"gridres.{m.name}")
+                               for m in pkgutil.iter_modules(gridres.__path__)]
+        for module in modules:
+            missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+            assert not missing, (module.__name__, missing)
 
     @pytest.mark.skipif(shutil.which("gridres") is None,
                         reason="gridres console script not installed")

@@ -20,15 +20,20 @@ from gridres import (
     replica_rng,
     simulate_events,
 )
-from gridres.estimate import RateEstimate
+from gridres.estimate import regular_grid
 
 from conftest import build_path, reference_mixture, sample_nhpp
+
+
+def grid_rates(est: RateFunction) -> np.ndarray:
+    """An estimate's knot times and rates, as the two rows of an array."""
+    return np.array(est.knots).T
 
 
 class TestEstimateRate:
     def test_single_event_hand_computed(self):
         est = estimate_rate([10.0], window=5.0, bin_width=1.0, horizon=20.0)
-        at = {t: r for t, r in zip(est.grid, est.rates)}
+        at = dict(est.knots)
         assert at[10.0] == pytest.approx(0.1)   # window (5, 15], width 10
         assert at[0.0] == 0.0                   # window truncated to (0, 5]
         assert at[6.0] == pytest.approx(0.1)    # event at 10 inside (1, 11]
@@ -39,7 +44,7 @@ class TestEstimateRate:
         # event near the left edge: the window is clipped to (0, 5], so
         # the divisor is the clipped width, not 2*window
         est = estimate_rate([2.0], window=5.0, bin_width=1.0, horizon=20.0)
-        at = {t: r for t, r in zip(est.grid, est.rates)}
+        at = dict(est.knots)
         assert at[0.0] == pytest.approx(1.0 / 5.0)
         assert at[1.0] == pytest.approx(1.0 / 6.0)
         assert at[6.0] == pytest.approx(1.0 / 10.0)
@@ -51,7 +56,7 @@ class TestEstimateRate:
         # events and every truncated window is proportionally shorter
         events = np.arange(0.5, 100.0, 1.0)
         est = estimate_rate(events, window=5.0, bin_width=1.0, horizon=100.0)
-        np.testing.assert_allclose(est.rates, 1.0, atol=1e-12)
+        np.testing.assert_allclose(grid_rates(est)[1], 1.0, atol=1e-12)
 
     def test_linearity_in_event_multisets(self):
         rng = np.random.default_rng(13)
@@ -61,22 +66,23 @@ class TestEstimateRate:
             ea = estimate_rate(a, horizon=50.0)
             eb = estimate_rate(b, horizon=50.0)
             eab = estimate_rate(np.sort(np.concatenate([a, b])), horizon=50.0)
-            np.testing.assert_allclose(eab.rates, ea.rates + eb.rates, atol=1e-12)
+            np.testing.assert_allclose(grid_rates(eab)[1], grid_rates(ea)[1] + grid_rates(eb)[1],
+                                       atol=1e-12)
 
     def test_poisson_window_variance(self):
         lam = 5.0
         t = sample_nhpp(RateFunction.constant(lam, 200.0), replica_rng(1, 0))
-        est = estimate_rate(t, window=5.0, bin_width=1.0, horizon=200.0)
-        interior = (est.grid >= 5.0) & (est.grid <= 195.0)
+        grid, rates = grid_rates(estimate_rate(t, window=5.0, bin_width=1.0, horizon=200.0))
+        interior = (grid >= 5.0) & (grid <= 195.0)
         band = 3.0 * math.sqrt(2.0 * 5.0 * lam) / (2.0 * 5.0)
-        inside = np.abs(est.rates[interior] - lam) <= band
+        inside = np.abs(rates[interior] - lam) <= band
         # a handful of the ~190 correlated points may graze past 3 sigma
         assert inside.mean() >= 0.95
 
     def test_empty_events(self):
         with pytest.warns(UserWarning, match="no events"):
             est = estimate_rate([], horizon=20.0)
-        np.testing.assert_array_equal(est.rates, 0.0)
+        np.testing.assert_array_equal(grid_rates(est)[1], 0.0)
         with pytest.raises(ValueError):
             estimate_rate([])
 
@@ -94,11 +100,22 @@ class TestEstimateRate:
         with pytest.raises(ValueError, match="exceeds"):
             estimate_rate([1.0], bin_width=1e-9, horizon=20.0)
 
-    def test_to_rate_function_roundtrip(self):
-        est = estimate_rate([3.0, 4.0, 11.0], horizon=20.0)
-        rf = est.to_rate_function()
-        assert rf.horizon == est.horizon
-        np.testing.assert_allclose(rf.value(est.grid), est.rates, atol=1e-12)
+    def test_knots_are_grid_and_rates(self):
+        for horizon in (20.0, 20.5):
+            est = estimate_rate([3.0, 4.0, 11.0], horizon=horizon)
+            grid, rates = grid_rates(est)
+            np.testing.assert_array_equal(grid, regular_grid(horizon, 1.0))
+            assert est.horizon == horizon
+            # windows (0, 5], (0, 6], (0, 7] and (1, 11] by hand
+            np.testing.assert_allclose(rates[[0, 1, 2, 6]], [2 / 5, 2 / 6, 2 / 7, 3 / 10],
+                                       rtol=1e-15)
+
+    def test_one_point_grid_is_constant(self):
+        # a horizon inside regular_grid's 1e-9 slack leaves the one grid point 0
+        est = estimate_rate([5e-11], horizon=1e-10)
+        assert len(est.knots) == 1 and est.knots[0][0] == 0.0
+        assert est.knots[0][1] == pytest.approx(1e10, rel=1e-15)  # 1 event in (0, 1e-10]
+        assert est.horizon == 1e-9
 
 
 class TestPearson:
@@ -290,8 +307,11 @@ class TestReconstruct:
         est = estimate_rate(t, horizon=40.0)
         model = DurationModel.stationary(reference_mixture(0), horizon=400.0)
         rec = reconstruct(est, model)
-        np.testing.assert_array_equal(rec.grid, est.grid)
+        np.testing.assert_array_equal(rec.grid, grid_rates(est)[0])
         assert np.all(rec.expected_out >= 0.0)
+        # off whole hours, ceil(horizon) + 1 points still span [0, horizon]
+        rec = reconstruct(RateFunction.constant(2.0, 10.5), model)
+        np.testing.assert_array_equal(rec.grid, np.linspace(0.0, 10.5, 12))
 
     def test_grid_validation(self):
         model = DurationModel.stationary(reference_mixture(0), horizon=400.0)
@@ -315,7 +335,7 @@ class TestReconstruct:
             times, durations = simulate_events(rate, true_model, seed=s)
             path = build_path(times, durations)
             est = estimate_rate(times, horizon=40.0)
-            truth = path.n_out(est.grid)
+            truth = path.n_out(grid_rates(est)[0])
             frac = np.array([
                 np.mean((times >= 0.0) & (times < 12.0)),
                 np.mean(times >= 12.0),

@@ -292,6 +292,20 @@ class TestGroupDependent:
             shuffled = records.take(np.random.default_rng(seed).permutation(len(records)))
             assert rows(group_dependent(shuffled)[0]) == rows(base)
 
+    @pytest.mark.parametrize("rule", ["max", "first", "mean"])
+    def test_output_canonical_with_distinct_stamps(self, rule):
+        # to_dataset takes this order as it comes, without a sort of its own
+        rng = np.random.default_rng(43)
+        records = recs(*[
+            (f"e{i}", f"2008-09-12T{7 + int(m) // 60:02d}:{int(m) % 60:02d}", float(d))
+            for i, (m, d) in enumerate(
+                zip(rng.integers(0, 90, size=80), rng.gamma(2.0, 10.0, size=80))
+            )
+        ])
+        grouped, merged = group_dependent(records.take(rng.permutation(len(records))), rule=rule)
+        assert merged > 0
+        assert np.all(np.diff(grouped.stamps) > 0)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="resolution"):
             group_dependent(recs(), resolution_minutes=0)
@@ -328,14 +342,6 @@ class TestToDataset:
         assert len(ds) == 1
         assert ds.provenance.negative_dropped == 1
         assert ds.provenance.emitted == 1
-
-    def test_output_sorted_by_time(self):
-        records = recs(
-            ("b", "2008-09-12T09:00", 1.0),
-            ("a", "2008-09-12T07:30", 1.0),
-        )
-        ds = to_dataset(records, origin=self.ORIGIN)
-        assert ds.times[0] < ds.times[1]
 
 
 class TestPipeline:
