@@ -324,6 +324,8 @@ def cmd_simulate(o: dict, out: Path) -> int:
     replicas = o["replicas"]
     if replicas < 1:
         raise CliError("replicas must be >= 1")
+    if o["save_events"] < 0:
+        raise CliError("--save-events must be >= 0")
     surge_args = [o["surge_base"], o["surge_peak"], o["surge_end"]]
     horizon = o["horizon"] if o["horizon"] is not None else rate.horizon
     if any(a is not None for a in surge_args):

@@ -32,6 +32,8 @@ log-likelihood; one whose component loses its mass re-enters with the
 components left, from its start, with a fresh history.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -459,6 +461,8 @@ def _fit_intervals(logds: list[np.ndarray], counts: list[int], seeds: list[int],
 
     The runs of one component count make one `run_indexed` task.
     """
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
     points = [(logd, _moments(logd)) for logd in logds]
     starts = []
     for i, (logd, c, seed) in enumerate(zip(logds, counts, seeds)):
@@ -466,7 +470,7 @@ def _fit_intervals(logds: list[np.ndarray], counts: list[int], seeds: list[int],
         # repeat an earlier one's would repeat its whole run: only the first
         # is run, which keeps ties going to the lowest start index
         distinct: dict[bytes, np.ndarray] = {}
-        for idx in range(max(1, n_starts)):
+        for idx in range(n_starts):
             labels = _start_labels(logd, c, seed, idx)
             distinct.setdefault(labels.tobytes(), labels)
         starts += [(i, labels) for labels in distinct.values()]

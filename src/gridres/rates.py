@@ -3,6 +3,9 @@
 An intensity is defined by knots (time, events/hour) joined linearly,
 with constant extrapolation from the first knot back to t=0 and from the
 last knot out to the horizon.  All times are hours since the study origin.
+Every method reads one table, the intensity and its integral at 0, the
+knot times and the horizon, where the constant ends are flat pieces; a
+piece is found by one search of the table's inner edges.
 """
 
 from dataclasses import dataclass
@@ -50,13 +53,9 @@ class RateFunction:
             raise ValueError("horizon must be positive and finite")
         if horizon < t[-1]:
             raise ValueError("horizon must cover the last knot")
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "_t", t)
-        object.__setattr__(self, "_v", v)
         # breakpoints with 0 and horizon folded in; cumulative integral is
         # exact there because the function is linear between breakpoints
-        bt = np.concatenate(([0.0], t, [horizon]))
-        bt = np.unique(bt)
+        bt = np.unique(np.concatenate(([0.0], t, [horizon])))
         bv = np.interp(bt, t, v)
         # halves, here and in cumulative: the sum of two knots past 8.99e307 overflows
         with np.errstate(over="ignore"):
@@ -64,17 +63,15 @@ class RateFunction:
         if not np.isfinite(cum[-1]):
             raise ValueError(f"the intensity's integral over [0, {horizon:g}] h is not "
                              "finite: it overflows a double")
-        object.__setattr__(self, "_bt", bt)
-        object.__setattr__(self, "_bv", bv)
-        object.__setattr__(self, "_cum", cum)
         # the inverse works in units of a power of two near the peak: exact
         # scaling, so its products neither underflow at tiny intensities nor
         # overflow at huge ones, and are bit for bit the same in between
         unit = 2.0 ** max(int(np.frexp(v.max())[1]) - 1, -1022) if v.max() > 0.0 else 1.0
-        object.__setattr__(self, "_unit", unit)
-        object.__setattr__(self, "_bv_units", bv / unit)
         with np.errstate(over="ignore"):
-            object.__setattr__(self, "_slope_units", np.diff(bv) / np.diff(bt) / unit)
+            slope_units = np.diff(bv) / np.diff(bt) / unit
+        # frozen: the fields are set past the dataclass's __setattr__
+        vars(self).update(horizon=horizon, _bt=bt, _bv=bv, _cum=cum, _unit=unit,
+                          _bv_units=bv / unit, _slope_units=slope_units)
 
     @classmethod
     def constant(cls, level: float, horizon: float) -> "RateFunction":
@@ -88,7 +85,7 @@ class RateFunction:
         """Intensity at time(s) t, constant-extrapolated at both ends."""
         arr = np.asarray(t, dtype=float)
         self._check_domain(arr)
-        out = np.interp(arr, self._t, self._v)
+        out = np.interp(arr, self._bt, self._bv)
         return float(out) if np.isscalar(t) else out
 
     def cumulative(self, t):
@@ -96,10 +93,9 @@ class RateFunction:
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         self._check_domain(arr)
         clipped = np.clip(arr, 0.0, self.horizon)
-        idx = np.clip(np.searchsorted(self._bt, clipped, side="right") - 1, 0, len(self._bt) - 2)
-        left = self._bt[idx]
-        seg = (clipped - left) * (0.5 * self._bv[idx] + 0.5 * np.interp(clipped, self._t, self._v))
-        out = self._cum[idx] + seg
+        idx = np.searchsorted(self._bt[1:-1], clipped, side="right")
+        avg = 0.5 * self._bv[idx] + 0.5 * np.interp(clipped, self._bt, self._bv)
+        out = self._cum[idx] + (clipped - self._bt[idx]) * avg
         return float(out[0]) if np.isscalar(t) else out
 
     def inverse_cumulative(self, levels, out=None) -> np.ndarray:
@@ -120,9 +116,8 @@ class RateFunction:
         # levels at once, and each temporary is one more array that size
         shape = np.shape(levels)
         u = np.atleast_1d(np.asarray(levels, dtype=float))
-        k = np.searchsorted(self._cum, u, side="right")
-        k -= 1
-        np.clip(k, 0, len(self._bt) - 2, out=k)
+        # inner breakpoints only: a zero stretch's repeated levels pass to its end
+        k = np.searchsorted(self._cum[1:-1], u, side="right")
         du = u - self._cum[k]
         du *= 1.0 / self._unit
         b = self._bv_units[k]
@@ -158,13 +153,13 @@ class RateFunction:
     @property
     def peak(self) -> float:
         """Upper bound of the intensity; attained at a knot."""
-        return float(self._v.max())
+        return float(self._bv.max())
 
     def scaled(self, factor: float) -> "RateFunction":
         if factor < 0.0:
             raise ValueError("scale factor must be >= 0")
         return RateFunction(
-            knots=tuple((float(t), float(v * factor)) for t, v in zip(self._t, self._v)),
+            knots=tuple((float(t), float(v) * factor) for t, v in self.knots),
             horizon=self.horizon,
         )
 

@@ -18,6 +18,8 @@ rounded quotient of exact integers, the same under any block size, and
 memory is O(grid) plus one block, whatever the replica count.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from functools import partial

@@ -20,12 +20,12 @@ _WEIGHT_TOL = 1e-9
 def interval_of(boundaries, t) -> np.ndarray:
     """Interval index of each failure time t among edges psi_0 < ... < psi_m.
 
-    Interval i covers [psi_i, psi_{i+1}); times outside [psi_0, psi_m]
-    fall into the nearest end interval.
+    Interval i covers [psi_i, psi_{i+1}).  The index is the count of inner
+    edges psi_1 .. psi_{m-1} at or below t, so times outside [psi_0, psi_m]
+    fall into the nearest end interval, and nan into the last.
     """
     b = np.asarray(boundaries, dtype=float)
-    idx = np.searchsorted(b, np.atleast_1d(np.asarray(t, dtype=float)), side="right") - 1
-    return np.clip(idx, 0, len(b) - 2)
+    return np.searchsorted(b[1:-1], np.atleast_1d(np.asarray(t, dtype=float)), side="right")
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,9 +54,7 @@ class WeibullMixture:
             raise ValueError("scales must be positive")
         if np.any(k <= 0.0):
             raise ValueError("shapes must be positive")
-        object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_g", g)
-        object.__setattr__(self, "_k", k)
+        vars(self).update(_w=w, _g=g, _k=k)
 
     @property
     def n_components(self) -> int:
@@ -152,7 +150,6 @@ class DurationModel:
             raise ValueError(
                 f"{len(b) - 1} intervals but {len(self.mixtures)} mixtures"
             )
-        object.__setattr__(self, "_b", b)
         # from_uniforms' tables: cw[j, i] is interval i's cumulative weight
         # through component j, +inf from its last component on (a draw past
         # every edge takes the last component); g and 1/k by (interval,
@@ -165,9 +162,7 @@ class DurationModel:
             g[i, :m.n_components] = m._g
             with np.errstate(over="ignore"):  # a subnormal shape's 1/k is inf
                 inv_k[i, :m.n_components] = 1.0 / m._k
-        object.__setattr__(self, "_cw", cw[:-1])
-        object.__setattr__(self, "_g", g.ravel())
-        object.__setattr__(self, "_inv_k", inv_k.ravel())
+        vars(self).update(_b=b, _cw=cw[:-1], _g=g.ravel(), _inv_k=inv_k.ravel())
 
     @classmethod
     def stationary(cls, mixture: WeibullMixture, horizon: float) -> "DurationModel":

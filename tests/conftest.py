@@ -1,6 +1,7 @@
 """Shared fixtures: reference mixtures, a synthetic raw-record file, the
 replica-at-a-time sampling route that serves as the block route's oracle,
-one mixture's inverse-cdf sampler, and the one-run M-step."""
+one mixture's inverse-cdf sampler, the one-run M-step, and the clamped
+piece lookups that RateFunction and interval_of are checked against."""
 
 from dataclasses import dataclass
 
@@ -138,6 +139,50 @@ def make_raw_csv(seed: int = 20080912) -> str:
 @pytest.fixture(scope="session")
 def raw_csv_text() -> str:
     return make_raw_csv()
+
+
+# Reference piece lookups: the value and the cumulative's end point
+# interpolated on the knots themselves, and every piece index a search of
+# all edges, less one, clamped to the table.  RateFunction and interval_of
+# search the inner edges alone and must give the same bits.
+
+def _knot_table(rate: RateFunction) -> tuple[np.ndarray, np.ndarray]:
+    return (np.asarray([k[0] for k in rate.knots], dtype=float),
+            np.asarray([k[1] for k in rate.knots], dtype=float))
+
+
+def rate_value_oracle(rate: RateFunction, t):
+    arr = np.asarray(t, dtype=float)
+    rate._check_domain(arr)
+    out = np.interp(arr, *_knot_table(rate))
+    return float(out) if np.isscalar(t) else out
+
+
+def rate_cumulative_oracle(rate: RateFunction, t):
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    rate._check_domain(arr)
+    clipped = np.clip(arr, 0.0, rate.horizon)
+    idx = np.clip(np.searchsorted(rate._bt, clipped, side="right") - 1, 0, len(rate._bt) - 2)
+    seg = (clipped - rate._bt[idx]) * (0.5 * rate._bv[idx]
+                                       + 0.5 * np.interp(clipped, *_knot_table(rate)))
+    out = rate._cum[idx] + seg
+    return float(out[0]) if np.isscalar(t) else out
+
+
+def rate_inverse_cumulative_oracle(rate: RateFunction, levels) -> np.ndarray:
+    u = np.atleast_1d(np.asarray(levels, dtype=float))
+    k = np.clip(np.searchsorted(rate._cum, u, side="right") - 1, 0, len(rate._bt) - 2)
+    du = (u - rate._cum[k]) * (1.0 / rate._unit)
+    b = rate._bv_units[k]
+    den = np.sqrt(np.maximum(rate._slope_units[k] * 2.0 * du + b * b, 0.0)) + b
+    x = np.divide(2.0 * du, den, out=np.zeros_like(du), where=den > 0.0)
+    return np.clip(x + rate._bt[k], rate._bt[k], rate._bt[k + 1]).reshape(np.shape(levels))
+
+
+def interval_of_oracle(boundaries, t) -> np.ndarray:
+    b = np.asarray(boundaries, dtype=float)
+    idx = np.searchsorted(b, np.atleast_1d(np.asarray(t, dtype=float)), side="right") - 1
+    return np.clip(idx, 0, len(b) - 2)
 
 
 # The replica-at-a-time route: one replica's failure times, its durations

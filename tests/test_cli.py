@@ -1,20 +1,27 @@
 """Command line runs end to end: pipeline products, determinism, exit codes."""
 
 import argparse
+import contextlib
+import copy
 import csv
 import importlib
+import io
 import json
+import math
 import os
 import pkgutil
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridres
 from gridres import DurationModel, RateFunction, WeibullMixture
@@ -562,6 +569,23 @@ class TestExitCodes:
         _, model, _ = load_model(out / "model.json")
         assert model.n_intervals == 5
 
+    def test_negative_save_events_refused(self, tiny_model, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["--out", str(out), "simulate", "--model", str(tiny_model),
+                   "--save-events", "-1"])
+        assert rc == 2
+        assert "error: --save-events must be >= 0" in capsys.readouterr().err
+        assert not (out / "events.csv").exists()
+
+    def test_zero_starts_refused(self, tmp_path, capsys, small_dataset):
+        # no start would be run: the fit has nothing to choose from
+        out = tmp_path / "x"
+        rc = main(["--out", str(out), "fit", "--dataset", str(small_dataset),
+                   "--boundaries", "0,5,10", "--components", "1,1", "--starts", "0"])
+        assert rc == 2
+        assert "error: n_starts must be >= 1" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
     def test_surge_flags_must_come_together(self, tiny_model, tmp_path):
         rc = main(["--out", str(tmp_path), "simulate", "--model", str(tiny_model),
                    "--replicas", "2", "--surge-base", "1.0", "--surge-peak", "9.0"])
@@ -684,6 +708,15 @@ class TestCommandExtras:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_cli_import_skips_numpy_random(self):
+        """Only fit and simulate draw random numbers, and they load
+        numpy.random when they run: importing the CLI does not."""
+        code = "import sys, gridres.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_pearson_test_loads_no_scipy(self, pipeline, tmp_path):
         """`gridres test` takes its Poisson tail and chi-square quantile from
         numpy and math: after it runs, the interpreter holds no scipy module."""
@@ -785,3 +818,88 @@ class TestCommandExtras:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert_lists_commands(proc.stdout)
+
+
+# The CLI contract on mutated model files: exit 0, 2 or 3, an `error:` line
+# on 2, no exception out of main (the suite turns a RuntimeWarning into
+# one), and a rerun of a run that exits 0 writes the same bytes.
+LEAF_VALUES = (0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, 1.7e308, math.inf, -math.inf,
+               math.nan, -1.0, 1e-9, 1e9, 2.0**53)
+MODEL_COMMANDS = {
+    "simulate": ["--replicas", "3", "--grid-step", "2"],
+    "resilience": ["--grid-step", "0.5"],
+    "reconstruct": ["--grid-step", "3", "--quad-step", "0.5"],
+    "test": ["--intervals", "12"],
+}
+
+
+def _base_model_payload() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(path,
+                   RateFunction(knots=((0.0, 2.0), (4.0, 6.0), (9.0, 0.0)), horizon=12.0),
+                   DurationModel(boundaries=(0.0, 5.0, 12.0), mixtures=(
+                       WeibullMixture(components=((0.4, 0.7, 0.8), (0.6, 5.0, 2.5))),
+                       WeibullMixture(components=((1.0, 3.0, 1.4),)))))
+        return json.loads(path.read_text())
+
+
+BASE_MODEL = _base_model_payload()
+
+
+def _nodes(node, path=()):
+    """(path, node) of every dict and list in a JSON tree and of every number leaf."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        if isinstance(child, (dict, list)) or type(child) in (int, float):
+            yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_models(draw):
+    """The base model with 1-3 edits: a number leaf set to an extreme value,
+    a key dropped, or a list reversed."""
+    payload = copy.deepcopy(BASE_MODEL)
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_nodes(payload))[1:]))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(node, list) and draw(st.booleans()):
+            node.reverse()
+        elif isinstance(parent, dict) and draw(st.integers(0, 3)) == 0:
+            del parent[path[-1]]
+        elif not isinstance(node, (dict, list)):
+            parent[path[-1]] = draw(st.sampled_from(LEAF_VALUES))
+    return payload
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "dataset.csv"
+    rows = "".join(f"{0.2 * i + 0.05:.2f},{0.5 + i % 5}\n" for i in range(55))
+    path.write_text("t_hours,duration_hours\n" + rows)
+    return path
+
+
+@settings(max_examples=50)
+@given(command=st.sampled_from(sorted(MODEL_COMMANDS)), payload=mutated_models())
+def test_mutated_model_files_keep_the_contract(fuzz_dataset, command, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        model, out = Path(tmp) / "model.json", Path(tmp) / "out"
+        model.write_text(json.dumps(payload))
+        argv = ["--out", str(out), command, "--model", str(model), *MODEL_COMMANDS[command]]
+        if command == "test":
+            argv += ["--dataset", str(fuzz_dataset)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2, 3), (rc, err.getvalue())
+        if rc == 2:
+            assert err.getvalue().startswith("error: "), err.getvalue()
+        if rc == 0:
+            first = {p.name: p.read_bytes() for p in out.iterdir()}
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == first

@@ -1,9 +1,21 @@
 """Piecewise-linear intensity functions: evaluation, integration, validation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from gridres import RateFunction, failure_time_pdf
+from gridres.weibull import interval_of
+
+from conftest import (
+    interval_of_oracle,
+    rate_cumulative_oracle,
+    rate_inverse_cumulative_oracle,
+    rate_value_oracle,
+)
 
 
 def test_constant_factory():
@@ -180,3 +192,79 @@ def test_failure_time_pdf_degenerate():
     flat = RateFunction(knots=((0.0, 0.0),), horizon=4.0)
     with pytest.raises(ValueError, match="degenerate intensity"):
         failure_time_pdf(flat)
+
+
+def bits(x) -> bytes:
+    """The float64 bytes of x, so that -0.0, 0.0 and nan payloads all count."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def same_or_both_raise(new, old, x):
+    try:
+        want = old(x)
+    except ValueError:
+        with pytest.raises(ValueError):
+            new(x)
+        return
+    got = new(x)
+    assert type(got) is type(want) and bits(got) == bits(want), (x, got, want)
+
+
+@st.composite
+def piecewise_rates(draw):
+    """Rates of 1-6 knots, some at 0 or at the horizon, some at zero intensity."""
+    horizon = draw(st.sampled_from([1.0, 12.0, 240.0]) | st.floats(1e-3, 1e4))
+    when = st.sampled_from([0.0, horizon]) | st.floats(0.0, horizon)
+    times = sorted(draw(st.lists(when, min_size=1, max_size=6, unique=True)))
+    level = st.just(0.0) | st.floats(0.0, 50.0)
+    values = draw(st.lists(level, min_size=len(times), max_size=len(times)))
+    try:
+        return RateFunction(knots=tuple(zip(times, values)), horizon=horizon)
+    except ValueError:  # two knots too close for their step
+        assume(False)
+
+
+@given(st.data(), piecewise_rates())
+def test_one_table_matches_the_knot_lookups(data, rate):
+    """value, cumulative and inverse_cumulative read the breakpoint table with
+    one search of its inner edges; the knot interpolation and the clamped
+    full-table searches give the same bits, on the edges, in flat ends and
+    zero stretches, and outside the domain."""
+    h = rate.horizon
+    edges = [0.0, h, *(t for t, _ in rate.knots)]
+    when = (st.sampled_from([math.inf, -math.inf, math.nan, -1e-12, h + 1e-9])
+            | st.sampled_from(edges) | st.floats(-1.0, h + 1.0))
+    times = data.draw(st.lists(when, min_size=1, max_size=8))
+    for t in times:
+        if math.isnan(t) and len(rate.knots) == 1:
+            # np.interp on one knot answers its value at nan; the table has
+            # two or more breakpoints and answers nan, as on any other rate
+            assert math.isnan(rate.value(t))
+            assert bits(rate_value_oracle(rate, t)) == bits(rate.knots[0][1])
+        else:
+            same_or_both_raise(rate.value, lambda x: rate_value_oracle(rate, x), t)
+        same_or_both_raise(rate.cumulative, lambda x: rate_cumulative_oracle(rate, x), t)
+    if not any(math.isnan(t) for t in times) or len(rate.knots) > 1:
+        same_or_both_raise(rate.value, lambda x: rate_value_oracle(rate, x), np.array(times))
+    same_or_both_raise(rate.cumulative, lambda x: rate_cumulative_oracle(rate, x), np.array(times))
+
+    total = rate.total
+    level = st.sampled_from([0.0, total, *rate._cum]) | st.floats(0.0, total)
+    levels = np.array(data.draw(st.lists(level, min_size=1, max_size=8)))
+    assert bits(rate.inverse_cumulative(levels)) == bits(rate_inverse_cumulative_oracle(rate, levels))
+
+    assert rate.peak == max(v for _, v in rate.knots)
+    factor = data.draw(st.floats(0.0, 4.0))
+    assert rate.scaled(factor).knots == tuple((t, float(np.float64(v) * factor))
+                                              for t, v in rate.knots)
+
+
+@given(st.data(), st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=6, unique=True))
+def test_interval_of_matches_the_clamped_search(data, boundaries):
+    b = sorted(boundaries)
+    when = (st.sampled_from([math.inf, -math.inf, math.nan, *b])
+            | st.floats(-200.0, 200.0))
+    t = data.draw(st.lists(when, min_size=1, max_size=8))
+    got, want = interval_of(b, t), interval_of_oracle(b, t)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
