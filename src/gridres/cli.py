@@ -264,16 +264,17 @@ def cmd_ingest(o: dict, out: Path) -> int:
 
 def cmd_fit(o: dict, out: Path) -> int:
     dataset = read_dataset(o["dataset"])
+    if not len(dataset):
+        raise CliError("no events to fit")
     boundaries = _parse_list(o["boundaries"], "boundaries")
     components = _parse_list(o["components"], "components", int)
-    times = dataset.times
-    durations = dataset.durations
     try:
-        rate = estimate_rate(times, window=o["tau"], bin_width=o["bin"], horizon=boundaries[-1])
+        rate = estimate_rate(dataset.times, window=o["tau"], bin_width=o["bin"],
+                             horizon=boundaries[-1])
     except ValueError as exc:
         raise CliError(f"--tau/--bin/--boundaries: {exc}") from None
     model, fits = fit_duration_model(
-        times, durations, boundaries, components,
+        dataset.times, dataset.durations, boundaries, components,
         seed=o["seed"], tol=o["tol"], max_iter=o["max_iter"], n_starts=o["starts"],
     )
     partial = not all(f.converged for f in fits)

@@ -7,8 +7,10 @@ with the same inputs produce byte-identical files.
 """
 
 import csv
+import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -65,29 +67,57 @@ def write_dataset(path, dataset: OutageDataset) -> None:
     write_table(path, ["t_hours", "duration_hours"], [dataset.times, dataset.durations])
 
 
+def _loadtxt_columns(path, text: str, encoding: str, columns: tuple[int, int]):
+    """The two columns by np.loadtxt, (2, n); None where it may part from the
+    rows: a quote (split at its commas), a NUL or a U+001C-U+001F (float() refuses
+    them), a line over the csv field limit, a refused cell, no rows, a non-finite value."""
+    # a line over the limit leaves a stretch of limit // 2 characters unbroken
+    stretch = csv.field_size_limit() // 2
+    if (any(ch in text for ch in '"\0\x1c\x1d\x1e\x1f')
+            or any(text.find("\n", i, i + stretch) < 0 and text.find("\r", i, i + stretch) < 0
+                   for i in range(0, len(text) - stretch + 1, stretch))):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, usecols=columns,
+                               ndmin=2, encoding=encoding)
+    except (ValueError, Warning):
+        return None
+    return table.T.copy() if len(table) and np.isfinite(table).all() else None
+
+
 def read_dataset(path) -> OutageDataset:
+    """The t_hours and duration_hours columns, found by name; blank lines are
+    skipped, and a cell that is missing or not a finite float() is an error
+    naming its line.  Read by columns (np.loadtxt) where that gives the same
+    numbers, else row by row."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            column = {name: i for i, name in enumerate(next(reader, []))}
-            if not {"t_hours", "duration_hours"} <= column.keys():
-                raise ValueError(f"{path}: expected columns t_hours, duration_hours")
-            i_t, i_d = column["t_hours"], column["duration_hours"]
-            times, durations = [], []
-            for row in reader:
-                if not row:  # blank line
-                    continue
-                try:
-                    t, d = float(row[i_t]), float(row[i_d])
-                except (IndexError, ValueError):  # IndexError: a short row's missing cell
-                    t = d = math.nan
-                if not (math.isfinite(t) and math.isfinite(d)):
-                    raise ValueError(f"{path}: line {reader.line_num}: t_hours and duration_hours "
-                                     "must be finite numbers")
-                times.append(t)
-                durations.append(d)
-        except csv.Error as exc:  # a field over the csv module's size limit
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        column = {name: i for i, name in enumerate(next(reader, []))}
+        if not {"t_hours", "duration_hours"} <= column.keys():
+            raise ValueError(f"{path}: expected columns t_hours, duration_hours")
+        i_t, i_d = column["t_hours"], column["duration_hours"]
+        table = _loadtxt_columns(path, text, fh.encoding, (i_t, i_d))
+        if table is not None:
+            return OutageDataset(times=table[0], durations=table[1])
+        times, durations = [], []
+        for row in reader:
+            if not row:  # blank line
+                continue
+            try:
+                t, d = float(row[i_t]), float(row[i_d])
+            except (IndexError, ValueError):  # IndexError: a short row's missing cell
+                t = d = math.nan
+            if not (math.isfinite(t) and math.isfinite(d)):
+                raise ValueError(f"{path}: line {reader.line_num}: t_hours and duration_hours "
+                                 "must be finite numbers")
+            times.append(t)
+            durations.append(d)
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return OutageDataset(times=np.array(times, dtype=np.float64),
                          durations=np.array(durations, dtype=np.float64))
 

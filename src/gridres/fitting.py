@@ -12,7 +12,9 @@ decreases, which the fitter records per iteration.
 Initialization splits log-durations with a small k-means and seeds each
 cluster by log-space method of moments; multiple starts (default 5) are
 scored and the best log-likelihood wins, ties going to the lowest start
-index.  A start is fixed by its k-means labels, so a start whose labels
+index.  A 1-d k-means cluster is a run of the sorted points (Wang & Song
+2011), so each interval is sorted once and every start's rounds cut that
+copy.  A start is fixed by its k-means labels, so a start whose labels
 repeat an earlier start's is run once: it would repeat that run bit for
 bit.
 
@@ -90,30 +92,63 @@ def _prepare(durations) -> np.ndarray:
     return d
 
 
-def _kmeans_logd(logd: np.ndarray, c: int, rng: np.random.Generator | None) -> np.ndarray:
-    """Cluster labels from a small 1-d k-means on log-durations."""
-    n = len(logd)
-    if rng is None:
-        centers = np.quantile(logd, (np.arange(c) + 0.5) / c)
-    else:
-        centers = rng.choice(logd, size=c, replace=n < c)
-        centers = np.sort(centers)
-    for _ in range(25):
-        labels = np.argmin(np.abs(logd[:, None] - centers[None, :]), axis=1)
-        new = centers.copy()
-        for j in range(c):
-            pts = logd[labels == j]
-            if len(pts):
-                new[j] = pts.mean()
-            else:
-                # reseed an empty cluster at the point farthest from its center
-                far = np.argmax(np.abs(logd - centers[labels]))
-                new[j] = logd[far]
-        if np.allclose(new, centers):
-            centers = new
+def _kmeans_logd(logd: np.ndarray, order: np.ndarray, c: int,
+                 rng: np.random.Generator | None) -> np.ndarray:
+    """Labels of a small 1-d k-means on log-durations; `order` is a stable
+    argsort of `logd`, shared by every start on the same points.
+
+    Centres start at c quantiles or c points drawn by `rng`, sorted.  A round
+    gives each point its nearest centre (the lower on a tie, as an argmin
+    does), moves each centre to its points' mean, summed in ascending order,
+    and reseeds an empty cluster at the point farthest from its centre (the
+    first in input order); rounds stop at np.allclose, or after 25.  Centres
+    rising by over 2 ulps of the largest point-to-centre distance make each
+    cluster a run of the sorted points, cut below the rounded midpoint of
+    a < b and past the points above it whose distances round to a tie.
+    Other centres take the (n, c) argmin.
+    """
+    xs = logd[order]
+    n = len(xs)
+    cs = (np.quantile(logd, (np.arange(c) + 0.5) / c) if rng is None
+          else np.sort(rng.choice(logd, size=c, replace=n < c))).tolist()
+    lo, hi = float(xs[0]), float(xs[-1])
+    stop = False
+    for rnd in range(26):
+        pairs = list(zip(cs, cs[1:]))
+        gap = 2.0 * math.ulp(max(abs(hi - cs[0]), abs(cs[-1] - lo)))
+        if all(b - a > gap for a, b in pairs):
+            bounds = [0, *np.searchsorted(xs, [0.5 * a + 0.5 * b for a, b in pairs]).tolist(), n]
+            for j, (a, b) in enumerate(pairs, 1):
+                i = bounds[j]  # the first point at or above the rounded midpoint
+                if i < n and abs(xs[i] - a) <= abs(xs[i] - b):  # a tie: past its run
+                    i = int(np.searchsorted(xs, xs[i], "right"))
+                    if i < n and abs(xs[i] - a) <= abs(xs[i] - b):
+                        i = int(np.count_nonzero(np.abs(xs - a) <= np.abs(xs - b)))
+                bounds[j] = i
+            sizes = [q - p for p, q in zip(bounds, bounds[1:])]
+            lab, grouped = None, xs
+        else:
+            lab = np.argmin(np.abs(xs[:, None] - np.array(cs)), axis=1)
+            sizes = np.bincount(lab, minlength=c).tolist()
+            grouped = xs[np.argsort(lab, kind="stable")]
+        if stop or rnd == 25:
             break
-        centers = new
-    return np.argmin(np.abs(logd[:, None] - centers[None, :]), axis=1)
+        starts = list(itertools.accumulate(sizes, initial=0))
+        full = [j for j in range(c) if sizes[j]]
+        means = iter((np.add.reduceat(grouped, [starts[j] for j in full])
+                      / [sizes[j] for j in full]).tolist())
+        if len(full) < c:
+            lab = np.repeat(np.arange(c), sizes) if lab is None else lab
+            dist = np.abs(xs - np.array(cs)[lab])
+            far = float(logd[order[dist == dist.max()].min()])
+        new = [next(means) if size else far for size in sizes]
+        # np.allclose(new, cs) on floats: a numpy call here costs as much as the round
+        stop = all((abs(x - y) <= 1e-8 + 1e-5 * abs(y) and math.isfinite(y)) or x == y
+                   for x, y in zip(new, cs))
+        cs = new
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = np.repeat(np.arange(c), sizes) if lab is None else lab
+    return labels
 
 
 def _moment_start(logd: np.ndarray, labels: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -447,12 +482,12 @@ def _run_starts(points: list, starts: list[tuple[int, np.ndarray]], c: int, tol:
     return [run.result(points[run.interval][0]) for run in runs]
 
 
-def _start_labels(logd: np.ndarray, c: int, seed: int, idx: int) -> np.ndarray:
-    """k-means labels of start `idx`: quantile centres at 0, then seeded draws."""
+def _start_labels(logd: np.ndarray, order: np.ndarray, c: int, seed: int, idx: int) -> np.ndarray:
+    """k-means labels of start `idx` (_kmeans_logd): quantile centres at 0, then seeded draws."""
     rng = None if idx == 0 else np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(idx,))
     )
-    return _kmeans_logd(logd, c, rng)
+    return _kmeans_logd(logd, order, c, rng)
 
 
 def _fit_intervals(logds: list[np.ndarray], counts: list[int], seeds: list[int], tol: float,
@@ -470,8 +505,9 @@ def _fit_intervals(logds: list[np.ndarray], counts: list[int], seeds: list[int],
         # repeat an earlier one's would repeat its whole run: only the first
         # is run, which keeps ties going to the lowest start index
         distinct: dict[bytes, np.ndarray] = {}
+        order = np.argsort(logd, kind="stable")
         for idx in range(n_starts):
-            labels = _start_labels(logd, c, seed, idx)
+            labels = _start_labels(logd, order, c, seed, idx)
             distinct.setdefault(labels.tobytes(), labels)
         starts += [(i, labels) for labels in distinct.values()]
     sizes = list(dict.fromkeys(counts))

@@ -17,7 +17,7 @@ exact provenance counts the whole way.
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -178,8 +178,7 @@ def parse_records(
             try:
                 dur = float(raw_d)
             except ValueError:
-                issues.append(ParseIssue(line=lineno, reason=f"bad duration {raw_d!r}"))
-                continue
+                dur = math.nan
             if not math.isfinite(dur):
                 issues.append(ParseIssue(line=lineno, reason=f"bad duration {raw_d!r}"))
                 continue
@@ -278,14 +277,7 @@ def to_dataset(
     # integer microseconds / 1e6 / 3600, as timedelta.total_seconds() / 3600
     hours = ((kept.stamps - _micros(origin)) / 1e6) / 3600.0
     if provenance is not None:
-        provenance = Provenance(
-            raw=provenance.raw,
-            malformed=provenance.malformed,
-            window_dropped=provenance.window_dropped,
-            merged=provenance.merged,
-            negative_dropped=len(records) - len(kept),
-            emitted=len(kept),
-        )
+        provenance = replace(provenance, negative_dropped=len(records) - len(kept), emitted=len(kept))
     return OutageDataset(times=hours, durations=kept.durations, provenance=provenance)
 
 
@@ -303,11 +295,6 @@ def ingest_pipeline(
     raw = len(records) + len(issues)
     in_window, window_dropped = filter_window(records, start, end)
     grouped, merged = group_dependent(in_window, resolution_minutes, rule)
-    prov = Provenance(
-        raw=raw,
-        malformed=len(issues),
-        window_dropped=window_dropped,
-        merged=merged,
-    )
+    prov = Provenance(raw=raw, malformed=len(issues), window_dropped=window_dropped, merged=merged)
     dataset = to_dataset(grouped, origin=start, provenance=prov)
     return dataset, issues

@@ -65,7 +65,8 @@ class WeibullMixture:
 
         For components with shape k < 1 the density diverges as d -> 0;
         pdf(0) is the mathematical limit (inf when any k < 1 component has
-        positive weight, weight/scale for k == 1, 0 otherwise).
+        positive weight, weight/scale for k == 1, 0 otherwise).  A duration
+        so small that d / g underflows to 0 gets that component's limit too.
         """
         arr = np.atleast_1d(np.asarray(d, dtype=float))
         if np.any(arr < 0.0):
@@ -76,17 +77,12 @@ class WeibullMixture:
         acc = np.zeros_like(x)
         for w, g, k in zip(self._w, self._g, self._k):
             z = x / g
-            acc += w * (k / g) * z ** (k - 1.0) * np.exp(-(z**k))
+            with np.errstate(divide="ignore"):  # 0 ** (k - 1) for k < 1: inf
+                acc += w * (k / g) * z ** (k - 1.0) * np.exp(-(z**k))
         out[pos] = acc
-        if np.any(~pos):
-            at0 = 0.0
-            for w, g, k in zip(self._w, self._g, self._k):
-                if k < 1.0:
-                    at0 = math.inf
-                    break
-                if k == 1.0:
-                    at0 += w / g
-            out[~pos] = at0
+        if not pos.all():
+            out[~pos] = math.inf if (self._k < 1.0).any() else sum(
+                w / g for w, g, k in zip(self._w, self._g, self._k) if k == 1.0)
         return float(out[0]) if np.isscalar(d) else out
 
     def cdf(self, d):
@@ -238,10 +234,6 @@ class DurationModel:
             raise ValueError("one weight per interval required")
         if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
-        parts = []
-        for wi, mix in zip(w, self.mixtures):
-            if wi == 0.0:
-                continue
-            for rho, g, k in mix.components:
-                parts.append((wi * rho, g, k))
-        return WeibullMixture(components=tuple(parts))
+        return WeibullMixture(components=tuple(
+            (wi * rho, g, k) for wi, mix in zip(w, self.mixtures) if wi != 0.0
+            for rho, g, k in mix.components))

@@ -1,7 +1,8 @@
 """Shared fixtures: reference mixtures, a synthetic raw-record file, the
 replica-at-a-time sampling route that serves as the block route's oracle,
-one mixture's inverse-cdf sampler, the one-run M-step, and the clamped
-piece lookups that RateFunction and interval_of are checked against."""
+one mixture's inverse-cdf sampler, the one-run M-step, the (n, c) argmin
+k-means, and the clamped piece lookups that RateFunction and interval_of
+are checked against."""
 
 from dataclasses import dataclass
 
@@ -14,8 +15,10 @@ from gridres.fitting import _bound_flags, _moments, _newton_shapes, _Rows
 from gridres.simulate import _check_expected, _first_of_ties, _unit_levels
 
 # property tests draw their examples from a fixed seed and keep no example
-# database, so every run of the suite checks the same cases
+# database, so every run of the suite checks the same cases; the `explore`
+# profile (pytest --hypothesis-profile=explore) draws fresh ones each run
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.register_profile("explore", derandomize=False, database=None, deadline=None)
 settings.load_profile("deterministic")
 
 # Reference restoration mixtures for the five failure-time intervals of the
@@ -81,6 +84,37 @@ def _mstep_shapes(logd: np.ndarray, resp: np.ndarray, k: np.ndarray) -> tuple[np
     resp = resp[None]
     g, k = _newton_shapes(rows, resp, rows.sum(resp), np.asarray(k, dtype=float)[None])
     return g[0], k[0], _bound_flags(k)[0]
+
+
+def kmeans_argmin(logd: np.ndarray, c: int, rng: np.random.Generator | None) -> np.ndarray:
+    """k-means labels by an (n, c) argmin over every point in every round.
+
+    gridres.fitting._kmeans_logd finds the same labels by cuts on the
+    sorted points.  Each cluster's mean sums its points in ascending order,
+    as that route does, so the two share every centre and can differ only
+    in how they label.
+    """
+    n = len(logd)
+    if rng is None:
+        centers = np.quantile(logd, (np.arange(c) + 0.5) / c)
+    else:
+        centers = np.sort(rng.choice(logd, size=c, replace=n < c))
+    for _ in range(25):
+        labels = np.argmin(np.abs(logd[:, None] - centers[None, :]), axis=1)
+        new = centers.copy()
+        for j in range(c):
+            pts = logd[labels == j]
+            if len(pts):
+                new[j] = np.add.reduceat(np.sort(pts, kind="stable"), [0])[0] / len(pts)
+            else:
+                # reseed an empty cluster at the point farthest from its center
+                far = np.argmax(np.abs(logd - centers[labels]))
+                new[j] = logd[far]
+        if np.allclose(new, centers):
+            centers = new
+            break
+        centers = new
+    return np.argmin(np.abs(logd[:, None] - centers[None, :]), axis=1)
 
 
 # Synthetic raw-record file shaped like the benchmark storm feed: 5152 rows,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridres
@@ -883,16 +883,12 @@ def fuzz_dataset(tmp_path_factory):
     return path
 
 
-@settings(max_examples=50)
-@given(command=st.sampled_from(sorted(MODEL_COMMANDS)), payload=mutated_models())
-def test_mutated_model_files_keep_the_contract(fuzz_dataset, command, payload):
-    with tempfile.TemporaryDirectory() as tmp:
-        model, out = Path(tmp) / "model.json", Path(tmp) / "out"
-        model.write_text(json.dumps(payload))
-        argv = ["--out", str(out), command, "--model", str(model), *MODEL_COMMANDS[command]]
-        if command == "test":
-            argv += ["--dataset", str(fuzz_dataset)]
-        err = io.StringIO()
+def assert_keeps_contract(argv, out):
+    """Exit 0, 2 or 3; an `error:` line on 2; no exception or warning out of
+    main; and after 0 a rerun writes the same bytes."""
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(argv)
         assert rc in (0, 2, 3), (rc, err.getvalue())
@@ -903,3 +899,61 @@ def test_mutated_model_files_keep_the_contract(fuzz_dataset, command, payload):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
             assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+@settings(max_examples=50)
+@given(command=st.sampled_from(sorted(MODEL_COMMANDS)), payload=mutated_models())
+def test_mutated_model_files_keep_the_contract(fuzz_dataset, command, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        model, out = Path(tmp) / "model.json", Path(tmp) / "out"
+        model.write_text(json.dumps(payload))
+        argv = ["--out", str(out), command, "--model", str(model), *MODEL_COMMANDS[command]]
+        if command == "test":
+            argv += ["--dataset", str(fuzz_dataset)]
+        assert_keeps_contract(argv, out)
+
+
+CELL_VALUES = ("0", "-0", "5e-324", "1e300", "-1e300", "1.7e308", "inf", "-inf", "nan", "-1", "",
+               '"2.5"', " 2.5 ", "1_0")
+DATASET_COMMANDS = {
+    "fit": ["--boundaries", "0,6,12", "--components", "1,1", "--starts", "2", "--max-iter", "40"],
+    "test": ["--intervals", "12"],
+    "resilience": ["--grid-step", "0.5"],
+}
+
+
+@st.composite
+def mutated_datasets(draw):
+    """The fuzz dataset's text with 1-3 edits: a cell set to an extreme or
+    malformed value, or a stretch of rows dropped (down to none)."""
+    rows = [[f"{0.2 * i + 0.05:.2f}", f"{0.5 + i % 5}"] for i in range(55)]
+    for _ in range(draw(st.integers(1, 3))):
+        if rows and draw(st.booleans()):
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from(CELL_VALUES))
+        else:
+            a = draw(st.integers(0, len(rows)))
+            del rows[a:draw(st.integers(a, len(rows)))]
+    return "".join(",".join(row) + "\n" for row in [["t_hours", "duration_hours"], *rows])
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_text(json.dumps(BASE_MODEL))
+    return path
+
+
+@settings(max_examples=50)
+@example(command="fit", text="t_hours,duration_hours\n")
+@example(command="test", text="t_hours,duration_hours\n")
+@example(command="resilience", text="t_hours,duration_hours\n")
+@given(command=st.sampled_from(sorted(DATASET_COMMANDS)), text=mutated_datasets())
+def test_mutated_datasets_keep_the_contract(fuzz_model, command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset, out = Path(tmp) / "dataset.csv", Path(tmp) / "out"
+        dataset.write_text(text)
+        argv = ["--out", str(out), command, "--dataset", str(dataset), *DATASET_COMMANDS[command]]
+        if command != "fit":
+            argv += ["--model", str(fuzz_model)]
+        assert_keeps_contract(argv, out)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres import RateFunction
+from gridres import fileio
 from gridres.fitting import FitResult
 from gridres.fileio import (
     load_model,
@@ -150,6 +152,68 @@ class TestDatasetRoundtrip:
         np.testing.assert_array_equal(back.times, [1.0, 3.0])
         np.testing.assert_array_equal(back.durations, [2.5, 4.0])
         assert back.times.dtype == back.durations.dtype == np.float64
+
+
+# cells a dataset may hold: numbers in several spellings, the grammar where
+# np.loadtxt and float() part (1_0, 0x10, spaces and separators, non-ASCII
+# digits), non-finite values, and quoted cells whose commas np.loadtxt would split
+DATASET_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map("{:.3f}".format),
+    st.integers(-100, 100).map(str),
+    st.sampled_from([" 2.5 ", "\t3\t", "\xa04", "\u30005", "\x1c6", "7\x1f", "\u0661\u0662", "1_0",
+                     "0x10", "+1", ".5", "5.", "1E-3", "inf", "-inf", "nan", "-0", "", "abc", '"7"',
+                     '"a,5,b"', '"1\n2"', "#1", "1e999"]),
+)
+DATASET_HEADERS = (["t_hours", "duration_hours"], ["duration_hours", "t_hours"],
+                   ["id", "t_hours", "note", "duration_hours"], ["t_hours", "x"])
+
+
+@st.composite
+def dataset_texts(draw):
+    """A dataset file's text: rows of numbers with up to 3 cells set to any
+    DATASET_CELLS value, blank, short and long rows, any line ends."""
+    header = draw(st.sampled_from(DATASET_HEADERS))
+    width = len(header)
+    rows = draw(st.lists(st.lists(DATASET_CELLS, min_size=max(0, width - 1), max_size=width + 1)
+                         | st.lists(st.floats(0.0, 1e3).map(repr), min_size=width, max_size=width),
+                         max_size=8))
+    for i, j, cell in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, width), DATASET_CELLS),
+                                    max_size=3 if rows else 0)):
+        row = rows[i % len(rows)]  # never empty: width >= 2
+        row[j % len(row)] = cell
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(",".join(row) for row in [header, *rows]) + draw(st.sampled_from(["", end]))
+
+
+def read_outcome(path):
+    """read_dataset's arrays as bytes, or its error message."""
+    try:
+        back = read_dataset(path)
+    except ValueError as exc:
+        return str(exc)
+    return back.times.dtype, back.times.tobytes(), back.durations.dtype, back.durations.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=dataset_texts())
+def test_columnar_read_equals_row_route(tmp_path_factory, text):
+    # np.loadtxt's reading either equals the csv.reader route bit for bit or
+    # leaves the file to it
+    path = tmp_path_factory.getbasetemp() / "columnar.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    with mock.patch.object(fileio, "_loadtxt_columns", return_value=None):
+        want = read_outcome(path)
+    assert read_outcome(path) == want
+
+
+def test_plain_dataset_read_by_columns(tmp_path):
+    path = tmp_path / "dataset.csv"
+    write_dataset(path, OutageDataset(times=np.array([0.5, 1.0 / 3.0]), durations=np.array([2.0, 7.5])))
+    table = fileio._loadtxt_columns(path, path.read_text(), "utf-8", (0, 1))
+    np.testing.assert_array_equal(table, [[0.5, 0.333333333], [2.0, 7.5]])
+    assert table[0].flags.c_contiguous and table[1].flags.c_contiguous
 
 
 class TestModelRoundtrip:

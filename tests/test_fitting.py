@@ -300,7 +300,8 @@ def test_lockstep_newton_matches_each_run_alone():
     logds = [np.log(dataset.durations[idx == i]) for i in range(3)] + [np.log(np.full(20, 3.0))]
     points = [(logd, _moments(logd)) for logd in logds]
     intervals = [i for i in range(3) for _ in range(4)] + [3]
-    starts = [_moment_start(logds[i], _start_labels(logds[i], 2, 11, j % 4), 2)
+    orders = [np.argsort(logd, kind="stable") for logd in logds]
+    starts = [_moment_start(logds[i], _start_labels(logds[i], orders[i], 2, 11, j % 4), 2)
               for j, i in enumerate(intervals[:-1])]
     starts.append((np.array([0.5, 0.5]), np.array([3.0, 3.0]), np.array([0.05, 0.5])))
     w, g, k = (np.array([s[m] for s in starts]) for m in range(3))

@@ -5,7 +5,8 @@ interval lookup) is compared with a direct computation on random inputs.
 The Newton M-step is compared with lock-step bisection on adversarial
 durations, EM's log-likelihood is checked never to decrease, and the
 multi-start fit that runs each distinct start once is compared with one
-that runs every start.  The columnar ingest is compared with the
+that runs every start, and the k-means by cuts on the sorted points with
+the (n, c) argmin.  The columnar ingest is compared with the
 record-at-a-time pipeline it replaced, on random raw files.  The mixture cdf and quantile, and the
 rate function's cumulative intensity, are checked against their
 definitions, and the mixture mean against scipy's gamma function.  The
@@ -29,7 +30,7 @@ from functools import partial
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.special import gamma, logsumexp
@@ -64,7 +65,9 @@ from gridres.fitting import (
 from gridres.ingest import ParseIssue, Provenance, normalize_ts
 from gridres.weibull import interval_of
 
-from conftest import _mstep_shapes, mixture_from_uniforms, sample_durations, sample_mixture, sample_nhpp
+from conftest import (
+    _mstep_shapes, kmeans_argmin, mixture_from_uniforms, sample_durations, sample_mixture, sample_nhpp,
+)
 
 
 @st.composite
@@ -315,6 +318,35 @@ def test_em_log_likelihood_never_decreases(case, seed):
     assert np.all(np.diff(h) >= -1e-9 * np.maximum(1.0, np.abs(h[:-1])))
 
 
+# log-durations on a half-integer grid (points on midpoints, runs of equal
+# points), an ulp or a few apart, near 0 between centres at -1 and 1 (where
+# |x + 1| and |1 - x| round to ties on several points), at 2**53 (where
+# distances round to ties far from any midpoint), and anywhere in between
+KMEANS_POINTS = st.one_of(
+    st.integers(-6, 6).map(lambda k: k / 2.0),
+    st.sampled_from([1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)),
+                     1.0 + 4.0 * 2.0**-52, 0.1, 0.2, 0.30000000000000004,
+                     1e-17, 3e-17, -2e-17, 5e-324, 2.0**53, 2.0**53 + 2.0, -(2.0**53), 1e15]),
+    st.floats(-30.0, 30.0),
+)
+
+
+@settings(max_examples=300)
+@example(c=2, logd=[-1.0] * 10 + [0.0, 1e-17, 2e-17] + [1.0] * 10, seed=None)
+@example(c=2, logd=[1.0] * 4 + [2.0] * 4 + [2.0**53 + 2.0], seed=None)
+@given(c=st.integers(1, 5), logd=st.lists(KMEANS_POINTS, min_size=1, max_size=30),
+       seed=st.none() | st.integers(0, 2**32 - 1))
+def test_kmeans_cuts_match_argmin(c, logd, seed):
+    # quantile starts (no seed) and drawn ones, n == c and n < c, equal and
+    # ulp-close centres, empty clusters reseeded
+    logd = np.array(logd)
+    got = fitting._kmeans_logd(logd, np.argsort(logd, kind="stable"), c,
+                               None if seed is None else np.random.default_rng(seed))
+    want = kmeans_argmin(logd, c, None if seed is None else np.random.default_rng(seed))
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
 def run_alone(logd, labels, c, tol, max_iter):
     """One start's EM run with no other run beside it."""
     return _run_starts([(logd, _moments(logd))], [(0, labels)], c, tol, max_iter)[0]
@@ -326,7 +358,8 @@ def every_start_fit(durations, c, seed, tol, max_iter, n_starts):
     The best log-likelihood wins, ties going to the lowest start index.
     """
     logd = np.log(_prepare(durations))
-    results = [run_alone(logd, _start_labels(logd, c, seed, idx), c, tol, max_iter)
+    order = np.argsort(logd, kind="stable")
+    results = [run_alone(logd, _start_labels(logd, order, c, seed, idx), c, tol, max_iter)
                for idx in range(max(1, n_starts))]
     best = results[0]
     for r in results[1:]:
@@ -387,7 +420,8 @@ def test_overflowing_start_loses_to_finite_starts(tmp_path_factory, case, n_star
     """
     c, d = case
     logd = np.log(_prepare(d))
-    first = _start_labels(logd, c, seed, 0).tobytes()
+    order = np.argsort(logd, kind="stable")
+    first = _start_labels(logd, order, c, seed, 0).tobytes()
     real = fitting._moment_start
 
     def overflowing(logd, labels, c):
@@ -399,7 +433,7 @@ def test_overflowing_start_loses_to_finite_starts(tmp_path_factory, case, n_star
     with mock.patch.object(fitting, "_moment_start", overflowing):
         got = fit_weibull_mixture(d, c, seed=seed, n_starts=n_starts, max_iter=60)
         want = every_start_fit(d, c, seed, 1e-6, 60, n_starts)
-        each = [run_alone(logd, _start_labels(logd, c, seed, idx), c, 1e-6, 60)
+        each = [run_alone(logd, _start_labels(logd, order, c, seed, idx), c, 1e-6, 60)
                 for idx in range(n_starts)]
     finite = [f.log_likelihood for f in each if math.isfinite(f.log_likelihood)]
     assert repr(got) == repr(want)
@@ -431,7 +465,7 @@ def test_overflowing_run_leaves_the_lockstep_alone(case, n_starts, seed, data):
     """
     c, samples = case
     points = [(logd, _moments(logd)) for logd in (np.log(_prepare(d)) for d in samples)]
-    starts = [(i, _start_labels(logd, c, seed, idx))
+    starts = [(i, _start_labels(logd, np.argsort(logd, kind="stable"), c, seed, idx))
               for i, (logd, _) in enumerate(points) for idx in range(n_starts)]
     spoiled = data.draw(st.integers(0, len(starts) - 1))
     real = fitting._moment_start
