@@ -65,12 +65,13 @@ def _parse_zone(text: str) -> timezone:
         raise CliError(f"bad zone {text!r}; expected +HH:MM or -HH:MM") from None
 
 
-def _parse_when(text: str, zone: timezone) -> datetime:
+def _parse_when(text: str, zone: timezone, flag: str) -> datetime:
     try:
-        ts = datetime.fromisoformat(text)
+        return normalize_ts(datetime.fromisoformat(text), zone)
     except ValueError:
-        raise CliError(f"bad timestamp {text!r}; expected ISO-8601") from None
-    return normalize_ts(ts, zone)
+        raise CliError(f"bad {flag} {text!r}; expected ISO-8601") from None
+    except OverflowError:
+        raise CliError(f"bad {flag} {text!r}: its wall time in the zone is off the calendar") from None
 
 
 def _parse_list(text: str, name: str, kind: type = float) -> tuple:
@@ -232,8 +233,8 @@ def _grid(limit: float, step: float, flags: str) -> np.ndarray:
 
 def cmd_ingest(o: dict, out: Path) -> int:
     zone = _parse_zone(o["zone"])
-    start = _parse_when(o["window_start"], zone)
-    end = _parse_when(o["window_end"], zone)
+    start = _parse_when(o["window_start"], zone, "--window-start")
+    end = _parse_when(o["window_end"], zone, "--window-end")
     try:
         text = Path(o["input"]).read_text()
     except OSError as exc:

@@ -221,6 +221,8 @@ def pearson_nhpp_test(
     """
     if n_intervals < 10:
         raise ValueError("need at least 10 intervals")
+    if n_intervals > _MAX_GRID_POINTS:
+        raise ValueError(f"{n_intervals} intervals exceed the limit of {_MAX_GRID_POINTS:.0e}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     t = np.sort(np.asarray(event_times, dtype=float))

@@ -20,9 +20,9 @@ bit.
 
 Every distinct start of every interval of one fit runs in lock-step.
 Runs with the same component count share (runs, c, n_max) arrays, one row
-per run and one row per component inside it, so each round makes one
-E-step and one M-step for every live run; every live run stays in the
-Newton solve until the last one is solved.  Runs are batched, shortest
+per run and one row per component inside it, so each round is one EM map
+(E-step and M-step) of every live run; every live run stays in the Newton
+solve until the last one is solved.  Runs are batched, shortest
 interval first, so that a batch's arrays hold at most 2**18 cells (2 MB
 of float64): the working set does not grow with the number of starts or
 intervals, and a run alone is never split.  A run's points fill the first
@@ -175,18 +175,18 @@ def _moments(logd: np.ndarray) -> np.ndarray:
 
 
 class _Rows:
-    """Where the points of each lock-step run sit.
+    """Where the points of each lock-step run sit, and the Newton solve's buffers.
 
     Row r of a (runs, ..., n_max) array holds its run's log-durations in
     its first n_r places and padding after them.  Every sum over points is
     taken on exact-length slices, one per stretch of adjacent rows of one
     interval, so it equals, bit for bit, the sum of the run alone.
     `points` holds each interval's (log d, moments); `intervals` gives each
-    row's interval.
+    row's interval; `buf` is the solve's (runs, c, n_max) buffer, its
+    slices cut once for `buf_sums`.
     """
 
-    def __init__(self, points: list, intervals: list[int]):
-        self.points, self.intervals = points, intervals
+    def __init__(self, points: list, intervals: list[int], c: int):
         self.spans = []
         a = 0
         for i, group in itertools.groupby(intervals):
@@ -196,15 +196,16 @@ class _Rows:
         width = max(len(logd) for _, _, logd, _ in self.spans)
         self.logd = np.zeros((len(intervals), 1, width))
         self.n = np.empty(len(intervals))
-        for a, b, logd, _ in self.spans:
+        self.buf = np.empty((len(intervals), c, width))
+        self.total, self.weighted = np.empty((len(intervals), c)), np.empty((len(intervals), 2, c))
+        self.cuts = []
+        for a, b, logd, moments in self.spans:
             self.logd[a:b, 0, :len(logd)] = logd
             self.n[a:b] = len(logd)
+            s = self.buf[a:b, :, :len(logd)]
+            self.cuts.append((s, moments, s.swapaxes(-1, -2), self.total[a:b], self.weighted[a:b]))
         pad = np.arange(width) >= self.n[:, None, None]
         self.pad = pad if pad.any() else None
-
-    def take(self, sel: np.ndarray) -> "_Rows":
-        """The rows `sel` (in order), padded to the longest of them."""
-        return _Rows(self.points, [self.intervals[j] for j in sel])
 
     def _each(self, x: np.ndarray, fn) -> np.ndarray:
         """fn(slice, log d) per interval, stacked along the runs."""
@@ -219,27 +220,13 @@ class _Rows:
         """(runs, c, n_max) weights times log d, summed over the points."""
         return self._each(resp, lambda s, logd: s @ logd)
 
-    def weighted_sums(self, c: int):
-        """A (runs, c, n_max) buffer and a function that returns its sums
-        over the points, (runs, c), and its sums weighted by log d and
-        log d squared, (runs, 2, c).  The slices are cut once, so a loop
-        that refills the buffer pays two calls per interval for its sums;
-        each call overwrites the sums the last one returned."""
-        buf = np.empty((len(self.n), c, self.logd.shape[-1]))
-        total = np.empty(buf.shape[:-1])
-        weighted = np.empty((len(buf), 2, c))
-        cuts = []
-        for a, b, logd, moments in self.spans:
-            s = buf[a:b, :, :len(logd)]
-            cuts.append((s, moments, s.swapaxes(-1, -2), total[a:b], weighted[a:b]))
-
-        def sums():
-            for s, moments, s_t, t, w in cuts:
-                np.add.reduce(s, axis=-1, out=t)
-                np.matmul(moments, s_t, out=w)
-            return total, weighted
-
-        return buf, sums
+    def buf_sums(self):
+        """`buf` summed over the points, (runs, c), and weighted by log d and
+        log d squared, (runs, 2, c); each call overwrites the last one's."""
+        for s, moments, s_t, total, weighted in self.cuts:
+            np.add.reduce(s, axis=-1, out=total)
+            np.matmul(moments, s_t, out=weighted)
+        return self.total, self.weighted
 
 
 def _log_pdf_matrix(logd: np.ndarray, g: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -305,7 +292,7 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
     # a zero responsibility contributes exp(-inf) = 0 to every sum
     with np.errstate(divide="ignore"):
         logr = np.log(resp)
-    e, point_sums = rows.weighted_sums(k.shape[-1])
+    e = rows.buf
 
     def sums(k: np.ndarray):
         np.multiply(k[..., None], rows.logd, out=e)
@@ -313,7 +300,7 @@ def _newton_shapes(rows: _Rows, resp: np.ndarray, s0: np.ndarray, k: np.ndarray)
         top = e.max(axis=-1)
         np.subtract(e, top[..., None], out=e)
         np.exp(e, out=e)
-        a, m = point_sums()
+        a, m = rows.buf_sums()
         m = m / a[..., None, :]
         m1 = m[..., 0, :]
         return top, a, m1, m[..., 1, :] - m1 * m1
@@ -398,59 +385,69 @@ class _Run:
         )
 
 
+def _em_map(rows: _Rows, w: np.ndarray, g: np.ndarray, k: np.ndarray):
+    """One EM round of every run: the log-likelihoods and component masses
+    at (w, g, k), then the weights mass / n and the Newton scales and shapes.
+
+    A run with a non-finite log-likelihood or a mass below 1e-8, which the
+    driver drops, takes its M-step from even responsibilities, so it warns
+    of nothing and moves no other run's numbers; its w', g', k' mean nothing.
+    """
+    ll, resp, mass = _estep(rows, w, g, k)
+    drop = ~np.isfinite(ll) | (mass < _DEGENERATE_MASS).any(axis=-1)
+    s0 = mass
+    if drop.any():
+        even = 1.0 / k.shape[-1]
+        resp[drop] = even if rows.pad is None else np.where(rows.pad[drop], 0.0, even)
+        s0 = rows.sum(resp)
+    return (ll, mass, mass / rows.n[:, None], *_newton_shapes(rows, resp, s0, k))
+
+
 def _em_lockstep(points: list, runs: list[_Run], tol: float, max_iter: int) -> list[tuple[_Run, np.ndarray]]:
     """One EM pass of every run, all with one component count, in lock-step.
 
-    Each round makes one E-step and one M-step for every live run.  A run
-    leaves when it converges, after max_iter rounds, or at a non-finite
-    log-likelihood (keeping the parameters that gave it); those runs end
-    here.  A run with a component whose responsibility mass is below 1e-8
-    leaves too, its pass discarded: it is returned with the components
-    it keeps.
+    Each round maps every live run once (`_em_map`) and sorts it: a
+    non-finite log-likelihood ends the run with the parameters that gave
+    it; a component mass below 1e-8 discards its pass, and it is returned
+    with the components it keeps; a gain of at most tol times the last
+    log-likelihood ends it converged, round max_iter unconverged; the rest
+    stay live, compacted in one place.
     """
     # rows of one interval side by side make one slice per interval
     live = sorted(runs, key=lambda r: r.interval)
-    rows = _Rows(points, [r.interval for r in live])
+    c = len(live[0].w)
+    rows = _Rows(points, [r.interval for r in live], c)
     w, g, k = (np.array([getattr(r, name) for r in live]) for name in "wgk")
-    prev = np.full(len(live), -np.inf)
+    # no gain passes against NaN, the last log-likelihood of a first round
+    prev = np.full(len(live), np.nan)
     dropped = []
-    for _ in range(max_iter):
-        ll, resp, mass = _estep(rows, w, g, k)
+    for it in range(max_iter):
+        ll, mass, w1, g1, k1 = _em_map(rows, w, g, k)
         bad = ~np.isfinite(ll)
-        dead = ~bad & (mass < _DEGENERATE_MASS).any(axis=-1)
-        if bad.any() or dead.any():
-            for j in np.flatnonzero(bad):
-                live[j].pass_flags.append("non-finite log-likelihood")
-                live[j].end(w[j], g[j], k[j], converged=False)
-            dropped += [(live[j], mass[j] >= _DEGENERATE_MASS) for j in np.flatnonzero(dead)]
-            stay = np.flatnonzero(~(bad | dead))
+        dead = (mass < _DEGENERATE_MASS).any(axis=-1)
+        done = ll - prev <= tol * np.abs(prev)
+        stay = []
+        for j, (run, value, is_bad, is_dead, is_done, flags) in enumerate(zip(
+                live, ll.tolist(), bad.tolist(), dead.tolist(), done.tolist(), _bound_flags(k1))):
+            if is_bad:
+                run.pass_flags.append("non-finite log-likelihood")
+                run.end(w[j], g[j], k[j], converged=False)
+            elif is_dead:
+                dropped.append((run, mass[j] >= _DEGENERATE_MASS))
+            else:
+                run.history.append(value)
+                run.pass_flags += [f for f in flags if f not in run.pass_flags]
+                if is_done or it == max_iter - 1:
+                    run.end(w1[j], g1[j], k1[j], converged=is_done)
+                else:
+                    stay.append(j)
+        if not stay:
+            break
+        if len(stay) < len(live):
             live = [live[j] for j in stay]
-            if not live:
-                break
-            rows = rows.take(stay)
-            resp = resp[stay, :, :rows.logd.shape[-1]]
-            ll, mass, k, prev = ll[stay], mass[stay], k[stay], prev[stay]
-        for run, value in zip(live, ll.tolist()):
-            run.history.append(value)
-        w = mass / rows.n[:, None]
-        g, k = _newton_shapes(rows, resp, mass, k)
-        for run, flags in zip(live, _bound_flags(k)):
-            run.pass_flags += [f for f in flags if f not in run.pass_flags]
-        # prev is -inf in a run's first round: kept out of the product, tol = 0 makes no 0 * inf
-        seen = prev > -np.inf
-        done = seen & (ll - prev <= tol * np.abs(np.where(seen, prev, 0.0)))
-        prev = ll
-        if done.any():
-            for j in np.flatnonzero(done):
-                live[j].end(w[j], g[j], k[j], converged=True)
-            stay = np.flatnonzero(~done)
-            live = [live[j] for j in stay]
-            if not live:
-                break
-            rows = rows.take(stay)
-            w, g, k, prev = w[stay], g[stay], k[stay], prev[stay]
-    for j, run in enumerate(live):
-        run.end(w[j], g[j], k[j], converged=False)
+            rows = _Rows(points, [r.interval for r in live], c)
+            w1, g1, k1, ll = w1[stay], g1[stay], k1[stay], ll[stay]
+        w, g, k, prev = w1, g1, k1, ll
     return dropped
 
 
@@ -498,6 +495,8 @@ def _fit_intervals(logds: list[np.ndarray], counts: list[int], seeds: list[int],
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     points = [(logd, _moments(logd)) for logd in logds]
     starts = []
     for i, (logd, c, seed) in enumerate(zip(logds, counts, seeds)):

@@ -141,6 +141,8 @@ def parse_records(
     if delimiter is None:
         first = text.partition("\n")[0].splitlines()
         delimiter = "\t" if first and "\t" in first[0] else ","
+    elif len(delimiter) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     try:
         header = next(reader, None)

@@ -97,8 +97,9 @@ def pick_threshold(grid, values, smoothing: int = 5) -> ThresholdPick:
         raise ValueError("need at least five grid points")
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    if smoothing < 0:
-        raise ValueError("smoothing window must be >= 0")
+    if not 0 <= smoothing <= len(x):
+        raise ValueError(f"smoothing window {smoothing} must lie in [0, {len(x)}], "
+                         "the curve's point count")
     sm = _smooth(s, smoothing)
     h0 = np.diff(x)[:-1]
     h1 = np.diff(x)[1:]

@@ -67,6 +67,7 @@ class WeibullMixture:
         pdf(0) is the mathematical limit (inf when any k < 1 component has
         positive weight, weight/scale for k == 1, 0 otherwise).  A duration
         so small that d / g underflows to 0 gets that component's limit too.
+        Components of weight 0 add nothing, even there.
         """
         arr = np.atleast_1d(np.asarray(d, dtype=float))
         if np.any(arr < 0.0):
@@ -75,14 +76,15 @@ class WeibullMixture:
         pos = arr > 0.0
         x = arr[pos]
         acc = np.zeros_like(x)
-        for w, g, k in zip(self._w, self._g, self._k):
+        live = [(w, g, k) for w, g, k in zip(self._w, self._g, self._k) if w > 0.0]
+        for w, g, k in live:
             z = x / g
             with np.errstate(divide="ignore"):  # 0 ** (k - 1) for k < 1: inf
                 acc += w * (k / g) * z ** (k - 1.0) * np.exp(-(z**k))
         out[pos] = acc
         if not pos.all():
-            out[~pos] = math.inf if (self._k < 1.0).any() else sum(
-                w / g for w, g, k in zip(self._w, self._g, self._k) if k == 1.0)
+            out[~pos] = math.inf if any(k < 1.0 for _, _, k in live) else sum(
+                w / g for w, g, k in live if k == 1.0)
         return float(out[0]) if np.isscalar(d) else out
 
     def cdf(self, d):

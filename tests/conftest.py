@@ -80,7 +80,7 @@ def _mstep_shapes(logd: np.ndarray, resp: np.ndarray, k: np.ndarray) -> tuple[np
     (gridres.fitting._newton_shapes) on every live run at once; this is
     that solve on one run alone.
     """
-    rows = _Rows([(logd, _moments(logd))], [0])
+    rows = _Rows([(logd, _moments(logd))], [0], len(resp))
     resp = resp[None]
     g, k = _newton_shapes(rows, resp, rows.sum(resp), np.asarray(k, dtype=float)[None])
     return g[0], k[0], _bound_flags(k)[0]

@@ -586,6 +586,59 @@ class TestExitCodes:
         assert "error: n_starts must be >= 1" in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+    @pytest.mark.parametrize("tol", ["-inf", "nan", "inf", "-1e-9"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, small_dataset, tol):
+        # -inf warned of inf * 0 and exited 3; nan ran every start to max_iter
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["--out", str(out), "fit", "--dataset", str(small_dataset),
+                       "--boundaries", "0,5,10", "--components", "1,1", f"--tol={tol}"])
+        assert rc == 2
+        assert "error: tol must be finite and >= 0" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("delimiter", [",,", ""])
+    def test_delimiter_must_be_one_character(self, workspace, tmp_path, capsys, delimiter):
+        out = tmp_path / "x"
+        rc = main(["--out", str(out), "ingest", "--input", str(workspace / "raw.csv"),
+                   "--window-start", WINDOW_START, "--window-end", WINDOW_END,
+                   f"--delimiter={delimiter}"])
+        assert rc == 2
+        assert "error: delimiter must be one character" in capsys.readouterr().err
+        assert not (out / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("flag, when", [
+        ("--window-start", "0001-01-01T00:00+01:00"),
+        ("--window-end", "9999-12-31T23:59-01:00"),
+    ])
+    def test_window_off_the_calendar_refused(self, workspace, tmp_path, capsys, flag, when):
+        # at the default -05:00 these instants' wall times fall before year 1
+        # or after year 9999
+        bounds = {"--window-start": WINDOW_START, "--window-end": WINDOW_END, flag: when}
+        rc = main(["--out", str(tmp_path / "x"), "ingest", "--input", str(workspace / "raw.csv"),
+                   *(x for item in bounds.items() for x in item)])
+        assert rc == 2
+        assert f"error: bad {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("intervals", [str(2**53), str(10**20)])
+    def test_intervals_over_grid_ceiling_refused(self, pipeline, tmp_path, capsys, intervals):
+        out = tmp_path / "x"
+        rc = main(["--out", str(out), "test", "--dataset", str(pipeline[0] / "dataset.csv"),
+                   "--model", str(pipeline[0] / "model.json"), "--intervals", intervals])
+        assert rc == 2
+        assert "intervals exceed the limit of 1e+07" in capsys.readouterr().err
+        assert not (out / "gof.json").exists()
+
+    @pytest.mark.parametrize("smoothing", [str(2**53), str(10**20)])
+    def test_smoothing_over_point_count_refused(self, tiny_model, tmp_path, capsys, smoothing):
+        out = tmp_path / "x"
+        rc = main(["--out", str(out), "resilience", "--model", str(tiny_model),
+                   "--smoothing", smoothing])
+        assert rc == 2
+        assert "error: smoothing window" in capsys.readouterr().err
+        assert not (out / "resilience.json").exists()
+
     def test_surge_flags_must_come_together(self, tiny_model, tmp_path):
         rc = main(["--out", str(tmp_path), "simulate", "--model", str(tiny_model),
                    "--replicas", "2", "--surge-base", "1.0", "--surge-peak", "9.0"])

@@ -126,6 +126,12 @@ class TestPearson:
                 times.append(i * width + (j + 1) * jitter * width / (c + 1))
         return np.sort(times)
 
+    @pytest.mark.parametrize("n", [2**53, 10**20])
+    def test_intervals_over_grid_ceiling_refused(self, n):
+        # refused before the edges are allocated, as regular_grid refuses a grid
+        with pytest.raises(ValueError, match="intervals exceed the limit"):
+            pearson_nhpp_test([1.0, 2.0, 3.0], RateFunction.constant(2.0, 10.0), n_intervals=n)
+
     def test_hand_computed_table(self):
         # 10 unit intervals, constant estimated intensity 2/hour: the
         # expected counts follow the Poisson pmf with the tail folded into

@@ -16,7 +16,8 @@ from gridres import (
     replica_rng,
 )
 import gridres.fitting
-from gridres.fitting import ZERO_DURATION_SHIFT, _em_lockstep, _moment_start, _moments, _Run, _start_labels
+from gridres.fitting import (ZERO_DURATION_SHIFT, _em_lockstep, _em_map, _moment_start, _moments, _Rows,
+                             _Run, _start_labels)
 
 from conftest import WINDOW_END, WINDOW_START, _mstep_shapes, make_raw_csv, reference_mixture, sample_mixture
 
@@ -32,6 +33,9 @@ def test_input_guards():
         fit_weibull_mixture([1.0, 2.0], 0)
     with pytest.raises(ValueError):
         fit_weibull_mixture([1.0, 2.0], 3)
+    for tol in (-np.inf, np.nan, np.inf, -1e-9):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            fit_weibull_mixture([1.0, 2.0, 3.0], 1, tol=tol)
 
 
 def test_zero_durations_shifted():
@@ -132,13 +136,9 @@ def test_converged_newton_step_stays_in_the_bracket():
     class CountingRows(gridres.fitting._Rows):
         calls = 0
 
-        def weighted_sums(self, c):
-            buf, sums = super().weighted_sums(c)
-
-            def counted():
-                self.calls += 1
-                return sums()
-            return buf, counted
+        def buf_sums(self):
+            self.calls += 1
+            return super().buf_sums()
 
     rng = np.random.default_rng(0)
     calls = []
@@ -146,7 +146,7 @@ def test_converged_newton_step_stays_in_the_bracket():
         n = int(rng.integers(20, 400))
         shape, scale = rng.uniform(0.3, 5.0), rng.uniform(0.5, 20.0)
         logd = np.log(scale * rng.weibull(shape, n))
-        rows = CountingRows([(logd, _moments(logd))], [0])
+        rows = CountingRows([(logd, _moments(logd))], [0], 1)
         resp, k0 = np.ones((1, 1, n)), np.array([[rng.uniform(0.05, 10.0)]])
         gridres.fitting._newton_shapes(rows, resp, rows.sum(resp), k0)
         calls.append(rows.calls)
@@ -305,7 +305,7 @@ def test_lockstep_newton_matches_each_run_alone():
               for j, i in enumerate(intervals[:-1])]
     starts.append((np.array([0.5, 0.5]), np.array([3.0, 3.0]), np.array([0.05, 0.5])))
     w, g, k = (np.array([s[m] for s in starts]) for m in range(3))
-    rows = gridres.fitting._Rows(points, intervals)
+    rows = gridres.fitting._Rows(points, intervals, 2)
     _, resp, mass = gridres.fitting._estep(rows, w, g, k)
     g_all, k_all = gridres.fitting._newton_shapes(rows, resp, mass, k)
     np.testing.assert_array_equal(k_all[-1], [100.0, 100.0])
@@ -313,6 +313,68 @@ def test_lockstep_newton_matches_each_run_alone():
         g_one, k_one, _ = _mstep_shapes(logds[i], resp[j, :, :len(logds[i])], k[j])
         np.testing.assert_array_equal(g_all[j], g_one)
         np.testing.assert_array_equal(k_all[j], k_one)
+
+
+def iterate_em_map(points, interval, start, tol=1e-6, max_iter=200):
+    """EM on one start (w, g, k) by `_em_map` alone: its history and final (w, g, k)."""
+    w, g, k = (x[None] for x in start)
+    rows = _Rows(points, [interval], w.shape[1])
+    history = []
+    for _ in range(max_iter):
+        ll, mass, w1, g1, k1 = _em_map(rows, w, g, k)
+        assert np.isfinite(ll[0]) and mass.min() >= 1e-8
+        history.append(float(ll[0]))
+        w, g, k = w1, g1, k1
+        if len(history) > 1 and history[-1] - history[-2] <= tol * abs(history[-2]):
+            break
+    return history, w[0], g[0], k[0]
+
+
+def test_em_map_alone_reproduces_lockstep_runs():
+    # the storm's 25 starts (5 intervals x 5) in one lock-step pass; the
+    # one run that reaches max_iter and one that converges early equal
+    # `_em_map` iterated on their starts alone, bit for bit
+    dataset = storm_dataset()
+    boundaries = (0.0, 12.0, 20.0, 28.0, 36.0, 45.0)
+    idx = np.searchsorted(boundaries, dataset.times, side="right") - 1
+    logds = [np.log(dataset.durations[idx == i]) for i in range(5)]
+    points = [(logd, _moments(logd)) for logd in logds]
+    starts = [(i, _moment_start(logd, _start_labels(logd, np.argsort(logd, kind="stable"), 2, 11, s), 2))
+              for i, logd in enumerate(logds) for s in range(5)]
+    runs = [_Run(i, *start) for i, start in starts]
+    assert _em_lockstep(points, runs, tol=1e-6, max_iter=200) == []
+    for j in (4, 7):
+        run = runs[j]
+        assert (len(run.history), run.converged) == ((200, False) if j == 4 else (66, True))
+        history, w, g, k = iterate_em_map(points, *starts[j])
+        assert history == run.history
+        for ours, theirs in ((w, run.w), (g, run.g), (k, run.k)):
+            np.testing.assert_array_equal(ours, theirs)
+
+    # beside a start whose second component dies (its scale 1e9 at shape 60
+    # leaves it no mass) and one whose densities overflow (a non-finite
+    # log-likelihood), the storm start's round is its round alone, and
+    # neither start warns of anything, in the map or in the driver
+    _, (w0, g0, k0) = starts[4]
+    dying = (np.array([0.5, 0.5]), np.array([np.exp(logds[1].mean()), 1e9]), np.array([1.0, 60.0]))
+    overflowing = (np.array([0.5, 0.5]), np.full(2, np.exp(logds[2].max() - 20.0)), np.full(2, 100.0))
+    rows = _Rows(points, [0, 1, 2], 2)
+    w, g, k = (np.array(col) for col in zip((w0, g0, k0), dying, overflowing))
+    alone = _em_map(_Rows(points, [0], 2), w[:1], g[:1], k[:1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ll, mass, w1, g1, k1 = _em_map(rows, w, g, k)
+        runs = [_Run(0, w0, g0, k0), _Run(1, *dying), _Run(2, *overflowing)]
+        dropped = _em_lockstep(points, runs, tol=1e-6, max_iter=200)
+    for ours, theirs in zip((ll, mass, w1, g1, k1), alone):
+        np.testing.assert_array_equal(ours[:1], theirs)
+    assert np.isfinite(ll[1]) and mass[1, 1] < 1e-8 <= mass[1, 0]
+    assert not np.isfinite(ll[2])
+    assert len(dropped) == 1 and dropped[0][0] is runs[1]
+    np.testing.assert_array_equal(dropped[0][1], [True, False])
+    assert runs[1].history == [] and runs[2].history == []
+    assert runs[2].pass_flags == ["non-finite log-likelihood"] and not runs[2].converged
+    assert runs[0].history == iterate_em_map(points, *starts[4])[0]
 
 
 def test_multi_start_keeps_best_likelihood():

@@ -97,6 +97,11 @@ class TestParseRecords:
         assert not issues
         assert records.durations[0] == -0.5
 
+    @pytest.mark.parametrize("delimiter", [",,", ""])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(ValueError, match="delimiter must be one character"):
+            parse_records(HEADER + "a,2008-09-12T07:00,1.0\n", delimiter=delimiter)
+
     def test_tab_delimiter_autodetected(self):
         text = "id\ttimestamp\tduration_hours\na\t2008-09-12T07:00\t1.0\n"
         records, issues = parse_records(text)

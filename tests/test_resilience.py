@@ -80,6 +80,16 @@ class TestPickThreshold:
         assert pick.shape == "concave"
         assert abs(pick.d0 - 13.0) <= 0.25
 
+    def test_smoothing_at_most_the_point_count(self):
+        x = np.arange(0.0, 26.0 + 1e-9, 0.25)
+        s = softplus_knee(x)
+        # 0 and 1 smooth nothing; a window of every point is the widest allowed
+        assert repr(pick_threshold(x, s, 0)) == repr(pick_threshold(x, s, 1))
+        pick_threshold(x, s, len(x))
+        for width in (-1, len(x) + 1, 2**53, 10**20):
+            with pytest.raises(ValueError, match="smoothing window"):
+                pick_threshold(x, s, width)
+
     def test_knee_stable_under_grid_halving(self):
         coarse = np.arange(0.0, 26.0 + 1e-9, 0.25)
         fine = np.arange(0.0, 26.0 + 1e-9, 0.125)

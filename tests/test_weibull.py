@@ -1,5 +1,7 @@
 """Weibull mixtures and the piecewise duration model."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -44,6 +46,18 @@ def test_pdf_at_zero_conventions():
     assert np.isinf(infant.pdf(0.0))
     aging = WeibullMixture(components=((1.0, 5.0, 2.5),))
     assert aging.pdf(0.0) == 0.0
+
+
+def test_zero_weight_component_adds_nothing():
+    # a shape-0.5 component diverges at 0 and where d / g underflows to 0;
+    # at weight 0 it must neither warn (0 * inf) nor make pdf(0) infinite
+    m = WeibullMixture(components=((0.0, 3.0, 0.5), (1.0, 3.0, 2.0)))
+    alone = WeibullMixture(components=((1.0, 3.0, 2.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (5e-324, 1e-3, 2.0):
+            assert m.pdf(d) == alone.pdf(d)
+        assert m.pdf(0.0) == 0.0
 
 
 def test_cdf_bounds_and_monotonicity():
