@@ -23,7 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimate import estimate_rate, pearson_nhpp_test, qq_points, reconstruct, regular_grid
+from .estimate import (
+    check_intervals,
+    estimate_rate,
+    pearson_nhpp_test,
+    qq_points,
+    reconstruct,
+    regular_grid,
+)
 from .fileio import (
     load_model,
     read_dataset,
@@ -37,6 +44,7 @@ from .ingest import DEFAULT_ZONE, ingest_pipeline, normalize_ts
 from .rates import RateFunction
 from .recovery import SurgeSpec, check_quad_step
 from .resilience import (
+    check_smoothing,
     infant_aging_split,
     interval_weights,
     resilience_at,
@@ -223,10 +231,10 @@ def resolve_options(opts: tuple[Opt, ...], args: argparse.Namespace, cfg: dict) 
     return values
 
 
-def _grid(limit: float, step: float, flags: str) -> np.ndarray:
-    """regular_grid(limit, step); `flags` name step and limit in errors."""
+def _flagged(flags: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs); a ValueError from it becomes an error naming `flags`."""
     try:
-        return regular_grid(limit, step)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise CliError(f"{flags}: {exc}") from None
 
@@ -269,11 +277,8 @@ def cmd_fit(o: dict, out: Path) -> int:
         raise CliError("no events to fit")
     boundaries = _parse_list(o["boundaries"], "boundaries")
     components = _parse_list(o["components"], "components", int)
-    try:
-        rate = estimate_rate(dataset.times, window=o["tau"], bin_width=o["bin"],
-                             horizon=boundaries[-1])
-    except ValueError as exc:
-        raise CliError(f"--tau/--bin/--boundaries: {exc}") from None
+    rate = _flagged("--tau/--bin/--boundaries", estimate_rate, dataset.times,
+                    window=o["tau"], bin_width=o["bin"], horizon=boundaries[-1])
     model, fits = fit_duration_model(
         dataset.times, dataset.durations, boundaries, components,
         seed=o["seed"], tol=o["tol"], max_iter=o["max_iter"], n_starts=o["starts"],
@@ -296,6 +301,7 @@ def cmd_fit(o: dict, out: Path) -> int:
 
 
 def cmd_test(o: dict, out: Path) -> int:
+    _flagged("--intervals", check_intervals, o["intervals"])
     dataset = read_dataset(o["dataset"])
     rate, _model, _payload = load_model(o["model"])
     times = dataset.times
@@ -345,7 +351,7 @@ def cmd_simulate(o: dict, out: Path) -> int:
         if horizon < last_knot:
             raise CliError(f"horizon {horizon} cannot truncate the fitted rate (last knot {last_knot})")
         rate = RateFunction(knots=rate.knots, horizon=horizon)
-    grid = _grid(horizon, o["grid_step"], "--horizon/--grid-step")
+    grid = _flagged("--horizon/--grid-step", regular_grid, horizon, o["grid_step"])
     summary = mean_paths(rate, model, grid, replicas, o["seed"])
     write_table(
         out / "paths.csv",
@@ -398,7 +404,8 @@ def cmd_resilience(o: dict, out: Path) -> int:
         except RuntimeError as exc:
             raise CliError(f"cannot size the curve from the model ({exc}); "
                            "give --grid-max") from None
-    grid = _grid(grid_max, o["grid_step"], "--grid-max/--grid-step")
+    grid = _flagged("--grid-max/--grid-step", regular_grid, grid_max, o["grid_step"])
+    _flagged("--smoothing", check_smoothing, o["smoothing"], len(grid))
     curve = resilience_curve(weights, model, grid, o["smoothing"])
     sdd = np.concatenate(([np.nan], curve.second_derivative, [np.nan]))
     write_table(
@@ -434,11 +441,8 @@ def cmd_resilience(o: dict, out: Path) -> int:
 def cmd_reconstruct(o: dict, out: Path) -> int:
     rate, model, _payload = load_model(o["model"])
     mode = o["mode"]
-    grid = _grid(rate.horizon, o["grid_step"], "--grid-step")
-    try:
-        check_quad_step(rate.horizon, o["quad_step"])
-    except ValueError as exc:
-        raise CliError(f"--quad-step: {exc}") from None
+    grid = _flagged("--grid-step", regular_grid, rate.horizon, o["grid_step"])
+    _flagged("--quad-step", check_quad_step, rate.horizon, o["quad_step"])
     header = ["t_hours", "failure_rate"]
     cols = [grid, rate.value(grid)]
     weights = None

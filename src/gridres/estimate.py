@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import RateFunction
-from .recovery import CLAMP_WARN_TOL, DEFAULT_QUAD_STEP, expected_recovered, recovery_rate_curve
+from .recovery import DEFAULT_QUAD_STEP, _clamp, expected_recovered, recovery_rate_curve
 from .weibull import DurationModel
 
 __all__ = [
@@ -204,6 +204,15 @@ def _chi2_quantile(dof: int, prob: float) -> float:
     return 2.0 * x
 
 
+def check_intervals(n_intervals: int) -> None:
+    """Raise ValueError unless the Pearson test's interval count lies in
+    [10, 10^7]; nothing is allocated before the check."""
+    if n_intervals < 10:
+        raise ValueError("need at least 10 intervals")
+    if n_intervals > _MAX_GRID_POINTS:
+        raise ValueError(f"{n_intervals} intervals exceed the limit of {_MAX_GRID_POINTS:.0e}")
+
+
 def pearson_nhpp_test(
     event_times,
     rate: RateFunction,
@@ -219,10 +228,7 @@ def pearson_nhpp_test(
     when pooling merges cells; a table that pools down to three or fewer
     cells carries no usable degrees of freedom and is rejected as input.
     """
-    if n_intervals < 10:
-        raise ValueError("need at least 10 intervals")
-    if n_intervals > _MAX_GRID_POINTS:
-        raise ValueError(f"{n_intervals} intervals exceed the limit of {_MAX_GRID_POINTS:.0e}")
+    check_intervals(n_intervals)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     t = np.sort(np.asarray(event_times, dtype=float))
@@ -340,15 +346,9 @@ def reconstruct(
         raise ValueError("grid extends beyond the intensity horizon")
     lam_r = recovery_rate_curve(rate, model, grid, quad_step)
     raw = rate.cumulative(grid) - expected_recovered(rate, model, grid, quad_step)
-    if np.any(raw < -CLAMP_WARN_TOL):
-        warnings.warn(
-            f"expected outage curve dips to {raw.min():.3g} < 0; clamped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return Reconstruction(
         grid=grid,
         failure_rate=rate.value(grid),
         recovery_rate=lam_r,
-        expected_out=np.maximum(raw, 0.0),
+        expected_out=_clamp(raw, "expected outage curve dips to"),
     )

@@ -64,6 +64,8 @@ _DEGENERATE_MASS = 1e-8
 # runs in one lock-step batch hold at most this many (run, component,
 # point) cells, 2 MB per float64 array, unless one run alone holds more
 _LOCKSTEP_CELLS = 1 << 18
+# starts per interval allowed; each draws its own k-means labels
+_MAX_STARTS = 10**4
 
 
 @dataclass(frozen=True)
@@ -495,6 +497,10 @@ def _fit_intervals(logds: list[np.ndarray], counts: list[int], seeds: list[int],
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    if n_starts > _MAX_STARTS:
+        raise ValueError(f"{n_starts} starts exceed the limit of {_MAX_STARTS:.0e}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     points = [(logd, _moments(logd)) for logd in logds]

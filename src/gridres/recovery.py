@@ -8,8 +8,8 @@ The recoveries then arrive with intensity
 
 and the expected number of simultaneously failed entities is the running
 integral of lf - lr: the exact cumulative of lf less the expected
-recoveries.  This module evaluates each integral in a lattice pass of its
-own and provides the day-to-day and surge closed forms.
+recoveries.  The curves, the day-to-day and surge closed forms included,
+take an array of times and serve them all in one call.
 
 A pass cuts the failure times [0, t] into cells of step h, split at the
 rate's knots and the model's boundaries.  lr takes each cell's intensity
@@ -57,8 +57,7 @@ _ON_LATTICE_RTOL = 1e-12
 # 2-core x86 host the two cost the same at a support of about 500 cells,
 # whatever the kernel's length (100 to 9000)
 _FFT_MIN_SUPPORT = 500
-# an expected failed count below -CLAMP_WARN_TOL is more than quadrature
-# noise: it is clamped at 0 with a RuntimeWarning
+# an expected failed count below -CLAMP_WARN_TOL is more than quadrature noise
 CLAMP_WARN_TOL = 1e-9
 # width, in hours, of the ramp that stands for a surge's drop to the base rate
 _SURGE_RAMP = 1e-9
@@ -74,17 +73,38 @@ def check_quad_step(extent: float, quad_step: float) -> None:
                          f"the limit of {_MAX_CELLS:.0e}")
 
 
+def _times(times, horizon: float = np.inf) -> np.ndarray:
+    """times as a 1-d float array, each checked finite and in [0, horizon]."""
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    if t.ndim != 1:
+        raise ValueError("times must be a scalar or a 1-d array")
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise ValueError("t must be finite and >= 0")
+    if np.any(t > horizon + 1e-9):
+        raise ValueError("t must lie in [0, rate horizon]")
+    return t
+
+
+def _like(times, out: np.ndarray):
+    """out as a float when `times` is a scalar, else the array."""
+    return float(out[0]) if np.ndim(times) == 0 else out
+
+
+def _clamp(raw, what: str):
+    """raw clamped at 0, with a RuntimeWarning naming `what` and the lowest
+    value when that is below -CLAMP_WARN_TOL."""
+    if np.min(raw, initial=0.0) < -CLAMP_WARN_TOL:
+        warnings.warn(f"{what} {np.min(raw):.3g} < 0; clamped", RuntimeWarning, stacklevel=3)
+    return np.maximum(raw, 0.0)
+
+
 def _evaluate(rate: RateFunction, model: DurationModel, times, quad_step: float,
               lattice_pass) -> np.ndarray:
     """lattice_pass(rate, model, t, n, step) at each time in `times`, t the
     times and n their node indices on the lattice j * step: the times on the
     quad_step lattice in one pass, each other time t in its own, on the
     lattice of step t / n with n = max(1, round(t / quad_step))."""
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    if t.ndim != 1:
-        raise ValueError("times must be a scalar or a 1-d array")
-    if not np.all((t >= 0.0) & (t <= rate.horizon + 1e-9)):
-        raise ValueError("t must lie in [0, rate horizon]")
+    t = _times(times, rate.horizon)
     check_quad_step(float(t.max(initial=0.0)), quad_step)
     n = np.rint(t / quad_step)
     on = np.abs(t - n * quad_step) <= _ON_LATTICE_RTOL * t
@@ -219,8 +239,7 @@ def expected_recovered(
 ):
     """Expected number of recoveries completed by time(s) t, the integral of
     lr from 0 to t; a float for a scalar t, else an array."""
-    out = _evaluate(rate, model, t, quad_step, _recovered_pass)
-    return float(out[0]) if np.isscalar(t) else out
+    return _like(t, _evaluate(rate, model, t, quad_step, _recovered_pass))
 
 
 def expected_in_failure(
@@ -232,9 +251,8 @@ def expected_in_failure(
     """Expected number of entities still failed at time(s) t: the exact
     cumulative failure intensity less expected_recovered, in one lattice
     pass; a float for a scalar t, else an array."""
-    if np.ndim(t) == 0:
-        t = float(t)
-    return rate.cumulative(t) - expected_recovered(rate, model, t, quad_step)
+    times = _times(t)
+    return _like(t, rate.cumulative(times) - expected_recovered(rate, model, times, quad_step))
 
 
 def expected_failed(
@@ -242,69 +260,59 @@ def expected_failed(
     rate_r: RateFunction,
     t: float,
 ) -> float:
-    """Expected simultaneously-failed count at t from two fitted intensities.
-
-    Integrates rate_f - rate_r over [0, t] exactly (both are piecewise
-    linear).  Quadrature noise can push the result slightly negative; the
-    value is clamped at 0 and a RuntimeWarning is emitted when the raw
-    result falls below -CLAMP_WARN_TOL.
-    """
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    if t > rate_f.horizon + 1e-9 or t > rate_r.horizon + 1e-9:
+    """Expected simultaneously-failed count at t from two fitted intensities:
+    the exact integral of rate_f - rate_r over [0, t] (both are piecewise
+    linear), clamped at 0 as reconstruct's curve is."""
+    times = _times(t)
+    if np.any(times > min(rate_f.horizon, rate_r.horizon) + 1e-9):
         raise ValueError("mismatched horizons: both rates must be defined on [0, t]")
-    raw = rate_f.cumulative(t) - rate_r.cumulative(t)
-    if raw < -CLAMP_WARN_TOL:
-        warnings.warn(
-            f"expected failed count at t={t} is {raw:.3g} < 0; clamped to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return max(raw, 0.0)
+    raw = rate_f.cumulative(times) - rate_r.cumulative(times)
+    return _like(t, _clamp(raw, f"expected failed count at t={t} is"))
+
+
+def _day_to_day(base_rate: float, model: DurationModel, t, quad_step: float,
+                quantity) -> np.ndarray:
+    """quantity(rate, model, times, quad_step) at the times t > 0 for the
+    constant intensity base_rate on [0, max(t)], all in one call; exactly 0
+    at t = 0 and wherever base_rate is 0."""
+    times = _times(t)
+    if base_rate < 0.0:
+        raise ValueError("base_rate must be >= 0")
+    out = np.zeros(len(times))
+    live = times > 0.0
+    if base_rate > 0.0 and live.any():
+        rate = RateFunction.constant(base_rate, float(times.max()))
+        out[live] = quantity(rate, model, times[live], quad_step)
+    return out
 
 
 def day_to_day_recovery_rate(
     base_rate: float,
     model: DurationModel,
-    t: float,
+    t,
     quad_step: float = DEFAULT_QUAD_STEP,
-) -> float:
-    """Recovery intensity under a constant failure intensity.
-
-    For a stationary duration model this is exactly base_rate * G(t); the
-    piecewise case goes through the general convolution quadrature.  The
-    value climbs from 0 toward base_rate as restorations catch up.
-    """
-    t = float(t)
-    if base_rate < 0.0:
-        raise ValueError("base_rate must be >= 0")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0 or base_rate == 0.0:
-        return 0.0
+):
+    """Recovery intensity at time(s) t under a constant failure intensity,
+    climbing from 0 toward base_rate as restorations catch up: exactly
+    base_rate * G(t) for a stationary duration model, else the general
+    convolution quadrature."""
     if model.is_stationary:
-        return base_rate * model.mixtures[0].cdf(t)
-    rate = RateFunction.constant(base_rate, t)
-    return recovery_rate(rate, model, t, quad_step)
+        def quantity(rate, model, times, _):
+            return base_rate * model.mixtures[0].cdf(times)
+    else:
+        quantity = recovery_rate_curve
+    return _like(t, _day_to_day(base_rate, model, t, quad_step, quantity))
 
 
 def day_to_day_expected(
     base_rate: float,
     model: DurationModel,
-    t: float,
+    t,
     quad_step: float = DEFAULT_QUAD_STEP,
-) -> float:
-    """Expected failed count under a constant failure intensity."""
-    t = float(t)
-    if base_rate < 0.0:
-        raise ValueError("base_rate must be >= 0")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0 or base_rate == 0.0:
-        return 0.0
-    rate = RateFunction.constant(base_rate, t)
-    return expected_in_failure(rate, model, t, quad_step)
+):
+    """Expected failed count under a constant failure intensity, at time(s)
+    t, in one lattice pass."""
+    return _like(t, _day_to_day(base_rate, model, t, quad_step, expected_in_failure))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,35 +359,33 @@ class SurgeSpec:
 def surge_recovery_rate(
     spec: SurgeSpec,
     model: DurationModel,
-    t: float,
+    t,
     quad_step: float = DEFAULT_QUAD_STEP,
-) -> float:
-    """Closed-form surge approximation of the recovery intensity.
+):
+    """Closed-form surge approximation of the recovery intensity at time(s) t.
 
     Freezes the duration density at the surge onset and treats the surge
     as releasing surge_rate(0) failures per hour for min(t, surge_end)
     hours, on top of the day-to-day recovery intensity of the base rate.
     Accuracy improves as surge_end shrinks relative to typical durations.
     """
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    lam_m0 = spec.surge_rate.value(0.0)
-    surge_term = lam_m0 * model.pdf(t, at=0.0) * min(t, spec.surge_end)
-    return surge_term + day_to_day_recovery_rate(spec.base_rate, model, t, quad_step)
+    times = _times(t)
+    out = day_to_day_recovery_rate(spec.base_rate, model, times, quad_step)
+    live = times > 0.0  # at t = 0 the surge has released nothing, whatever the density
+    out[live] += (spec.surge_rate.value(0.0) * model.pdf(times[live], at=0.0)
+                  * np.minimum(times[live], spec.surge_end))
+    return _like(t, out)
 
 
 def surge_expected(
     spec: SurgeSpec,
     model: DurationModel,
-    t: float,
+    t,
     regime: str = "general",
     d0: float | None = None,
     quad_step: float = DEFAULT_QUAD_STEP,
-) -> float:
-    """Closed-form expected failed count under a surge.
+):
+    """Closed-form expected failed count under a surge, at time(s) t.
 
     regime selects the approximation branch:
 
@@ -393,28 +399,20 @@ def surge_expected(
     The infant/aging branches require the threshold d0 and are only valid
     when d0 exceeds the surge window.
     """
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    times = _times(t)
     if regime not in ("general", "infant", "aging"):
         raise ValueError(f"unknown regime {regime!r}")
-    lam_m0 = spec.surge_rate.value(0.0)
-    t1 = spec.surge_end
-    n0 = day_to_day_expected(spec.base_rate, model, t, quad_step)
-    if regime == "general":
-        surv = 1.0 - model.cdf(t, at=0.0)
-        return lam_m0 * surv * min(t, t1) + n0
-    if d0 is None:
+    lam_m0, t1 = spec.surge_rate.value(0.0), spec.surge_end
+    if regime != "general" and d0 is None:
         raise ValueError(f"regime {regime!r} requires the duration threshold d0")
-    if d0 <= t1:
+    if regime != "general" and d0 <= t1:
         raise ValueError("closed form requires d0 > t1")
+    n0 = day_to_day_expected(spec.base_rate, model, times, quad_step)
+    surv = 1.0 - model.cdf(times, at=0.0)
+    window = np.minimum(times, t1)
+    out = lam_m0 * surv * window + n0
     if regime == "infant":
-        if t < d0:
-            surv = 1.0 - model.cdf(t, at=0.0)
-            return lam_m0 * surv * min(t, t1) + n0
-        return n0
-    # aging
-    if t < d0:
-        return lam_m0 * min(t, t1) + n0
-    surv = 1.0 - model.cdf(t, at=0.0)
-    return lam_m0 * t1 * surv + n0
+        out = np.where(times < d0, out, n0)
+    elif regime == "aging":
+        out = np.where(times < d0, lam_m0 * window + n0, lam_m0 * t1 * surv + n0)
+    return _like(t, out)

@@ -78,6 +78,14 @@ def _smooth(values: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(values, np.ones(2 * r + 1))[r:r + n] / counts
 
 
+def check_smoothing(smoothing: int, points: int) -> None:
+    """Raise ValueError unless a moving-average window of `smoothing` fits a
+    curve of `points` points (0 and 1 leave the curve as it is)."""
+    if not 0 <= smoothing <= points:
+        raise ValueError(f"smoothing window {smoothing} must lie in [0, {points}], "
+                         "the curve's point count")
+
+
 def pick_threshold(grid, values, smoothing: int = 5) -> ThresholdPick:
     """Locate the recovery-duration threshold d0 on a resilience curve.
 
@@ -97,9 +105,7 @@ def pick_threshold(grid, values, smoothing: int = 5) -> ThresholdPick:
         raise ValueError("need at least five grid points")
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    if not 0 <= smoothing <= len(x):
-        raise ValueError(f"smoothing window {smoothing} must lie in [0, {len(x)}], "
-                         "the curve's point count")
+    check_smoothing(smoothing, len(x))
     sm = _smooth(s, smoothing)
     h0 = np.diff(x)[:-1]
     h1 = np.diff(x)[1:]

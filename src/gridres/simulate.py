@@ -41,6 +41,9 @@ __all__ = [
 
 # expected events per replica (the integrated intensity) allowed
 _MAX_EXPECTED = 1e7
+# replicas one Monte Carlo call may run: the ceiling on expected events
+# and grid points holds here too
+_MAX_REPLICAS = 10**7
 # cells, a replica's expected events plus its grid points, that one block
 # draws and counts at once: a block holds max(1, _BLOCK_CELLS // cells)
 # replicas, so its buffers grow neither with the intensity nor the grid
@@ -240,6 +243,8 @@ class _Moments:
 
 def _moments(rate, model, replicas, seed, shape, count) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error over replicas of the counts count() takes."""
+    if replicas > _MAX_REPLICAS:
+        raise ValueError(f"{replicas} replicas exceed the limit of {_MAX_REPLICAS:.0e}")
     moments = _Moments(shape)
     _replica_counts(rate, model, replicas, seed, shape, count, moments.fold)
     return moments.mean_se()

@@ -136,7 +136,7 @@ def test_criterion_03_day_to_day_limit_and_surge_approximation():
     composite = spec.to_rate_function(horizon)
     probe = np.linspace(0.0, horizon, 81)
     exact = expected_in_failure(composite, model, probe)
-    approx = np.asarray([surge_expected(spec, model, t) for t in probe])
+    approx = surge_expected(spec, model, probe)
     floor = 0.01 * exact.max()
     live = exact > floor
     rel = np.abs(approx[live] - exact[live]) / exact[live]

@@ -12,6 +12,7 @@ import os
 import pkgutil
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -598,6 +599,56 @@ class TestExitCodes:
         assert "error: tol must be finite and >= 0" in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+    @pytest.mark.parametrize("max_iter", ["0", "-5"])
+    def test_max_iter_below_one_refused(self, tmp_path, capsys, small_dataset, max_iter):
+        # -5 printed NOT CONVERGED for every interval and exited 3
+        out = tmp_path / "x"
+        rc = main(["--out", str(out), "fit", "--dataset", str(small_dataset),
+                   "--boundaries", "0,5,10", "--components", "1,1", f"--max-iter={max_iter}"])
+        assert rc == 2
+        assert "error: max_iter must be >= 1" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_starts_ceiling_before_any_start(self, tmp_path, capsys, small_dataset, monkeypatch):
+        def no_start(*args):
+            raise AssertionError("a start was drawn")
+
+        monkeypatch.setattr(gridres.fitting, "_start_labels", no_start)
+        rc = main(["--out", str(tmp_path / "x"), "fit", "--dataset", str(small_dataset),
+                   "--boundaries", "0,5,10", "--components", "1,1", "--starts", str(2**53)])
+        assert rc == 2
+        assert "starts exceed the limit of 1e+04" in capsys.readouterr().err
+
+    def test_replicas_ceiling_before_any_draw(self, tiny_model, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a replica was drawn")
+
+        monkeypatch.setattr(gridres.simulate, "_replica_counts", no_draw)
+        rc = main(["--out", str(tmp_path / "x"), "simulate", "--model", str(tiny_model),
+                   "--replicas", str(2**53)])
+        assert rc == 2
+        assert "replicas exceed the limit of 1e+07" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("intervals", ["5", str(2**53)])
+    def test_intervals_checked_before_reading_inputs(self, tmp_path, capsys, intervals):
+        missing = tmp_path / "missing"
+        rc = main(["--out", str(tmp_path / "x"), "test", "--dataset", str(missing / "dataset.csv"),
+                   "--model", str(missing / "model.json"), "--intervals", intervals])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --intervals: ")
+
+    def test_smoothing_checked_before_the_curve(self, tiny_model, tmp_path, capsys, monkeypatch):
+        def no_curve(*args):
+            raise AssertionError("the curve was evaluated")
+
+        # weights and extent given, so the missing dataset is never read
+        monkeypatch.setattr(cli, "resilience_curve", no_curve)
+        rc = main(["--out", str(tmp_path / "x"), "resilience", "--model", str(tiny_model),
+                   "--dataset", str(tmp_path / "missing.csv"), "--weights", "1",
+                   "--grid-max", "10", "--smoothing", str(2**53)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --smoothing: ")
+
     @pytest.mark.parametrize("delimiter", [",,", ""])
     def test_delimiter_must_be_one_character(self, workspace, tmp_path, capsys, delimiter):
         out = tmp_path / "x"
@@ -636,7 +687,7 @@ class TestExitCodes:
         rc = main(["--out", str(out), "resilience", "--model", str(tiny_model),
                    "--smoothing", smoothing])
         assert rc == 2
-        assert "error: smoothing window" in capsys.readouterr().err
+        assert "error: --smoothing: smoothing window" in capsys.readouterr().err
         assert not (out / "resilience.json").exists()
 
     def test_surge_flags_must_come_together(self, tiny_model, tmp_path):
@@ -936,13 +987,36 @@ def fuzz_dataset(tmp_path_factory):
     return path
 
 
+class Overran(Exception):
+    """A run on the contract's small inputs outlived RUN_LIMIT_S."""
+
+
+RUN_LIMIT_S = 10.0
+
+
+@contextlib.contextmanager
+def run_limit():
+    """Raise Overran in the running code once RUN_LIMIT_S have passed."""
+    def overran(signum, frame):
+        raise Overran(f"still running after {RUN_LIMIT_S:g} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, RUN_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def assert_keeps_contract(argv, out):
-    """Exit 0, 2 or 3; an `error:` line on 2; no exception or warning out of
-    main; and after 0 a rerun writes the same bytes."""
+    """Exit 0, 2 or 3 within RUN_LIMIT_S; an `error:` line on 2; no
+    exception or warning out of main; and after 0 a rerun writes the same
+    bytes."""
     err = io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), run_limit():
             rc = main(argv)
         assert rc in (0, 2, 3), (rc, err.getvalue())
         if rc == 2:
@@ -1010,3 +1084,120 @@ def test_mutated_datasets_keep_the_contract(fuzz_model, command, text):
         if command != "fit":
             argv += ["--model", str(fuzz_model)]
         assert_keeps_contract(argv, out)
+
+
+# The CLI contract on config files: 1-3 option values, each in the
+# command's section or at top level, over a config that runs the command on
+# small inputs.  A top-level value loses to the same key in the section.
+CONFIG_VALUES = (0, -1, 5e-324, 1e300, -1e300, 2**53, 10**30, "nan", "-inf", "", "1,2", True, [],
+                 "Z", "+25:00", "-00:30", "14", "0001-01-01T00:00+01:00", "9999-12-31T23:59-01:00",
+                 "2008-02-29T12:00", "2007-02-29T12:00", "2008-09-12T24:00")
+RAW_WINDOW = ("2008-09-12T07:00", "2008-09-13T07:00")
+RAW_ROWS = tuple((f"E{i:03d}", f"2008-09-12T{7 + i // 2:02d}:{17 * i % 60:02d}", f"{0.25 + i % 7}")
+                 for i in range(30))
+
+
+@pytest.fixture(scope="module")
+def fuzz_raw(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "raw.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in [("id", "timestamp", "duration_hours"),
+                                                              *RAW_ROWS]))
+    return path
+
+
+def _section(argv) -> dict:
+    """The config section that sets the options of a `--flag value` list."""
+    return {flag[2:].replace("-", "_"): value for flag, value in zip(argv[::2], argv[1::2])}
+
+
+@pytest.fixture(scope="module")
+def config_bases(fuzz_dataset, fuzz_model, fuzz_raw):
+    """Each command's config section: its inputs and small sizes."""
+    model, dataset = str(fuzz_model), str(fuzz_dataset)
+    return {
+        "ingest": {"input": str(fuzz_raw), "window_start": RAW_WINDOW[0],
+                   "window_end": RAW_WINDOW[1]},
+        "fit": {"dataset": dataset, **_section(DATASET_COMMANDS["fit"])},
+        "test": {"dataset": dataset, "model": model, **_section(MODEL_COMMANDS["test"])},
+        **{c: {"model": model, **_section(MODEL_COMMANDS[c])}
+           for c in ("simulate", "resilience", "reconstruct")},
+    }
+
+
+@st.composite
+def config_cases(draw):
+    """A command and 1-3 edits (option, value, whether in its section)."""
+    command = draw(st.sampled_from(COMMANDS))
+    names = [o.name for o in cli.OPTIONS[command]] + ["seed"]
+    edit = st.tuples(st.sampled_from(names), st.sampled_from(CONFIG_VALUES), st.booleans())
+    return command, tuple(draw(st.lists(edit, min_size=1, max_size=3)))
+
+
+@settings(max_examples=50, deadline=None)
+@example(case=("ingest", (("delimiter", ",,", False),)))
+@example(case=("ingest", (("delimiter", "", True),)))
+@example(case=("ingest", (("window_end", "9999-12-31T23:59-01:00", True),)))
+@example(case=("test", (("intervals", 10**9, True),)))
+@example(case=("test", (("intervals", 2**53, True),)))
+@example(case=("resilience", (("smoothing", 2**53, False),)))
+@example(case=("resilience", (("smoothing", 10**30, True),)))
+@example(case=("fit", (("tol", "-inf", False),)))
+@example(case=("fit", (("tol", "nan", True),)))
+@example(case=("fit", (("starts", 2**53, True),)))
+@example(case=("fit", (("max_iter", -1, True),)))
+@example(case=("fit", (("max_iter", 0, True),)))
+@example(case=("simulate", (("replicas", 2**53, True),)))
+@given(case=config_cases())
+def test_config_values_keep_the_contract(config_bases, case):
+    command, edits = case
+    cfg = {command: dict(config_bases[command])}
+    for key, value, in_section in edits:
+        (cfg[command] if in_section else cfg)[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps(cfg))
+        assert_keeps_contract(["--config", str(config), "--out", str(out), command], out)
+
+
+# The CLI contract on raw files for `ingest`: the small raw file with 1-3
+# edits, read with an odd --delimiter or --zone now and then.
+RAW_CELLS = ("", " ", "nan", "inf", "-1", "1e300", "5e-324", "soon", '"E001"', '"1.5"', '"1,5"',
+             '"2008-09-12T09:00"', '"unclosed', 'a"b', "E001", "2008-09-12T09:00+14:00",
+             "2008-09-12T09:00-12:00", "2008-09-12T09:00Z", "2008-09-12T09:00:00.000001",
+             "2008-02-29T00:00", "2007-02-29T00:00", "2008-09-12T24:00", "0001-01-01T00:00",
+             "9999-12-31T23:59", "0001-01-01T00:00+01:00", "9999-12-31T23:59:59-01:00")
+
+
+@st.composite
+def raw_cases(draw):
+    """Raw text with 1-3 edits (a cell set to a bad, quoted or calendar-edge
+    value, or a stretch of rows dropped), and extra ingest flags."""
+    rows = [list(row) for row in RAW_ROWS]
+    for _ in range(draw(st.integers(1, 3))):
+        if rows and draw(st.booleans()):
+            draw(st.sampled_from(rows))[draw(st.integers(0, 2))] = draw(st.sampled_from(RAW_CELLS))
+        else:
+            a = draw(st.integers(0, len(rows)))
+            del rows[a:draw(st.integers(a, len(rows)))]
+    text = "".join(",".join(row) + "\n" for row in [["id", "timestamp", "duration_hours"], *rows])
+    delimiters = (",", "\t", ";", ",,", "", '"', " ")
+    flag = draw(st.sampled_from([None, None, *(f"--delimiter={d}" for d in delimiters),
+                                 *(f"--zone={z}" for z in ("Z", "+14:00", "+25:00", "-00:30"))]))
+    return text, [] if flag is None else [flag]
+
+
+@settings(max_examples=50, deadline=None)
+@example(raw=("id,timestamp,duration_hours\n", []))
+@example(raw=("id,timestamp,duration_hours\nE001,2008-09-12T09:00,1.5\n", ["--delimiter=,,"]))
+@example(raw=("id,timestamp,duration_hours\nE001,2008-09-12T09:00,1.5\n", ["--delimiter="]))
+@example(raw=("id,timestamp,duration_hours\nE001,0001-01-01T00:00+01:00,1.5\n", []))
+@example(raw=("id,timestamp,duration_hours\nE001,9999-12-31T23:59:59-01:00,1.5\n", []))
+@given(raw=raw_cases())
+def test_raw_files_keep_the_contract(raw):
+    text, flags = raw
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "raw.csv", Path(tmp) / "out"
+        path.write_text(text)
+        assert_keeps_contract(["--out", str(out), "ingest", "--input", str(path),
+                               "--window-start", RAW_WINDOW[0], "--window-end", RAW_WINDOW[1],
+                               *flags], out)

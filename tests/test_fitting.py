@@ -38,6 +38,22 @@ def test_input_guards():
             fit_weibull_mixture([1.0, 2.0, 3.0], 1, tol=tol)
 
 
+def test_max_iter_and_starts_bounded(monkeypatch):
+    # a fit of no EM round reported bad input as non-convergence, and
+    # 2^53 starts drew k-means labels without end
+    for max_iter in (0, -5):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            fit_weibull_mixture([1.0, 2.0, 3.0], 1, max_iter=max_iter)
+
+    def no_start(*args):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(gridres.fitting, "_start_labels", no_start)
+    for n_starts in (10**4 + 1, 2**53):
+        with pytest.raises(ValueError, match="starts exceed the limit of 1e\\+04"):
+            fit_weibull_mixture([1.0, 2.0, 3.0], 1, n_starts=n_starts)
+
+
 def test_zero_durations_shifted():
     d = np.concatenate([np.zeros(40), np.full(60, 2.0)])
     fit = fit_weibull_mixture(d, 1, seed=0, n_starts=1)

@@ -13,7 +13,8 @@ definitions, and the mixture mean against scipy's gamma function.  The
 Pearson test's Poisson pmf, Poisson tail and chi-square quantile are
 compared with scipy.special, which the program no longer imports.  The
 lattice pass of the recovery curves is compared with the per-point cell
-rule, the block Monte Carlo route with the replica-at-a-time loop it
+rule, the day-to-day and surge forms over an array of times with their
+one-time calls and those with the per-time formulas, the block Monte Carlo route with the replica-at-a-time loop it
 replaced, its exact-sum moments with np.mean and np.std of the replica
 stack it no longer keeps, the flat duration dispatch with each interval's
 mixture, and the resilience curve's moving average with its
@@ -38,7 +39,10 @@ from scipy.special import gamma, logsumexp
 from gridres import (
     DurationModel,
     RateFunction,
+    SurgeSpec,
     WeibullMixture,
+    day_to_day_expected,
+    day_to_day_recovery_rate,
     expected_in_failure,
     expected_recovered,
     fit_weibull_mixture,
@@ -46,9 +50,12 @@ from gridres import (
     interval_weights,
     mean_paths,
     monte_carlo_recovery_rate,
+    recovery_rate,
     recovery_rate_curve,
     replica_rng,
     simulate_events,
+    surge_expected,
+    surge_recovery_rate,
 )
 from gridres import fitting, recovery, resilience, simulate
 from gridres.estimate import _chi2_quantile, _poisson_pmf, _poisson_upper
@@ -990,6 +997,86 @@ def test_lattice_pass_matches_cell_rule_on_edge_cases():
         model = DurationModel(boundaries=(0.0, rate.horizon), mixtures=(unit,))
         for fft_from in (1, 10**9):
             check_against_cell_rule(rate, model, 0.05, on, off, fft_from)
+
+
+def scenario_oracle(spec, model, t, regime, d0, quad_step):
+    """The day-to-day recovery rate and expected count, and the surge
+    recovery rate and expected count, at the one time t, written per time:
+    a constant rate of horizon t, one pass per quantity, 0 at t = 0 or a
+    zero base rate, and each surge regime as its own branch."""
+    base, lam0, t1 = spec.base_rate, spec.surge_rate.value(0.0), spec.surge_end
+    rate_dd = exp_dd = 0.0
+    if t > 0.0 and base > 0.0:
+        rate = RateFunction.constant(base, t)
+        rate_dd = (base * model.mixtures[0].cdf(t) if model.is_stationary
+                   else recovery_rate(rate, model, t, quad_step))
+        exp_dd = expected_in_failure(rate, model, t, quad_step)
+    surge_rate = 0.0 if t == 0.0 else lam0 * model.pdf(t, at=0.0) * min(t, t1) + rate_dd
+    surv = 1.0 - model.cdf(t, at=0.0)
+    if regime == "general" or (regime == "infant" and t < d0):
+        out = lam0 * surv * min(t, t1) + exp_dd
+    elif regime == "infant":
+        out = exp_dd
+    elif t < d0:
+        out = lam0 * min(t, t1) + exp_dd
+    else:
+        out = lam0 * t1 * surv + exp_dd
+    return rate_dd, exp_dd, surge_rate, out
+
+
+@st.composite
+def scenario_cases(draw):
+    """A stationary or piecewise model on [0, 30], a surge spec over a base
+    rate (0 among them), a regime with its threshold d0, a quadrature step,
+    and 1-6 times: 0, d0, lattice nodes and times off the lattice."""
+    inner = sorted(draw(st.lists(st.floats(0.5, 29.5), max_size=2, unique=True)))
+    mix = draw(st.lists(mixtures(), min_size=len(inner) + 1, max_size=len(inner) + 1))
+    model = DurationModel(boundaries=(0.0, *inner, 30.0), mixtures=tuple(mix))
+    t1 = draw(st.floats(0.1, 5.0))
+    spec = SurgeSpec(base_rate=draw(st.sampled_from([0.0, 0.5, 4.0, 120.0])),
+                     surge_rate=RateFunction.constant(draw(st.floats(1.0, 200.0)), t1), surge_end=t1)
+    regime = draw(st.sampled_from(["general", "infant", "aging"]))
+    d0 = draw(st.floats(t1 + 0.1, 30.0))
+    h = draw(st.sampled_from([0.05, 0.25]))
+    one = st.one_of(st.just(0.0), st.just(d0), st.integers(1, round(30.0 / h)).map(lambda k: k * h),
+                    st.floats(0.0, 30.0))
+    return spec, model, regime, d0, h, draw(st.lists(one, min_size=1, max_size=6))
+
+
+@settings(max_examples=60)
+@example(case=(SurgeSpec(base_rate=4.0, surge_rate=RateFunction.constant(50.0, 2.0), surge_end=2.0),
+               DurationModel(boundaries=(0.0, 7.0, 30.0), mixtures=(
+                   WeibullMixture(components=((0.5, 0.5, 0.6), (0.5, 6.0, 2.0))),
+                   WeibullMixture(components=((1.0, 3.0, 1.2),)))),
+               "aging", 9.0, 0.05, [0.0, 9.0, 0.05, 12.345, 30.0]))
+@example(case=(SurgeSpec(base_rate=0.0, surge_rate=RateFunction.constant(1.0, 1.0), surge_end=1.0),
+               DurationModel.stationary(WeibullMixture(components=((1.0, 2.0, 0.5),)), horizon=30.0),
+               "general", 2.0, 0.05, [0.0, 5e-324]))
+@given(case=scenario_cases())
+def test_scenario_forms_take_arrays_of_times(case):
+    spec, model, regime, d0, h, times = case
+    base = spec.base_rate
+    forms = (
+        lambda t: day_to_day_recovery_rate(base, model, t, h),
+        lambda t: day_to_day_expected(base, model, t, h),
+        lambda t: surge_recovery_rate(spec, model, t, h),
+        lambda t: surge_expected(spec, model, t, regime, d0, h),
+    )
+    oracle = [scenario_oracle(spec, model, t, regime, d0, h) for t in times]
+    for j, form in enumerate(forms):
+        curve = form(np.asarray(times))
+        each = [form(t) for t in times]
+        # one time at a time, the forms are the per-time formulas bit for bit
+        assert all(type(v) is float for v in each)
+        assert each == [o[j] for o in oracle]
+        # one call for all the times: its one pass has other convolution
+        # lengths, so it differs by rounding on the curve's own scale (an
+        # infinite surge density at a subnormal t is inf both ways)
+        scale = max((abs(v) for v in each if math.isfinite(v)), default=0.0)
+        np.testing.assert_allclose(curve, each, rtol=1e-10, atol=1e-10 * scale)
+        assert np.all(curve[np.asarray(times) == 0.0] == 0.0)
+        if base == 0.0 and j < 2:
+            assert np.all(curve == 0.0)
 
 
 def reference_path_counts(rate, model, grid, replicas, seed):

@@ -225,6 +225,18 @@ class TestMonteCarlo:
                 RAMP, exp_model(2.0), [5.0, 5.0], replicas=100, seed=0
             )
 
+    def test_replica_ceiling(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a replica was drawn")
+
+        monkeypatch.setattr(simulate, "_replica_counts", no_draw)
+        grid = np.linspace(0.0, 60.0, 13)
+        for replicas in (10**7 + 1, 2**53):
+            with pytest.raises(ValueError, match="replicas exceed the limit of 1e\\+07"):
+                monte_carlo_recovery_rate(RAMP, exp_model(2.0), grid, replicas=replicas, seed=0)
+            with pytest.raises(ValueError, match="replicas exceed the limit of 1e\\+07"):
+                mean_paths(RAMP, exp_model(2.0), grid, replicas=replicas, seed=0)
+
     def test_zero_intensity(self):
         quiet = RateFunction(knots=((0.0, 0.0),), horizon=10.0)
         mc = monte_carlo_recovery_rate(
