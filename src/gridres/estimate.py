@@ -76,7 +76,7 @@ def estimate_rate(
         if horizon is None:
             raise ValueError("horizon required when there are no events")
         warnings.warn("no events: returning an all-zero intensity", stacklevel=2)
-    elif np.any(t < 0.0):
+    elif not np.all(t >= 0.0):
         raise ValueError("event times must be >= 0")
     if horizon is None:
         horizon = float(np.ceil(t[-1] / bin_width) * bin_width)
@@ -234,7 +234,7 @@ def pearson_nhpp_test(
     t = np.sort(np.asarray(event_times, dtype=float))
     if len(t) == 0:
         raise ValueError("no events to test")
-    if t[0] < 0.0 or t[-1] > rate.horizon + 1e-9:
+    if not np.all((t >= 0.0) & (t <= rate.horizon + 1e-9)):
         raise ValueError("events outside [0, horizon]")
     edges = np.linspace(0.0, rate.horizon, n_intervals + 1)
     counts, _ = np.histogram(t, bins=edges)
@@ -295,7 +295,7 @@ def qq_points(event_times, rate: RateFunction) -> tuple[np.ndarray, np.ndarray]:
     n = len(t)
     if n < 10:
         raise ValueError("need at least 10 events")
-    if t[0] < 0.0 or t[-1] > rate.horizon + 1e-9:
+    if not np.all((t >= 0.0) & (t <= rate.horizon + 1e-9)):
         raise ValueError("events outside [0, horizon]")
     z = rate.cumulative(t)
     gaps = np.diff(np.concatenate(([0.0], z)))
@@ -338,7 +338,7 @@ def reconstruct(
     if grid is None:
         grid = np.linspace(0.0, rate.horizon, math.ceil(rate.horizon) + 1)
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
+    if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0.0):
         raise ValueError("grid must be increasing with at least two points")
     if grid[0] != 0.0:
         raise ValueError("grid must start at 0")

@@ -31,7 +31,8 @@ sum over points is taken per interval on exact-length slices, so a run's
 numbers are bit for bit those of the run alone.  A run leaves the live
 set when it converges, reaches max_iter or meets a non-finite
 log-likelihood; one whose component loses its mass re-enters with the
-components left, from its start, with a fresh history.
+components left, from its start, with a fresh history, in the batches of
+that smaller count.
 """
 
 from __future__ import annotations
@@ -467,15 +468,22 @@ def _batches(points: list, runs: list[_Run], c: int):
         yield batch
 
 
-def _run_starts(points: list, starts: list[tuple[int, np.ndarray]], c: int, tol: float,
+def _run_starts(points: list, starts: list[tuple[int, int, np.ndarray]], tol: float,
                 max_iter: int) -> list[FitResult]:
-    """EM from the moment start of each (interval, labels), all with c
-    components, dropping dead components; results in the order of `starts`."""
-    runs = [_Run(i, *_moment_start(points[i][0], labels, c)) for i, labels in starts]
-    pending = {c: runs}
-    for size in range(c, 0, -1):
-        for batch in _batches(points, pending.pop(size, []), size):
-            for run, keep in _em_lockstep(points, batch, tol, max_iter):
+    """EM from the moment start of each (interval, components, labels),
+    dropping dead components; results in the order of `starts`.  Sizes run
+    from the largest count down, each size's lock-step batches one
+    `run_indexed` task apiece; a run that drops a component joins the count
+    it keeps."""
+    runs = [_Run(i, *_moment_start(points[i][0], labels, c)) for i, c, labels in starts]
+    pending: dict[int, list[_Run]] = {}
+    for run in runs:
+        pending.setdefault(len(run.w), []).append(run)
+    while pending:
+        size = max(pending)
+        batches = list(_batches(points, pending.pop(size), size))
+        for dropped in run_indexed(len(batches), lambda j: _em_lockstep(points, batches[j], tol, max_iter)):
+            for run, keep in dropped:
                 run.drop(keep)
                 pending.setdefault(int(keep.sum()), []).append(run)
     return [run.result(points[run.interval][0]) for run in runs]
@@ -491,10 +499,7 @@ def _start_labels(logd: np.ndarray, order: np.ndarray, c: int, seed: int, idx: i
 
 def _fit_intervals(logds: list[np.ndarray], counts: list[int], seeds: list[int], tol: float,
                    max_iter: int, n_starts: int) -> list[FitResult]:
-    """The best of each interval's distinct starts, every start run in lock-step.
-
-    The runs of one component count make one `run_indexed` task.
-    """
+    """The best of each interval's distinct starts, every start run in lock-step."""
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     if n_starts > _MAX_STARTS:
@@ -514,18 +519,11 @@ def _fit_intervals(logds: list[np.ndarray], counts: list[int], seeds: list[int],
         for idx in range(n_starts):
             labels = _start_labels(logd, order, c, seed, idx)
             distinct.setdefault(labels.tobytes(), labels)
-        starts += [(i, labels) for labels in distinct.values()]
-    sizes = list(dict.fromkeys(counts))
-    tasks = [[s for s in starts if counts[s[0]] == c] for c in sizes]
-
-    def one_task(j: int) -> list[FitResult]:
-        return _run_starts(points, tasks[j], sizes[j], tol, max_iter)
-
+        starts += [(i, c, labels) for labels in distinct.values()]
     best: list[FitResult | None] = [None] * len(logds)
-    for task, results in zip(tasks, run_indexed(len(tasks), one_task)):
-        for (i, _), r in zip(task, results):
-            if best[i] is None or r.log_likelihood > best[i].log_likelihood:
-                best[i] = r
+    for (i, _, _), r in zip(starts, _run_starts(points, starts, tol, max_iter)):
+        if best[i] is None or r.log_likelihood > best[i].log_likelihood:
+            best[i] = r
     return best
 
 

@@ -1,4 +1,4 @@
-"""In-order task loop for a fit's component-count groups and Monte Carlo
+"""In-order task loop for a fit's lock-step batches and Monte Carlo
 blocks, on the calling thread.
 
 It stays a named function because the benchmark's tracer

@@ -78,7 +78,7 @@ class RateFunction:
         return cls(knots=((0.0, float(level)),), horizon=horizon)
 
     def _check_domain(self, t: np.ndarray) -> None:
-        if np.any(t < -1e-12) or np.any(t > self.horizon + 1e-9):
+        if not np.all((t >= -1e-12) & (t <= self.horizon + 1e-9)):
             raise ValueError(f"time outside [0, {self.horizon}]")
 
     def value(self, t):

@@ -372,9 +372,25 @@ def surge_recovery_rate(
     times = _times(t)
     out = day_to_day_recovery_rate(spec.base_rate, model, times, quad_step)
     live = times > 0.0  # at t = 0 the surge has released nothing, whatever the density
-    out[live] += (spec.surge_rate.value(0.0) * model.pdf(times[live], at=0.0)
-                  * np.minimum(times[live], spec.surge_end))
+    x, lam0 = times[live], spec.surge_rate.value(0.0)
+    window = np.minimum(x, spec.surge_end)
+    dens = model.pdf(x, at=0.0)
+    # a t so small that t / g underflows reads the density's d -> 0 limit
+    # inf, but t * g(t) is finite: it is taken in log space there
+    out[live] += np.where(np.isinf(dens), lam0 * model.by_interval(_d_pdf, 0.0, x) * (window / x),
+                          lam0 * dens * window)
     return _like(t, out)
+
+
+def _d_pdf(mixture, d: np.ndarray) -> np.ndarray:
+    """d * pdf(d) = sum of w k z^k exp(-z^k), each z^k = exp(k (log d - log g))
+    taken in log space, so a d whose d / g underflows gets its finite value."""
+    out = np.zeros_like(d)
+    with np.errstate(over="ignore"):  # a huge z^k: the term's limit 0
+        for w, g, k in mixture.components:
+            log_zk = k * (np.log(d) - np.log(g))
+            out += w * k * np.exp(log_zk - np.exp(log_zk))
+    return out
 
 
 def surge_expected(

@@ -36,7 +36,7 @@ def interval_weights(source, boundaries) -> np.ndarray:
     DurationModel.interval_index does).
     """
     b = np.asarray(boundaries, dtype=float)
-    if len(b) < 2 or np.any(np.diff(b) <= 0.0):
+    if len(b) < 2 or not np.all(np.diff(b) > 0.0):
         raise ValueError("boundaries must be strictly increasing, length >= 2")
     if isinstance(source, RateFunction):
         masses = np.array([source.integral(b[i], b[i + 1]) for i in range(len(b) - 1)])
@@ -103,7 +103,7 @@ def pick_threshold(grid, values, smoothing: int = 5) -> ThresholdPick:
         raise ValueError("grid and values must be equal-length 1-d arrays")
     if len(x) < 5:
         raise ValueError("need at least five grid points")
-    if np.any(np.diff(x) <= 0.0):
+    if not np.all(np.diff(x) > 0.0):
         raise ValueError("grid must be strictly increasing")
     check_smoothing(smoothing, len(x))
     sm = _smooth(s, smoothing)
@@ -167,10 +167,10 @@ def resilience_curve(
     w = np.asarray(weights, dtype=float)
     if w.shape != (model.n_intervals,):
         raise ValueError("one weight per duration-model interval required")
-    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
+    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-9):
         raise ValueError("weights must be nonnegative and sum to 1")
     x = np.asarray(grid, dtype=float)
-    if len(x) < 5 or np.any(np.diff(x) <= 0.0):
+    if len(x) < 5 or not np.all(np.diff(x) > 0.0):
         raise ValueError("grid must be ascending with at least 5 points")
     if x[0] != 0.0:
         raise ValueError("grid must start at 0")

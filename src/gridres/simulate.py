@@ -296,7 +296,7 @@ def monte_carlo_recovery_rate(
     reproducible bit for bit.
     """
     edges = np.asarray(edges, dtype=float)
-    if len(edges) < 2 or np.any(np.diff(edges) <= 0.0):
+    if len(edges) < 2 or not np.all(np.diff(edges) > 0.0):
         raise ValueError("edges must be increasing with at least one bin")
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
@@ -317,6 +317,8 @@ def mean_paths(
 ) -> dict[str, np.ndarray]:
     """Mean and standard error of N_f, N_r, N over replicas at grid times."""
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be a finite 1-d array")
     if replicas < 1:
         raise ValueError("need at least one replica")
     mean, se = _moments(rate, model, replicas, seed, (3, len(grid)),

@@ -79,7 +79,9 @@ class WeibullMixture:
         live = [(w, g, k) for w, g, k in zip(self._w, self._g, self._k) if w > 0.0]
         for w, g, k in live:
             z = x / g
-            with np.errstate(divide="ignore"):  # 0 ** (k - 1) for k < 1: inf
+            # 0 ** (k - 1) for k < 1, or a subnormal z's power past the
+            # largest double: inf
+            with np.errstate(divide="ignore", over="ignore"):
                 acc += w * (k / g) * z ** (k - 1.0) * np.exp(-(z**k))
         out[pos] = acc
         if not pos.all():

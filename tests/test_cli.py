@@ -914,6 +914,15 @@ class TestCommandExtras:
         for module in modules:
             missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
             assert not missing, (module.__name__, missing)
+        # each public name is declared once: the package exports the model
+        # modules' __all__ concatenated, and its own file names none of them
+        declared = [name for m in ("estimate", "fitting", "ingest", "rates", "recovery",
+                                   "resilience", "simulate", "weibull")
+                    for name in importlib.import_module(f"gridres.{m}").__all__]
+        assert gridres.__all__ == declared
+        assert len(set(declared)) == len(declared)
+        source = Path(gridres.__file__).read_text()
+        assert not [n for n in declared if re.search(rf"\b{n}\b", source)]
 
     @pytest.mark.skipif(shutil.which("gridres") is None,
                         reason="gridres console script not installed")

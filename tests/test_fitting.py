@@ -17,7 +17,7 @@ from gridres import (
 )
 import gridres.fitting
 from gridres.fitting import (ZERO_DURATION_SHIFT, _em_lockstep, _em_map, _moment_start, _moments, _Rows,
-                             _Run, _start_labels)
+                             _Run, _run_starts, _start_labels)
 
 from conftest import WINDOW_END, WINDOW_START, _mstep_shapes, make_raw_csv, reference_mixture, sample_mixture
 
@@ -434,7 +434,8 @@ def test_fit_is_deterministic(monkeypatch):
     b = fit_weibull_mixture(d, 3, seed=11, n_starts=3)
     assert a.mixture.components == b.mixture.components
     assert a.log_likelihood == b.log_likelihood
-    # one run_indexed task per component count: a mixed fit has one per count
+    # one run_indexed call per component count, largest first, each with
+    # one task per lock-step batch: a mixed fit this small has one batch each
     real = gridres.fitting.run_indexed
     tasks = []
 
@@ -446,8 +447,43 @@ def test_fit_is_deterministic(monkeypatch):
     times = np.repeat([1.0, 3.0, 5.0], len(d) // 3)
     mixed = [fit_duration_model(times, d[:len(times)], (0.0, 2.0, 4.0, 6.0),
                                 (3, 1, 2), seed=11, n_starts=3) for _ in range(2)]
-    assert tasks == [3, 3]
+    assert tasks == [1, 1, 1] * 2
     assert repr(mixed[0]) == repr(mixed[1])
+
+
+def test_dropped_run_joins_the_smaller_count(monkeypatch):
+    # a three-component start whose last component is poisoned (scale 1e9 at
+    # shape 60 leaves it no mass) drops it and runs on with two, in the same
+    # lock-step call as the other interval's two-component runs; every run
+    # still gives exactly what it gives alone
+    rng = replica_rng(3, 0)
+    logds = [np.log(rng.uniform(0.8, 1.2, 200)), np.log(5.0 * rng.weibull(1.5, 300))]
+    points = [(logd, _moments(logd)) for logd in logds]
+    orders = [np.argsort(logd, kind="stable") for logd in logds]
+    starts = [(0, 3, _start_labels(logds[0], orders[0], 3, 5, 0))]
+    starts += [(1, 2, _start_labels(logds[1], orders[1], 2, 5, idx)) for idx in range(2)]
+    real_start, real_lockstep = gridres.fitting._moment_start, gridres.fitting._em_lockstep
+    calls = []
+
+    def poisoned(logd, labels, c):
+        w, g, k = real_start(logd, labels, c)
+        if c == 3:
+            g, k = g.copy(), k.copy()
+            g[-1], k[-1] = 1e9, 60.0
+        return w, g, k
+
+    def recorded(points, runs, tol, max_iter):
+        calls.append((len(runs[0].w), sorted(r.interval for r in runs)))
+        return real_lockstep(points, runs, tol, max_iter)
+
+    monkeypatch.setattr(gridres.fitting, "_moment_start", poisoned)
+    monkeypatch.setattr(gridres.fitting, "_em_lockstep", recorded)
+    together = _run_starts(points, starts, 1e-6, 200)
+    assert calls == [(3, [0]), (2, [0, 1, 1])]
+    assert together[0].flags[0] == "dropped degenerate component (kept 2)"
+    assert together[0].mixture.n_components == 2
+    for got, start in zip(together, starts):
+        assert repr(got) == repr(_run_starts(points, [start], 1e-6, 200)[0])
 
 
 class TestFitDurationModel:

@@ -18,7 +18,8 @@ one-time calls and those with the per-time formulas, the block Monte Carlo route
 replaced, its exact-sum moments with np.mean and np.std of the replica
 stack it no longer keeps, the flat duration dispatch with each interval's
 mixture, and the resilience curve's moving average with its
-window-at-a-time loop.
+window-at-a-time loop.  Every public entry point that takes an array is
+checked to refuse a NaN in it.
 """
 
 import csv
@@ -31,6 +32,7 @@ from functools import partial
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
@@ -43,6 +45,7 @@ from gridres import (
     WeibullMixture,
     day_to_day_expected,
     day_to_day_recovery_rate,
+    estimate_rate,
     expected_in_failure,
     expected_recovered,
     fit_weibull_mixture,
@@ -50,9 +53,14 @@ from gridres import (
     interval_weights,
     mean_paths,
     monte_carlo_recovery_rate,
+    pearson_nhpp_test,
+    pick_threshold,
+    qq_points,
+    reconstruct,
     recovery_rate,
     recovery_rate_curve,
     replica_rng,
+    resilience_curve,
     simulate_events,
     surge_expected,
     surge_recovery_rate,
@@ -356,7 +364,7 @@ def test_kmeans_cuts_match_argmin(c, logd, seed):
 
 def run_alone(logd, labels, c, tol, max_iter):
     """One start's EM run with no other run beside it."""
-    return _run_starts([(logd, _moments(logd))], [(0, labels)], c, tol, max_iter)[0]
+    return _run_starts([(logd, _moments(logd))], [(0, c, labels)], tol, max_iter)[0]
 
 
 def every_start_fit(durations, c, seed, tol, max_iter, n_starts):
@@ -472,20 +480,20 @@ def test_overflowing_run_leaves_the_lockstep_alone(case, n_starts, seed, data):
     """
     c, samples = case
     points = [(logd, _moments(logd)) for logd in (np.log(_prepare(d)) for d in samples)]
-    starts = [(i, _start_labels(logd, np.argsort(logd, kind="stable"), c, seed, idx))
+    starts = [(i, c, _start_labels(logd, np.argsort(logd, kind="stable"), c, seed, idx))
               for i, (logd, _) in enumerate(points) for idx in range(n_starts)]
     spoiled = data.draw(st.integers(0, len(starts) - 1))
     real = fitting._moment_start
 
     def overflowing(logd, labels, c):
         w, g, k = real(logd, labels, c)
-        if labels is starts[spoiled][1]:
+        if labels is starts[spoiled][2]:
             g, k = np.full(c, math.exp(logd.max() - 20.0)), np.full(c, _SHAPE_HI)
         return w, g, k
 
     with mock.patch.object(fitting, "_moment_start", overflowing):
-        together = _run_starts(points, starts, c, 1e-6, 60)
-    for j, (got, (i, labels)) in enumerate(zip(together, starts)):
+        together = _run_starts(points, starts, 1e-6, 60)
+    for j, (got, (i, _, labels)) in enumerate(zip(together, starts)):
         if j == spoiled:
             assert got.log_likelihood == -math.inf and got.iterations == 0
             assert not got.converged and "non-finite log-likelihood" in got.flags
@@ -1003,7 +1011,9 @@ def scenario_oracle(spec, model, t, regime, d0, quad_step):
     """The day-to-day recovery rate and expected count, and the surge
     recovery rate and expected count, at the one time t, written per time:
     a constant rate of horizon t, one pass per quantity, 0 at t = 0 or a
-    zero base rate, and each surge regime as its own branch."""
+    zero base rate, and each surge regime as its own branch.  Where t / g
+    underflows and the density reads inf, the surge rate takes t g(t) as
+    the sum of w k z^k e^(-z^k), each z^k = exp(k (log t - log g))."""
     base, lam0, t1 = spec.base_rate, spec.surge_rate.value(0.0), spec.surge_end
     rate_dd = exp_dd = 0.0
     if t > 0.0 and base > 0.0:
@@ -1012,6 +1022,12 @@ def scenario_oracle(spec, model, t, regime, d0, quad_step):
                    else recovery_rate(rate, model, t, quad_step))
         exp_dd = expected_in_failure(rate, model, t, quad_step)
     surge_rate = 0.0 if t == 0.0 else lam0 * model.pdf(t, at=0.0) * min(t, t1) + rate_dd
+    if math.isinf(surge_rate):
+        t_pdf = 0.0
+        for w, g, k in model.mixtures[model.interval_index(0.0)].components:
+            log_zk = k * (np.log(t) - np.log(g))
+            t_pdf += w * k * np.exp(log_zk - np.exp(log_zk))
+        surge_rate = float(lam0 * t_pdf * (min(t, t1) / t) + rate_dd)
     surv = 1.0 - model.cdf(t, at=0.0)
     if regime == "general" or (regime == "infant" and t < d0):
         out = lam0 * surv * min(t, t1) + exp_dd
@@ -1052,6 +1068,10 @@ def scenario_cases(draw):
 @example(case=(SurgeSpec(base_rate=0.0, surge_rate=RateFunction.constant(1.0, 1.0), surge_end=1.0),
                DurationModel.stationary(WeibullMixture(components=((1.0, 2.0, 0.5),)), horizon=30.0),
                "general", 2.0, 0.05, [0.0, 5e-324]))
+@example(case=(SurgeSpec(base_rate=0.0, surge_rate=RateFunction.constant(3.0, 1.0), surge_end=1.0),
+               DurationModel.stationary(WeibullMixture(components=((0.5, 2.0, 0.01), (0.5, 0.3, 1.5))),
+                                        horizon=30.0),
+               "general", 2.0, 0.05, [0.0, 5e-324, 1e-320, 1e-300, 0.5]))
 @given(case=scenario_cases())
 def test_scenario_forms_take_arrays_of_times(case):
     spec, model, regime, d0, h, times = case
@@ -1070,9 +1090,9 @@ def test_scenario_forms_take_arrays_of_times(case):
         assert all(type(v) is float for v in each)
         assert each == [o[j] for o in oracle]
         # one call for all the times: its one pass has other convolution
-        # lengths, so it differs by rounding on the curve's own scale (an
-        # infinite surge density at a subnormal t is inf both ways)
-        scale = max((abs(v) for v in each if math.isfinite(v)), default=0.0)
+        # lengths, so it differs by rounding on the curve's own scale
+        assert all(math.isfinite(v) for v in each)
+        scale = max(abs(v) for v in each)
         np.testing.assert_allclose(curve, each, rtol=1e-10, atol=1e-10 * scale)
         assert np.all(curve[np.asarray(times) == 0.0] == 0.0)
         if base == 0.0 and j < 2:
@@ -1184,3 +1204,46 @@ def test_moments_match_replica_stack(rate, model, replicas, seed, data):
                 mc_again = monte_carlo_recovery_rate(rate, model, edges, replicas, seed)
                 np.testing.assert_array_equal(mc_again.mean_rate, mc.mean_rate)
                 np.testing.assert_array_equal(mc_again.se_rate, mc.se_rate)
+
+
+NAN_RATE = RateFunction(knots=((0.0, 2.0), (8.0, 9.0), (20.0, 4.0)), horizon=20.0)
+NAN_MODEL = DurationModel(boundaries=(0.0, 8.0, 20.0), mixtures=(
+    WeibullMixture(components=((0.6, 1.0, 0.8), (0.4, 6.0, 2.5))),
+    WeibullMixture(components=((1.0, 3.0, 1.2),))))
+NAN_EVENTS = sample_nhpp(NAN_RATE, replica_rng(17, 0))
+
+# each public entry point that takes an array: (its valid array, the call)
+NAN_CASES = {
+    "RateFunction.value": (lambda n: np.linspace(0.0, 20.0, n), NAN_RATE.value),
+    "RateFunction.cumulative": (lambda n: np.linspace(0.0, 20.0, n), NAN_RATE.cumulative),
+    "estimate_rate": (lambda n: NAN_EVENTS.copy(), lambda a: estimate_rate(a, horizon=20.0)),
+    "pearson_nhpp_test": (lambda n: NAN_EVENTS.copy(),
+                          lambda a: pearson_nhpp_test(a, NAN_RATE, n_intervals=10)),
+    "qq_points": (lambda n: NAN_EVENTS.copy(), lambda a: qq_points(a, NAN_RATE)),
+    "interval_weights": (lambda n: np.linspace(0.0, 20.0, n),
+                         lambda a: interval_weights(NAN_EVENTS, a)),
+    "pick_threshold": (lambda n: np.linspace(0.0, 20.0, n),
+                       lambda a: pick_threshold(a, 1.0 - np.exp(-np.linspace(0.0, 20.0, len(a)) / 3.0))),
+    "resilience_curve grid": (lambda n: np.linspace(0.0, 20.0, n),
+                              lambda a: resilience_curve((0.5, 0.5), NAN_MODEL, a)),
+    "resilience_curve weights": (lambda n: np.array([0.5, 0.5]),
+                                 lambda a: resilience_curve(a, NAN_MODEL, np.linspace(0.0, 20.0, 21))),
+    "reconstruct": (lambda n: np.linspace(0.0, 20.0, n), lambda a: reconstruct(NAN_RATE, NAN_MODEL, a)),
+    "monte_carlo_recovery_rate": (lambda n: np.linspace(0.0, 20.0, n),
+                                  lambda a: monte_carlo_recovery_rate(NAN_RATE, NAN_MODEL, a, 100, 3)),
+    "mean_paths": (lambda n: np.linspace(0.0, 20.0, n),
+                   lambda a: mean_paths(NAN_RATE, NAN_MODEL, a, 2, 3)),
+}
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(NAN_CASES)), n=st.integers(8, 30), data=st.data())
+def test_nan_in_an_array_is_refused(name, n, data):
+    # a range check written as any(out of range) lets NaN through, since
+    # every comparison with NaN is false: each entry point must refuse it
+    build, call = NAN_CASES[name]
+    values = build(n)
+    call(values)
+    values[data.draw(st.integers(0, len(values) - 1))] = np.nan
+    with pytest.raises(ValueError):
+        call(values)
