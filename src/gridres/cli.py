@@ -330,8 +330,6 @@ def cmd_test(o: dict, out: Path) -> int:
 def cmd_simulate(o: dict, out: Path) -> int:
     rate, model, _payload = load_model(o["model"])
     replicas = o["replicas"]
-    if replicas < 1:
-        raise CliError("replicas must be >= 1")
     if o["save_events"] < 0:
         raise CliError("--save-events must be >= 0")
     surge_args = [o["surge_base"], o["surge_peak"], o["surge_end"]]
@@ -347,10 +345,7 @@ def cmd_simulate(o: dict, out: Path) -> int:
         )
         rate = spec.to_rate_function(horizon)
     elif horizon != rate.horizon:
-        last_knot = rate.knots[-1][0]
-        if horizon < last_knot:
-            raise CliError(f"horizon {horizon} cannot truncate the fitted rate (last knot {last_knot})")
-        rate = RateFunction(knots=rate.knots, horizon=horizon)
+        rate = _flagged("--horizon", RateFunction, knots=rate.knots, horizon=horizon)
     grid = _flagged("--horizon/--grid-step", regular_grid, horizon, o["grid_step"])
     summary = mean_paths(rate, model, grid, replicas, o["seed"])
     write_table(

@@ -52,7 +52,7 @@ class RateFunction:
         if not np.isfinite(horizon) or horizon <= 0.0:
             raise ValueError("horizon must be positive and finite")
         if horizon < t[-1]:
-            raise ValueError("horizon must cover the last knot")
+            raise ValueError(f"horizon {horizon:g} must cover the last knot at {t[-1]:g}")
         # breakpoints with 0 and horizon folded in; cumulative integral is
         # exact there because the function is linear between breakpoints
         bt = np.unique(np.concatenate(([0.0], t, [horizon])))

@@ -139,17 +139,12 @@ def pick_threshold(grid, values, smoothing: int = 5) -> ThresholdPick:
 
 
 @dataclass(frozen=True, eq=False)
-class ResilienceCurve:
+class ResilienceCurve(ThresholdPick):
     """Resilience curve with its threshold diagnostics."""
 
-    grid: np.ndarray
     values: np.ndarray
     weights: np.ndarray
-    d0: float
     s_at_d0: float
-    shape: str
-    candidates: tuple[float, float]
-    second_derivative: np.ndarray
 
 
 def resilience_curve(
@@ -179,16 +174,8 @@ def resilience_curve(
         if wi > 0.0:
             s += wi * mix.cdf(x)
     pick = pick_threshold(x, s, smoothing)
-    return ResilienceCurve(
-        grid=x,
-        values=s,
-        weights=w,
-        d0=pick.d0,
-        s_at_d0=resilience_at(x, s, pick.d0),
-        shape=pick.shape,
-        candidates=pick.candidates,
-        second_derivative=pick.second_derivative,
-    )
+    return ResilienceCurve(**vars(pick), values=s, weights=w,
+                           s_at_d0=resilience_at(x, s, pick.d0))
 
 
 def resilience_at(grid, values, x: float) -> float:

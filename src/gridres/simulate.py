@@ -159,40 +159,6 @@ class _Draws:
         return times, durations, recovered, sizes
 
 
-def _runs(sizes):
-    """Slice of each replica's run of a block's concatenated events."""
-    lo = 0
-    for n in sizes.tolist():
-        yield slice(lo, lo + n)
-        lo += n
-
-
-def _block_size(rate: RateFunction, points: int) -> int:
-    """Replicas per block: _BLOCK_CELLS over a replica's expected events and
-    grid points, at least one."""
-    return max(1, _BLOCK_CELLS // (math.ceil(rate.total) + points))
-
-
-def _replica_counts(rate: RateFunction, model: DurationModel, replicas: int, seed: int,
-                    shape: tuple[int, ...], count, fold) -> None:
-    """count(times, recovered, row) for every replica, block by block, into
-    one int64 (block, *shape) buffer, then fold(counts, events) with each
-    block's counts and event total.  count may sort `recovered` in place.
-    Each block is one run_indexed task."""
-    size = min(replicas, _block_size(rate, shape[-1]))
-    draws = _Draws(rate, model, seed, size)
-    counts = np.empty((size, *shape), dtype=np.int64)
-
-    def block(b: int) -> None:
-        first, stop = b * size, min(replicas, (b + 1) * size)
-        times, _durations, recovered, sizes = draws.block(first, stop)
-        for row, run in zip(counts, _runs(sizes)):
-            count(times[run], recovered[run], row)
-        fold(counts[:stop - first], len(times))
-
-    run_indexed(-(-replicas // size), block)
-
-
 class _Moments:
     """Exact sums and sums of squares, over replicas, of integer counts of
     one shape: in int64 while overflow is ruled out, in Python integers
@@ -242,11 +208,26 @@ class _Moments:
 
 
 def _moments(rate, model, replicas, seed, shape, count) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error over replicas of the counts count() takes."""
+    """Mean and standard error over replicas of count(times, recovered, row),
+    one int64 row of `shape` per replica; count may sort `recovered` in
+    place.  Each block of replicas (see _BLOCK_CELLS) is counted into one
+    buffer, folded, and run as one run_indexed task."""
     if replicas > _MAX_REPLICAS:
         raise ValueError(f"{replicas} replicas exceed the limit of {_MAX_REPLICAS:.0e}")
+    size = min(replicas, max(1, _BLOCK_CELLS // (math.ceil(rate.total) + shape[-1])))
+    draws = _Draws(rate, model, seed, size)
+    counts = np.empty((size, *shape), dtype=np.int64)
     moments = _Moments(shape)
-    _replica_counts(rate, model, replicas, seed, shape, count, moments.fold)
+
+    def block(b: int) -> None:
+        first, stop = b * size, min(replicas, (b + 1) * size)
+        times, _durations, recovered, sizes = draws.block(first, stop)
+        ends = np.cumsum(sizes).tolist()
+        for row, lo, hi in zip(counts, [0, *ends], ends):
+            count(times[lo:hi], recovered[lo:hi], row)
+        moments.fold(counts[:stop - first], len(times))
+
+    run_indexed(-(-replicas // size), block)
     return moments.mean_se()
 
 

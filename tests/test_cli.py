@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridres
-from gridres import DurationModel, RateFunction, WeibullMixture
+from gridres import DurationModel, RateFunction, WeibullMixture, mean_paths, regular_grid
 from gridres import cli
 from gridres.cli import build_parser, main
 from gridres.fileio import load_model, save_model
@@ -228,6 +228,16 @@ class TestPipeline:
 def tiny_model(tmp_path_factory):
     path = tmp_path_factory.mktemp("tiny") / "model.json"
     rate = RateFunction.constant(3.0, 12.0)
+    mix = WeibullMixture(components=((1.0, 2.0, 1.0),))
+    save_model(path, rate, DurationModel.stationary(mix, horizon=12.0))
+    return path
+
+
+@pytest.fixture(scope="module")
+def knotted_model(tmp_path_factory):
+    """A rate whose last knot, at 8 h, sits inside its 12 h horizon."""
+    path = tmp_path_factory.mktemp("knotted") / "model.json"
+    rate = RateFunction(knots=((0.0, 2.0), (8.0, 5.0)), horizon=12.0)
     mix = WeibullMixture(components=((1.0, 2.0, 1.0),))
     save_model(path, rate, DurationModel.stationary(mix, horizon=12.0))
     return path
@@ -623,11 +633,25 @@ class TestExitCodes:
         def no_draw(*args):
             raise AssertionError("a replica was drawn")
 
-        monkeypatch.setattr(gridres.simulate, "_replica_counts", no_draw)
+        monkeypatch.setattr(gridres.simulate, "_Draws", no_draw)
         rc = main(["--out", str(tmp_path / "x"), "simulate", "--model", str(tiny_model),
                    "--replicas", str(2**53)])
         assert rc == 2
         assert "replicas exceed the limit of 1e+07" in capsys.readouterr().err
+
+    def test_replicas_below_one_refused(self, tiny_model, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["--out", str(out), "simulate", "--model", str(tiny_model), "--replicas", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need at least one replica\n"
+        assert not (out / "paths.csv").exists()
+
+    def test_horizon_below_the_last_knot_refused(self, knotted_model, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path / "x"), "simulate", "--model", str(knotted_model),
+                   "--replicas", "3", "--horizon", "6"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --horizon: horizon 6 must cover the last knot at 8\n")
 
     @pytest.mark.parametrize("intervals", ["5", str(2**53)])
     def test_intervals_checked_before_reading_inputs(self, tmp_path, capsys, intervals):
@@ -777,6 +801,22 @@ class TestCommandExtras:
         summary = json.loads((out / "summary.json").read_text())
         # roughly base*30 + peak*3 failures on average
         assert 20.0 < summary["mean_total_failures"] < 80.0
+
+    def test_horizon_past_the_fitted_window(self, knotted_model, tmp_path):
+        # the rate holds its last knot's level out to the longer horizon
+        out = tmp_path / "long"
+        rc = main(["--seed", "3", "--out", str(out), "simulate", "--model", str(knotted_model),
+                   "--replicas", "20", "--horizon", "20", "--grid-step", "2"])
+        assert rc == 0
+        rate, model, _ = load_model(knotted_model)
+        want = mean_paths(RateFunction(knots=rate.knots, horizon=20.0), model,
+                          regular_grid(20.0, 2.0), 20, 3)
+        cols = read_csv_columns(out / "paths.csv")
+        assert cols["t_hours"][-1] == 20.0
+        for name in ("nf_mean", "nr_mean", "n_mean"):
+            np.testing.assert_allclose(cols[name], want[name], rtol=1e-8, atol=0.0)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["effective_config"]["horizon"] == 20.0
 
     @pytest.mark.parametrize("saved", [0, 3])
     def test_saved_events_by_replica(self, tiny_model, tmp_path, saved):

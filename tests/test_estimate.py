@@ -110,6 +110,15 @@ class TestEstimateRate:
             np.testing.assert_allclose(rates[[0, 1, 2, 6]], [2 / 5, 2 / 6, 2 / 7, 3 / 10],
                                        rtol=1e-15)
 
+    def test_default_horizon_is_the_last_event_rounded_up_to_a_bin(self):
+        est = estimate_rate([0.3, 2.5, 7.2], bin_width=2.0)
+        assert est.horizon == 8.0
+        assert est.knots == estimate_rate([0.3, 2.5, 7.2], bin_width=2.0, horizon=8.0).knots
+        # events at 0 alone still get one whole bin
+        est = estimate_rate([0.0, 0.0], bin_width=1.5)
+        assert est.horizon == 1.5
+        assert [t for t, _ in est.knots] == [0.0, 1.5]
+
     def test_one_point_grid_is_constant(self):
         # a horizon inside regular_grid's 1e-9 slack leaves the one grid point 0
         est = estimate_rate([5e-11], horizon=1e-10)

@@ -259,6 +259,14 @@ class TestSurge:
         with pytest.raises(ValueError):
             spec.to_rate_function(4.0)
 
+    def test_composite_rate_keeps_inner_surge_knots(self):
+        # the surge's knots before the drop's ramp carry over, raised by the
+        # base rate; its knot past surge_end does not
+        surge = RateFunction(knots=((0.0, 4.0), (1.0, 10.0), (3.0, 6.0), (4.5, 6.0)), horizon=5.0)
+        comp = SurgeSpec(base_rate=0.5, surge_rate=surge, surge_end=4.0).to_rate_function(10.0)
+        assert comp.knots == ((0.0, 4.5), (1.0, 10.5), (3.0, 6.5), (4.0 - 1e-9, 6.5), (4.0, 0.5))
+        assert comp.horizon == 10.0
+
     def test_surge_recovery_rate_against_quadrature(self):
         spec, model = self.fixture(t1=8.0)
         comp = spec.to_rate_function(300.0)

@@ -229,7 +229,7 @@ class TestMonteCarlo:
         def no_draw(*args):
             raise AssertionError("a replica was drawn")
 
-        monkeypatch.setattr(simulate, "_replica_counts", no_draw)
+        monkeypatch.setattr(simulate, "_Draws", no_draw)
         grid = np.linspace(0.0, 60.0, 13)
         for replicas in (10**7 + 1, 2**53):
             with pytest.raises(ValueError, match="replicas exceed the limit of 1e\\+07"):
@@ -296,11 +296,12 @@ def test_draw_buffers_grow_past_their_first_size():
     draws = simulate._Draws(RAMP, model, 5, 1)
     times, durations, recovered, sizes = draws.block(0, 40)
     assert len(times) > 2 * RAMP.total
-    for i, run in enumerate(simulate._runs(sizes)):
+    ends = np.cumsum(sizes)
+    for i, (lo, hi) in enumerate(zip(ends - sizes, ends)):
         t, d = simulate_events(RAMP, model, 5, i)
-        np.testing.assert_array_equal(times[run], t)
-        np.testing.assert_array_equal(durations[run], d)
-        np.testing.assert_array_equal(recovered[run], t + d)
+        np.testing.assert_array_equal(times[lo:hi], t)
+        np.testing.assert_array_equal(durations[lo:hi], d)
+        np.testing.assert_array_equal(recovered[lo:hi], t + d)
 
 
 def test_moments_exact_past_int64():
