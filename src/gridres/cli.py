@@ -3,8 +3,10 @@
 gridres <ingest|fit|test|simulate|resilience|reconstruct> with global
 --seed/--config/--out, each option declared once in OPTIONS.  Precedence
 is flags, then the JSON config file (per-command section first, then top
-level), then built-in defaults; a config value passes its flag's checks.
-Every option's resolved value is echoed into the command's JSON report.
+level), then built-in defaults; resolve_options alone converts and checks
+a value, flag text or config, comma lists included, so a bad one exits 2
+with an `error:` line either way.  Every option's resolved value, comma
+lists as lists, is echoed into the command's JSON report.
 Outputs are byte-identical across reruns with the same inputs and seed;
 every command runs on the calling thread, in index order.
 
@@ -82,11 +84,9 @@ def _parse_when(text: str, zone: timezone, flag: str) -> datetime:
         raise CliError(f"bad {flag} {text!r}: its wall time in the zone is off the calendar") from None
 
 
-def _parse_list(text: str, name: str, kind: type = float) -> tuple:
-    try:
-        return tuple(kind(x) for x in text.split(","))
-    except ValueError:
-        raise CliError(f"bad {name} {text!r}; expected comma-separated {kind.__name__}s") from None
+def _comma_list(kind: type) -> Callable[[str], tuple]:
+    """The parser of a comma list whose items `kind` converts."""
+    return lambda text: tuple(map(kind, text.split(",")))
 
 
 class Opt(NamedTuple):
@@ -108,7 +108,7 @@ GLOBAL_OPTIONS = (
     Opt("seed", int, 0, help="root random seed"),
     Opt("out", str, ".", help="output directory"),
 )
-# each command's options; comma lists stay text and are parsed by the command
+# each command's options
 OPTIONS = {
     "ingest": (
         Opt("input", required=True, help="raw outage records, delimited text"),
@@ -123,8 +123,10 @@ OPTIONS = {
     ),
     "fit": (
         Opt("dataset", required=True, help="dataset.csv from ingest"),
-        Opt("boundaries", required=True, help="failure-time interval edges, hours, comma list"),
-        Opt("components", required=True, help="mixture components per interval, comma list"),
+        Opt("boundaries", _comma_list(float), required=True,
+            help="failure-time interval edges, hours, comma list"),
+        Opt("components", _comma_list(int), required=True,
+            help="mixture components per interval, comma list"),
         Opt("tau", float, 5.0, help="moving-average half-width, hours"),
         Opt("bin", float, 1.0, help="rate grid step, hours"),
         Opt("tol", float, 1e-6, help="EM log-likelihood tolerance"),
@@ -150,7 +152,7 @@ OPTIONS = {
     "resilience": (
         Opt("model", required=True, help="model.json from fit"),
         Opt("dataset", help="dataset.csv whose failure times weight the intervals"),
-        Opt("weights", help="interval weights, comma list"),
+        Opt("weights", _comma_list(float), help="interval weights, comma list"),
         Opt("grid_step", float, 0.25, help="curve grid step, hours"),
         Opt("grid_max", float, help="curve extent, hours (default 1.2 x the longest duration)"),
         Opt("smoothing", int, 5, help="moving-average width of the curve"),
@@ -205,7 +207,7 @@ def load_config(path: str | None) -> dict:
 def resolve_options(opts: tuple[Opt, ...], args: argparse.Namespace, cfg: dict) -> dict:
     """Flag > config file (per-command section, then top level) > default.
 
-    A config value passes the same type and choice checks as the flag.
+    A flag's text and a config value pass the same type and choice checks.
     """
     section = cfg.get(args.command, {})
     values = {}
@@ -275,18 +277,14 @@ def cmd_fit(o: dict, out: Path) -> int:
     dataset = read_dataset(o["dataset"])
     if not len(dataset):
         raise CliError("no events to fit")
-    boundaries = _parse_list(o["boundaries"], "boundaries")
-    components = _parse_list(o["components"], "components", int)
     rate = _flagged("--tau/--bin/--boundaries", estimate_rate, dataset.times,
-                    window=o["tau"], bin_width=o["bin"], horizon=boundaries[-1])
+                    window=o["tau"], bin_width=o["bin"], horizon=o["boundaries"][-1])
     model, fits = fit_duration_model(
-        dataset.times, dataset.durations, boundaries, components,
+        dataset.times, dataset.durations, o["boundaries"], o["components"],
         seed=o["seed"], tol=o["tol"], max_iter=o["max_iter"], n_starts=o["starts"],
     )
     partial = not all(f.converged for f in fits)
-    effective = {**o, "boundaries": list(boundaries), "components": list(components),
-                 "partial": partial}
-    save_model(out / "model.json", rate, model, fits=fits, config=effective)
+    save_model(out / "model.json", rate, model, fits=fits, config={**o, "partial": partial})
     for i, f in enumerate(fits):
         state = "converged" if f.converged else "NOT CONVERGED"
         print(
@@ -303,24 +301,12 @@ def cmd_fit(o: dict, out: Path) -> int:
 def cmd_test(o: dict, out: Path) -> int:
     _flagged("--intervals", check_intervals, o["intervals"])
     dataset = read_dataset(o["dataset"])
-    rate, _model, _payload = load_model(o["model"])
+    rate, _model = load_model(o["model"])
     times = dataset.times
     result = pearson_nhpp_test(times, rate, n_intervals=o["intervals"], alpha=o["alpha"])
     theo, emp = qq_points(times, rate)
-    write_report(out / "gof.json", {
-        "chi_square": result.chi_square,
-        "dof": result.dof,
-        "threshold": result.threshold,
-        "rejected": result.rejected,
-        "alpha": result.alpha,
-        "triple": result.triple(),
-        "n_intervals": result.n_intervals,
-        "observed": list(result.observed),
-        "expected": list(result.expected),
-        "pooled_observed": list(result.pooled_observed),
-        "pooled_expected": list(result.pooled_expected),
-        "effective_config": o,
-    })
+    write_report(out / "gof.json", {**dataclasses.asdict(result), "triple": result.triple(),
+                                    "effective_config": o})
     write_table(out / "qq.csv", ["exp1_quantile", "rescaled_gap"], [theo, emp])
     verdict = "rejected" if result.rejected else "not rejected"
     print(f"test: {result.triple()} -> NHPP hypothesis {verdict} at alpha={o['alpha']:g}")
@@ -328,7 +314,7 @@ def cmd_test(o: dict, out: Path) -> int:
 
 
 def cmd_simulate(o: dict, out: Path) -> int:
-    rate, model, _payload = load_model(o["model"])
+    rate, model = load_model(o["model"])
     replicas = o["replicas"]
     if o["save_events"] < 0:
         raise CliError("--save-events must be >= 0")
@@ -348,12 +334,8 @@ def cmd_simulate(o: dict, out: Path) -> int:
         rate = _flagged("--horizon", RateFunction, knots=rate.knots, horizon=horizon)
     grid = _flagged("--horizon/--grid-step", regular_grid, horizon, o["grid_step"])
     summary = mean_paths(rate, model, grid, replicas, o["seed"])
-    write_table(
-        out / "paths.csv",
-        ["t_hours", "nf_mean", "nf_se", "nr_mean", "nr_se", "n_mean", "n_se"],
-        [grid, summary["nf_mean"], summary["nf_se"], summary["nr_mean"],
-         summary["nr_se"], summary["n_mean"], summary["n_se"]],
-    )
+    header = ["t_hours", "nf_mean", "nf_se", "nr_mean", "nr_se", "n_mean", "n_se"]
+    write_table(out / "paths.csv", header, [grid, *(summary[h] for h in header[1:])])
     draws = [simulate_events(rate, model, o["seed"], i)
              for i in range(min(o["save_events"], replicas))]
     replica = np.repeat(np.arange(len(draws)), [len(t) for t, _ in draws])
@@ -377,12 +359,12 @@ def cmd_simulate(o: dict, out: Path) -> int:
 
 
 def cmd_resilience(o: dict, out: Path) -> int:
-    rate, model, _payload = load_model(o["model"])
+    rate, model = load_model(o["model"])
     dataset = None
     if o["dataset"] is not None and (o["weights"] is None or o["grid_max"] is None):
         dataset = read_dataset(o["dataset"])
     if o["weights"] is not None:
-        weights = np.asarray(_parse_list(o["weights"], "weights"))
+        weights = np.asarray(o["weights"])
         source = "explicit"
     elif dataset is not None:
         weights = interval_weights(dataset.times, model.boundaries)
@@ -410,7 +392,7 @@ def cmd_resilience(o: dict, out: Path) -> int:
     )
     if o["d0"] is not None:
         d0 = o["d0"]
-        s_at_d0 = resilience_at(curve.grid, curve.values, d0)
+        s_at_d0 = _flagged("--d0", resilience_at, curve.grid, curve.values, d0)
         d0_source = "override"
     else:
         d0, s_at_d0, d0_source = curve.d0, curve.s_at_d0, "curve"
@@ -434,7 +416,7 @@ def cmd_resilience(o: dict, out: Path) -> int:
 
 
 def cmd_reconstruct(o: dict, out: Path) -> int:
-    rate, model, _payload = load_model(o["model"])
+    rate, model = load_model(o["model"])
     mode = o["mode"]
     grid = _flagged("--grid-step", regular_grid, rate.horizon, o["grid_step"])
     _flagged("--quad-step", check_quad_step, rate.horizon, o["quad_step"])
@@ -465,8 +447,9 @@ def _add_options(parser: argparse.ArgumentParser, opts: tuple[Opt, ...]) -> None
     for opt in opts:
         note = (" (required)" if opt.required
                 else "" if opt.default is None else f" (default {opt.default})")
-        parser.add_argument(opt.flag, dest=opt.name, type=opt.type,
-                            choices=opt.choices, help=opt.help + note)
+        # no type= or choices=: resolve_options checks flag text as it does config
+        parser.add_argument(opt.flag, dest=opt.name, help=opt.help + note,
+                            metavar=opt.choices and "{" + ",".join(opt.choices) + "}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -161,7 +161,8 @@ def save_model(
     write_report(path, payload)
 
 
-def load_model(path) -> tuple[RateFunction, DurationModel, dict]:
+def load_model(path) -> tuple[RateFunction, DurationModel]:
+    """The rate and duration model of a model file."""
     with open(path) as fh:
         payload = json.load(fh)
     try:
@@ -184,4 +185,4 @@ def load_model(path) -> tuple[RateFunction, DurationModel, dict]:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None
-    return rate, model, payload
+    return rate, model

@@ -86,7 +86,7 @@ class RateFunction:
         arr = np.asarray(t, dtype=float)
         self._check_domain(arr)
         out = np.interp(arr, self._bt, self._bv)
-        return float(out) if np.isscalar(t) else out
+        return float(out) if np.ndim(t) == 0 else out
 
     def cumulative(self, t):
         """Exact integral of the intensity from 0 to t."""
@@ -96,7 +96,7 @@ class RateFunction:
         idx = np.searchsorted(self._bt[1:-1], clipped, side="right")
         avg = 0.5 * self._bv[idx] + 0.5 * np.interp(clipped, self._bt, self._bv)
         out = self._cum[idx] + (clipped - self._bt[idx]) * avg
-        return float(out[0]) if np.isscalar(t) else out
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def inverse_cumulative(self, levels, out=None) -> np.ndarray:
         """Time at which the cumulative intensity reaches each level in
@@ -156,7 +156,7 @@ class RateFunction:
         return float(self._bv.max())
 
     def scaled(self, factor: float) -> "RateFunction":
-        if factor < 0.0:
+        if not factor >= 0.0:
             raise ValueError("scale factor must be >= 0")
         return RateFunction(
             knots=tuple((float(t), float(v) * factor) for t, v in self.knots),

@@ -276,7 +276,7 @@ def _day_to_day(base_rate: float, model: DurationModel, t, quad_step: float,
     constant intensity base_rate on [0, max(t)], all in one call; exactly 0
     at t = 0 and wherever base_rate is 0."""
     times = _times(t)
-    if base_rate < 0.0:
+    if not base_rate >= 0.0:
         raise ValueError("base_rate must be >= 0")
     out = np.zeros(len(times))
     live = times > 0.0
@@ -421,7 +421,7 @@ def surge_expected(
     lam_m0, t1 = spec.surge_rate.value(0.0), spec.surge_end
     if regime != "general" and d0 is None:
         raise ValueError(f"regime {regime!r} requires the duration threshold d0")
-    if regime != "general" and d0 <= t1:
+    if regime != "general" and not d0 > t1:
         raise ValueError("closed form requires d0 > t1")
     n0 = day_to_day_expected(spec.base_rate, model, times, quad_step)
     surv = 1.0 - model.cdf(times, at=0.0)

@@ -182,14 +182,14 @@ def resilience_at(grid, values, x: float) -> float:
     """Linear interpolation of the curve; x must lie inside the grid."""
     g = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=float)
-    if x < g[0] or x > g[-1]:
+    if not g[0] <= x <= g[-1]:
         raise ValueError(f"x={x} outside the curve range [{g[0]}, {g[-1]}]")
     return float(np.interp(x, g, v))
 
 
 def infant_aging_split(model: DurationModel, d0: float) -> tuple[tuple[float, float], ...]:
     """Per-interval (restored within d0, still out beyond d0) fractions."""
-    if d0 <= 0.0:
+    if not d0 > 0.0:
         raise ValueError("d0 must be > 0")
     out = []
     for mix in model.mixtures:

@@ -70,7 +70,7 @@ class WeibullMixture:
         Components of weight 0 add nothing, even there.
         """
         arr = np.atleast_1d(np.asarray(d, dtype=float))
-        if np.any(arr < 0.0):
+        if not np.all(arr >= 0.0):
             raise ValueError("durations must be >= 0")
         out = np.zeros_like(arr)
         pos = arr > 0.0
@@ -87,19 +87,19 @@ class WeibullMixture:
         if not pos.all():
             out[~pos] = math.inf if any(k < 1.0 for _, _, k in live) else sum(
                 w / g for w, g, k in live if k == 1.0)
-        return float(out[0]) if np.isscalar(d) else out
+        return float(out[0]) if np.ndim(d) == 0 else out
 
     def cdf(self, d):
         """Mixture distribution function at duration(s) d >= 0."""
         arr = np.atleast_1d(np.asarray(d, dtype=float))
-        if np.any(arr < 0.0):
+        if not np.all(arr >= 0.0):
             raise ValueError("durations must be >= 0")
         out = np.zeros_like(arr)
         with np.errstate(over="ignore"):  # d / g or its power may be inf: the cdf's limit 1
             for w, g, k in zip(self._w, self._g, self._k):
                 out += w * (-np.expm1(-((arr / g) ** k)))
         out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if np.isscalar(d) else out
+        return float(out[0]) if np.ndim(d) == 0 else out
 
     def mean(self) -> float:
         terms = zip(self._w.tolist(), self._g.tolist(), self._k.tolist())
@@ -179,7 +179,7 @@ class DurationModel:
     def interval_index(self, t):
         """Index of the interval containing failure time(s) t, tails clamped."""
         idx = interval_of(self._b, t)
-        return int(idx[0]) if np.isscalar(t) else idx
+        return int(idx[0]) if np.ndim(t) == 0 else idx
 
     def by_interval(self, fn, at, *values):
         """fn(mixtures[interval_index(at)], *values), elementwise.
@@ -194,7 +194,7 @@ class DurationModel:
         for i in np.flatnonzero(np.bincount(idx.ravel())):
             m = idx == i
             out[m] = fn(self.mixtures[i], *(a[m] for a in arrays))
-        return float(out.flat[0]) if all(map(np.isscalar, (at, *values))) else out
+        return float(out.flat[0]) if all(np.ndim(a) == 0 for a in (at, *values)) else out
 
     def from_uniforms(self, at, u_comp, u_dur, out=None) -> np.ndarray:
         """Durations of failures at times `at` from paired uniforms on [0, 1),

@@ -338,6 +338,20 @@ class TestConfigPrecedence:
                    "simulate", "--model", str(tiny_model)])
         assert rc == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "error: cannot read config:"),
+        ("[1, 2]", "error: config must be a JSON object"),
+        ('{"simulate": 3}', "error: config section 'simulate' must be an object"),
+    ])
+    def test_config_shape_refused(self, tiny_model, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:  # None: no file to read
+            cfg.write_text(text)
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "x"),
+                   "simulate", "--model", str(tiny_model)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(message)
+
 
 class TestExitCodes:
     def test_missing_required_flag(self, tmp_path):
@@ -364,12 +378,28 @@ class TestExitCodes:
                    "--zone", "central"])
         assert rc == 2
 
-    def test_bad_reconstruct_mode_flag(self, tiny_model, tmp_path):
-        # argparse rejects values outside choices= with usage + exit 2
-        with pytest.raises(SystemExit) as exc:
-            main(["--out", str(tmp_path), "reconstruct",
-                  "--model", str(tiny_model), "--mode", "sideways"])
-        assert exc.value.code == 2
+    def test_bad_reconstruct_mode_flag(self, tiny_model, tmp_path, capsys):
+        # the flag's text passes the config value's check: no usage dump
+        rc = main(["--out", str(tmp_path), "reconstruct",
+                   "--model", str(tiny_model), "--mode", "sideways"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad --mode value 'sideways'")
+
+    def test_bad_list_flag_refused_before_any_input(self, tmp_path, capsys):
+        # the dataset does not exist: the list is checked before it is read
+        rc = main(["--out", str(tmp_path), "fit", "--dataset", str(tmp_path / "none.csv"),
+                   "--boundaries", "0,x", "--components", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad --boundaries value '0,x'")
+
+    def test_d0_nan_refused(self, tiny_model, tmp_path, capsys):
+        # NaN is no JSON token: it must not reach resilience.json
+        out = tmp_path / "x"
+        rc = main(["--out", str(out), "resilience", "--model", str(tiny_model),
+                   "--grid-max", "10", "--d0", "nan"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --d0:")
+        assert not (out / "resilience.json").exists()
 
     def test_bad_reconstruct_mode_config(self, tiny_model, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -577,7 +607,7 @@ class TestExitCodes:
         for m in payload["durations"]["mixtures"]:
             assert m["log_likelihood"] is None
             assert "non-finite log-likelihood" in m["flags"]
-        _, model, _ = load_model(out / "model.json")
+        _, model = load_model(out / "model.json")
         assert model.n_intervals == 5
 
     def test_negative_save_events_refused(self, tiny_model, tmp_path, capsys):
@@ -760,6 +790,34 @@ class TestCommandExtras:
         assert counts["window_dropped"] == 1 and counts["emitted"] == 1
         assert (tmp_path / "dataset.csv").read_text() == "t_hours,duration_hours\n0,1.5\n"
 
+    def test_utc_zone_names(self, workspace, tmp_path):
+        products = {}
+        for zone in ("Z", "UTC", "+00:00"):
+            out = tmp_path / zone
+            assert main(["--out", str(out), "ingest", "--input", str(workspace / "raw.csv"),
+                         "--window-start", WINDOW_START, "--window-end", WINDOW_END,
+                         "--zone", zone]) == 0
+            products[zone] = (out / "dataset.csv").read_bytes()
+        assert products["Z"] == products["UTC"] == products["+00:00"]
+
+    @pytest.mark.parametrize("command, choices", [
+        ("reconstruct", "--mode {piecewise,stationary,both}"),
+        ("ingest", "--group-rule {max,first,mean}"),
+    ])
+    def test_help_lists_choices(self, capsys, command, choices):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert choices in capsys.readouterr().out
+
+    def test_weights_echoed_as_a_list(self, pipeline, tmp_path):
+        run_out, _ = pipeline
+        rc = main(["--out", str(tmp_path), "resilience", "--model", str(run_out / "model.json"),
+                   "--weights", "0.5,0.5,0,0,0", "--grid-max", "60"])
+        assert rc == 0
+        report = json.loads((tmp_path / "resilience.json").read_text())
+        assert report["effective_config"]["weights"] == report["weights"] == [0.5, 0.5, 0, 0, 0]
+
     def test_d0_override_honored(self, pipeline, tmp_path):
         run_out, _ = pipeline
         out = tmp_path / "fixed"
@@ -808,7 +866,7 @@ class TestCommandExtras:
         rc = main(["--seed", "3", "--out", str(out), "simulate", "--model", str(knotted_model),
                    "--replicas", "20", "--horizon", "20", "--grid-step", "2"])
         assert rc == 0
-        rate, model, _ = load_model(knotted_model)
+        rate, model = load_model(knotted_model)
         want = mean_paths(RateFunction(knots=rate.knots, horizon=20.0), model,
                           regular_grid(20.0, 2.0), 20, 3)
         cols = read_csv_columns(out / "paths.csv")
@@ -1206,6 +1264,23 @@ def test_config_values_keep_the_contract(config_bases, case):
         config, out = Path(tmp) / "config.json", Path(tmp) / "out"
         config.write_text(json.dumps(cfg))
         assert_keeps_contract(["--config", str(config), "--out", str(out), command], out)
+
+
+@settings(max_examples=50, deadline=None)
+@example(case=("reconstruct", (("mode", "sideways", True),)))
+@example(case=("simulate", (("replicas", "x", True),)))
+@example(case=("fit", (("boundaries", "0,x", True),)))
+@given(case=config_cases())
+def test_flag_values_keep_the_contract(config_bases, case):
+    # the config edits as `--name=value` flags: flag text passes the same
+    # check as a config value, so a bad one is exit 2, not a SystemExit
+    command, edits = case
+    section = {**config_bases[command], **{k: v for k, v, _ in edits if k != "seed"}}
+    seeds = [f"--seed={v}" for k, v, _ in edits if k == "seed"]
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in section.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert_keeps_contract([*seeds, "--out", str(out), command, *flags], out)
 
 
 # The CLI contract on raw files for `ingest`: the small raw file with 1-3

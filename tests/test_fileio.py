@@ -225,14 +225,14 @@ class TestModelRoundtrip:
         model = reference_model()
         path = tmp_path / "model.json"
         save_model(path, self.RATE, model)
-        rate, back, payload = load_model(path)
+        rate, back = load_model(path)
         assert rate.horizon == self.RATE.horizon
         np.testing.assert_allclose(rate.knots, self.RATE.knots, rtol=1e-8)
         assert back.boundaries == model.boundaries
         assert back.n_intervals == model.n_intervals
         for got, want in zip(back.mixtures, model.mixtures):
             np.testing.assert_allclose(got.components, want.components, rtol=1e-8)
-        assert payload["config"] == {}
+        assert json.loads(path.read_text())["config"] == {}
 
     def test_fit_metadata_saved(self, tmp_path):
         model = reference_model()
@@ -248,7 +248,8 @@ class TestModelRoundtrip:
         )
         path = tmp_path / "model.json"
         save_model(path, self.RATE, model, fits=fits, config={"seed": 7})
-        _, _, payload = load_model(path)
+        load_model(path)
+        payload = json.loads(path.read_text())
         mixtures = payload["durations"]["mixtures"]
         assert mixtures[0]["converged"] is True
         assert mixtures[2]["flags"] == ["dropped degenerate component"]
@@ -275,7 +276,7 @@ class TestModelRoundtrip:
 
     def test_old_nearest_tail_policy_loads(self, tmp_path):
         # files written before the key was dropped carry "nearest"
-        _rate, back, _payload = load_model(self.with_tail_policy(tmp_path, "nearest"))
+        _rate, back = load_model(self.with_tail_policy(tmp_path, "nearest"))
         assert back.boundaries == reference_model().boundaries
 
     def test_unknown_tail_policy_rejected(self, tmp_path):

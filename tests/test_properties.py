@@ -1259,3 +1259,56 @@ def test_nan_in_an_array_is_refused(name, n, data):
     values[data.draw(st.integers(0, len(values) - 1))] = np.nan
     with pytest.raises(ValueError):
         call(values)
+
+
+NAN_SPEC = SurgeSpec(base_rate=2.0, surge_rate=RateFunction.constant(30.0, 3.0), surge_end=3.0)
+
+# each public scalar check: (a valid value, the call)
+NAN_SCALAR_CASES = {
+    "WeibullMixture.cdf": (1.0, NAN_MODEL.mixtures[0].cdf),
+    "WeibullMixture.pdf": (1.0, NAN_MODEL.mixtures[0].pdf),
+    "RateFunction.scaled": (2.0, NAN_RATE.scaled),
+    "resilience_at": (3.0, lambda x: resilience.resilience_at(
+        np.linspace(0.0, 20.0, 21), np.linspace(0.0, 1.0, 21), x)),
+    "infant_aging_split": (4.0, lambda d0: resilience.infant_aging_split(NAN_MODEL, d0)),
+    "day_to_day_expected": (2.0, lambda base: day_to_day_expected(base, NAN_MODEL, 5.0)),
+    "surge_expected d0": (6.0, lambda d0: surge_expected(NAN_SPEC, NAN_MODEL, 5.0,
+                                                         regime="infant", d0=d0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_SCALAR_CASES))
+def test_nan_scalar_is_refused(name):
+    # the scalar form of the array guard: a check written as `value < low`
+    # lets NaN through, so each is written as `not <in range>`
+    valid, call = NAN_SCALAR_CASES[name]
+    call(valid)
+    with pytest.raises(ValueError):
+        call(math.nan)
+
+
+# each entry point that answers a scalar with a scalar
+ZERO_D_CASES = {
+    "RateFunction.value": lambda a: NAN_RATE.value(a),
+    "RateFunction.cumulative": lambda a: NAN_RATE.cumulative(a),
+    "RateFunction.integral": lambda a: NAN_RATE.integral(a, a + 1.0),
+    "WeibullMixture.pdf": lambda a: NAN_MODEL.mixtures[0].pdf(a),
+    "WeibullMixture.cdf": lambda a: NAN_MODEL.mixtures[0].cdf(a),
+    "DurationModel.cdf": lambda a: NAN_MODEL.cdf(a, at=a),
+    "DurationModel.by_interval": lambda a: NAN_MODEL.by_interval(WeibullMixture.pdf, a, a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_D_CASES))
+def test_zero_d_array_gives_a_float(name):
+    # np.ndim(x) == 0 is the one scalar test: np.isscalar is False on a
+    # 0-d array, which then came back as a shape-(1,) array
+    call = ZERO_D_CASES[name]
+    got = call(np.array(2.0))
+    assert type(got) is float
+    assert got == call(2.0)
+
+
+def test_zero_d_array_gives_an_interval_index():
+    got = NAN_MODEL.interval_index(np.array(9.0))
+    assert type(got) is int and got == NAN_MODEL.interval_index(9.0) == 1
