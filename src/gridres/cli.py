@@ -5,8 +5,10 @@ gridres <ingest|fit|test|simulate|resilience|reconstruct> with global
 is flags, then the JSON config file (per-command section first, then top
 level), then built-in defaults; resolve_options alone converts and checks
 a value, flag text or config, comma lists included, so a bad one exits 2
-with an `error:` line either way.  Every option's resolved value, comma
-lists as lists, is echoed into the command's JSON report.
+with an `error:` line either way; a config may give a comma list as a
+JSON list.  Every option's resolved value, comma lists as lists, is
+echoed into the command's JSON report, so a report's effective_config
+reads back as a config.
 Outputs are byte-identical across reruns with the same inputs and seed;
 every command runs on the calling thread, in index order.
 
@@ -26,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimate import (
+    check_alpha,
     check_intervals,
     estimate_rate,
     pearson_nhpp_test,
@@ -84,9 +87,14 @@ def _parse_when(text: str, zone: timezone, flag: str) -> datetime:
         raise CliError(f"bad {flag} {text!r}: its wall time in the zone is off the calendar") from None
 
 
-def _comma_list(kind: type) -> Callable[[str], tuple]:
+@dataclasses.dataclass(frozen=True)
+class _CommaList:
     """The parser of a comma list whose items `kind` converts."""
-    return lambda text: tuple(map(kind, text.split(",")))
+
+    kind: type
+
+    def __call__(self, text: str) -> tuple:
+        return tuple(map(self.kind, text.split(",")))
 
 
 class Opt(NamedTuple):
@@ -123,9 +131,9 @@ OPTIONS = {
     ),
     "fit": (
         Opt("dataset", required=True, help="dataset.csv from ingest"),
-        Opt("boundaries", _comma_list(float), required=True,
+        Opt("boundaries", _CommaList(float), required=True,
             help="failure-time interval edges, hours, comma list"),
-        Opt("components", _comma_list(int), required=True,
+        Opt("components", _CommaList(int), required=True,
             help="mixture components per interval, comma list"),
         Opt("tau", float, 5.0, help="moving-average half-width, hours"),
         Opt("bin", float, 1.0, help="rate grid step, hours"),
@@ -152,7 +160,7 @@ OPTIONS = {
     "resilience": (
         Opt("model", required=True, help="model.json from fit"),
         Opt("dataset", help="dataset.csv whose failure times weight the intervals"),
-        Opt("weights", _comma_list(float), help="interval weights, comma list"),
+        Opt("weights", _CommaList(float), help="interval weights, comma list"),
         Opt("grid_step", float, 0.25, help="curve grid step, hours"),
         Opt("grid_max", float, help="curve extent, hours (default 1.2 x the longest duration)"),
         Opt("smoothing", int, 5, help="moving-average width of the curve"),
@@ -207,7 +215,8 @@ def load_config(path: str | None) -> dict:
 def resolve_options(opts: tuple[Opt, ...], args: argparse.Namespace, cfg: dict) -> dict:
     """Flag > config file (per-command section, then top level) > default.
 
-    A flag's text and a config value pass the same type and choice checks.
+    A flag's text and a config value pass the same type and choice checks;
+    a config's JSON list for a comma-list option is checked as its comma text.
     """
     section = cfg.get(args.command, {})
     values = {}
@@ -219,10 +228,14 @@ def resolve_options(opts: tuple[Opt, ...], args: argparse.Namespace, cfg: dict) 
                 raise CliError(f"{opt.flag} is required")
             values[opt.name] = opt.default
             continue
-        if isinstance(raw, (dict, list)):
+        if isinstance(raw, list) and isinstance(opt.type, _CommaList):
+            text = ",".join(map(str, raw))
+        elif isinstance(raw, (dict, list)):
             raise CliError(f"bad {opt.flag} value {raw!r}; expected a string or number")
+        else:
+            text = str(raw)
         try:
-            value = opt.type(str(raw))
+            value = opt.type(text)
         except ValueError:
             raise CliError(f"bad {opt.flag} value {raw!r}") from None
         if opt.choices is not None and value not in opt.choices:
@@ -300,6 +313,7 @@ def cmd_fit(o: dict, out: Path) -> int:
 
 def cmd_test(o: dict, out: Path) -> int:
     _flagged("--intervals", check_intervals, o["intervals"])
+    _flagged("--alpha", check_alpha, o["alpha"])
     dataset = read_dataset(o["dataset"])
     rate, _model = load_model(o["model"])
     times = dataset.times

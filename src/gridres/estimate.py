@@ -69,8 +69,9 @@ def estimate_rate(
     Returns the intensity with a knot at each grid point, on [0, the grid's
     end]; a grid of one point, 0, gives a constant intensity on [0, 1e-9].
     """
-    if not (window > 0.0 and bin_width > 0.0):
-        raise ValueError("window and bin_width must be positive")
+    if not (0.0 < window < math.inf and bin_width > 0.0):
+        # a window past the horizon already gives the constant rate
+        raise ValueError("window must be finite and positive, and bin_width positive")
     t = np.sort(np.asarray(event_times, dtype=float))
     if len(t) == 0:
         if horizon is None:
@@ -213,6 +214,16 @@ def check_intervals(n_intervals: int) -> None:
         raise ValueError(f"{n_intervals} intervals exceed the limit of {_MAX_GRID_POINTS:.0e}")
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the test level lies in (0, 1) and leaves a
+    finite chi-square threshold: below about 1.1e-16, 1 - alpha rounds to 1
+    and the quantile is infinite."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if 1.0 - alpha == 1.0:
+        raise ValueError(f"alpha {alpha:g} leaves no finite chi-square threshold: 1 - alpha rounds to 1")
+
+
 def pearson_nhpp_test(
     event_times,
     rate: RateFunction,
@@ -229,8 +240,7 @@ def pearson_nhpp_test(
     cells carries no usable degrees of freedom and is rejected as input.
     """
     check_intervals(n_intervals)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     t = np.sort(np.asarray(event_times, dtype=float))
     if len(t) == 0:
         raise ValueError("no events to test")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .fitting import FitResult
-from .ingest import OutageDataset
+from .ingest import OutageDataset, plain_text
 from .rates import RateFunction
 from .weibull import DurationModel, WeibullMixture
 
@@ -71,11 +71,7 @@ def _loadtxt_columns(path, text: str, encoding: str, columns: tuple[int, int]):
     """The two columns by np.loadtxt, (2, n); None where it may part from the
     rows: a quote (split at its commas), a NUL or a U+001C-U+001F (float() refuses
     them), a line over the csv field limit, a refused cell, no rows, a non-finite value."""
-    # a line over the limit leaves a stretch of limit // 2 characters unbroken
-    stretch = csv.field_size_limit() // 2
-    if (any(ch in text for ch in '"\0\x1c\x1d\x1e\x1f')
-            or any(text.find("\n", i, i + stretch) < 0 and text.find("\r", i, i + stretch) < 0
-                   for i in range(0, len(text) - stretch + 1, stretch))):
+    if not plain_text(text, '"\0\x1c\x1d\x1e\x1f'):
         return None
     try:
         with warnings.catch_warnings():

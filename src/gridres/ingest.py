@@ -3,14 +3,17 @@
 Input is delimited text with a header naming at least id, timestamp and
 duration_hours (header cells are stripped of surrounding space).
 Timestamps are ISO-8601, interpreted in a configured fixed-offset zone
-(offset-aware inputs are converted).  One `csv.reader` pass validates each
-row and appends its id, its timestamp as integer microseconds of zone
-wall time since 1970-01-01, and its duration to three lists, which become
-the arrays of a `RawRecords`.  The rest of the pipeline is array
-arithmetic: a mask keeps the observation window, one sort into the
-canonical timestamp-then-id order and a bucket diff collapse same-minute
-records into one dependent-failure entity, and a subtraction converts
-to hours since the window origin and drops negative durations, keeping
+(offset-aware inputs are converted).  Text that `csv.reader` splits at
+every newline and delimiter (no quote, carriage return, NUL or over-long
+line) is split by `str.split`; any other text goes through `csv.reader`.
+One row loop validates each row and appends its id, its timestamp as
+integer microseconds of zone wall time since 1970-01-01, and its duration
+to three lists, which become the arrays of a `RawRecords`.  The rest of
+the pipeline is array arithmetic: a mask keeps the observation window, a
+sort of the bucket stamps and a bucket diff collapse same-minute
+records into one dependent-failure entity (ids are sorted only in the
+buckets whose rule can see member order), and a subtraction converts to
+hours since the window origin and drops negative durations, keeping
 exact provenance counts the whole way.
 """
 
@@ -124,6 +127,16 @@ def _micros(ts: datetime) -> int:
     return (ts - _EPOCH) // _ONE_US
 
 
+def plain_text(text: str, specials: str) -> bool:
+    """True when text holds none of `specials` and every line is shorter
+    than the csv module's field limit."""
+    # a line over the limit leaves a stretch of limit // 2 characters unbroken
+    stretch = csv.field_size_limit() // 2
+    return not (any(ch in text for ch in specials)
+                or any(text.find("\n", i, i + stretch) < 0 and text.find("\r", i, i + stretch) < 0
+                       for i in range(0, len(text) - stretch + 1, stretch)))
+
+
 def parse_records(
     text: str,
     delimiter: str | None = None,
@@ -143,7 +156,11 @@ def parse_records(
         delimiter = "\t" if first and "\t" in first[0] else ","
     elif len(delimiter) != 1:
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    if text and plain_text(text, '"\r\0'):
+        # csv.reader's rows of such text, its [] for an empty line included
+        reader = (line.split(delimiter) if line else [] for line in text.split("\n"))
+    else:
+        reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     try:
         header = next(reader, None)
         if header is None:
@@ -209,12 +226,12 @@ def filter_window(
     return records.take(keep), len(records) - int(keep.sum())
 
 
-def _canonical(records: RawRecords) -> RawRecords:
-    """Records sorted by timestamp, then id (as Python orders str); stable."""
+def _canonical(ids: np.ndarray, stamps: np.ndarray) -> np.ndarray:
+    """The stable order by timestamp, then id (as Python orders str)."""
     # Python's sort of the ids beats numpy's object argsort by about 2x
-    ids = records.ids.tolist()
+    ids = ids.tolist()
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    return records.take(by_id[np.argsort(records.stamps[by_id], kind="stable")])
+    return by_id[np.argsort(stamps[by_id], kind="stable")]
 
 
 def group_dependent(
@@ -227,39 +244,60 @@ def group_dependent(
     Failures logged in the same minute are treated as one dependent
     failure; a bucket starts on the hour plus a multiple of the
     resolution (minute of the hour // resolution * resolution).  The
-    surviving record carries the bucket-start timestamp, the id first in
-    the canonical timestamp-then-id order, and the group duration under
-    `rule` (max by default, first or mean otherwise; "first" follows the
-    canonical order, so input order never matters).  The result is in
-    canonical order.  Returns (grouped, absorbed_count).  Applying the
-    operation twice is the same as applying it once.
+    surviving record carries the bucket-start timestamp, the group
+    duration under `rule` (max by default, first or mean otherwise), and
+    the id of the member whose duration it carries: under "max" the first
+    member equal to the maximum, otherwise the first member, both in the
+    canonical timestamp-then-id order, so input order never matters.
+    Records are sorted by bucket, and into the canonical order only in the
+    buckets whose rule can see it: under "max" those where more than one
+    member equals the maximum, otherwise those of more than one member.
+    The result is in canonical order.  Returns (grouped, absorbed_count).
+    Applying the operation twice is the same as applying it once.
     """
     if resolution_minutes < 1:
         raise ValueError("resolution must be >= 1 minute")
     if rule not in _GROUP_RULES:
         raise ValueError(f"unknown group rule {rule!r}; expected one of {_GROUP_RULES}")
+    if np.isnan(records.durations).any():
+        raise ValueError("durations must not be NaN")
     if len(records) == 0:
         return records, 0
-    ordered = _canonical(records)
-    stamps, d = ordered.stamps, ordered.durations
+    stamps = records.stamps
     hour = stamps - stamps % _HOUR_US
     # a resolution of an hour or more buckets every minute at the hour
     step = min(resolution_minutes, 60) * _MINUTE_US
     bucket = hour + (stamps - hour) // step * step
+    # unstable, as numpy's stable int64 sort is about 5x slower: the buckets
+    # whose rule sees member order are put back in input order before their
+    # canonical sort, which is stable
+    order = np.argsort(bucket)
+    bucket = bucket[order]
     starts = np.flatnonzero(np.diff(bucket, prepend=bucket[0] - 1))
+    sizes = np.diff(starts, append=len(order))
     if rule == "max":
-        top = np.maximum.reduceat(d, starts)
-        # the first member equal to the maximum, as Python's max keeps,
-        # which decides the sign of a zero
-        hits = np.flatnonzero(d == np.repeat(top, np.diff(starts, append=len(d))))
-        dur = d[hits[np.searchsorted(hits, starts)]]
-    elif rule == "first":
-        dur = d[starts]
+        d = records.durations[order]
+        top = np.repeat(np.maximum.reduceat(d, starts), sizes)
+        # member order picks the survivor, and the sign of a zero, only
+        # where two members equal the maximum
+        seen = np.add.reduceat(d == top, starts, dtype=np.intp) > 1
     else:
+        seen = sizes > 1
+    rows = np.flatnonzero(np.repeat(seen, sizes))
+    sub = np.sort(order[rows])
+    order[rows] = sub[_canonical(records.ids[sub], records.stamps[sub])]
+    d = records.durations[order]
+    pick = starts
+    if rule == "max":
+        # the first member equal to the maximum, as Python's max keeps
+        hits = np.flatnonzero(d == top)
+        pick = hits[np.searchsorted(hits, starts)]
+    dur = d[pick]
+    if rule == "mean":
         # Python's sum in canonical order, so products match across versions
         values, edges = d.tolist(), starts.tolist() + [len(d)]
         dur = np.array([sum(values[a:b]) / (b - a) for a, b in zip(edges, edges[1:])])
-    grouped = RawRecords(ids=ordered.ids[starts], stamps=bucket[starts], durations=dur)
+    grouped = RawRecords(ids=records.ids[order[pick]], stamps=bucket[starts], durations=dur)
     return grouped, len(records) - len(starts)
 
 

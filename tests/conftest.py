@@ -1,9 +1,11 @@
 """Shared fixtures: reference mixtures, a synthetic raw-record file, the
 replica-at-a-time sampling route that serves as the block route's oracle,
 one mixture's inverse-cdf sampler, the one-run M-step, the (n, c) argmin
-k-means, and the clamped piece lookups that RateFunction and interval_of
-are checked against."""
+k-means, the clamped piece lookups that RateFunction and interval_of
+are checked against, and the grouping by one global canonical sort that
+group_dependent is checked against."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import settings
 
 from gridres import DurationModel, RateFunction, WeibullMixture
 from gridres.fitting import _bound_flags, _moments, _newton_shapes, _Rows
+from gridres.ingest import RawRecords
 from gridres.simulate import _check_expected, _first_of_ties, _unit_levels
 
 # property tests draw their examples from a fixed seed and keep no example
@@ -33,6 +36,13 @@ REFERENCE_COMPONENTS = (
 )
 REFERENCE_P13 = (0.5599, 0.4716, 0.5689, 0.2927, 0.3260)
 REFERENCE_BOUNDARIES = (0.0, 12.0, 20.0, 28.0, 36.0, 45.0)
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and infinities, which JSON does not allow."""
+    def reject(name):
+        raise ValueError(f"{name} in JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def reference_mixture(i: int) -> WeibullMixture:
@@ -173,6 +183,38 @@ def make_raw_csv(seed: int = 20080912) -> str:
 @pytest.fixture(scope="session")
 def raw_csv_text() -> str:
     return make_raw_csv()
+
+
+# Dependent-failure grouping by one sort of every record into the canonical
+# timestamp-then-id order.  gridres.ingest.group_dependent sorts by bucket
+# and puts members in canonical order only where the rule can see it; the
+# two must agree bit for bit.
+
+def group_dependent_oracle(records: RawRecords, resolution_minutes: int, rule: str):
+    """(grouped, absorbed_count) from the globally sorted records; the
+    survivor's id is the first member, in canonical order, equal to the
+    maximum under "max", and the first member otherwise."""
+    if len(records) == 0:
+        return records, 0
+    ids = records.ids.tolist()
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    ordered = records.take(by_id[np.argsort(records.stamps[by_id], kind="stable")])
+    stamps, d = ordered.stamps, ordered.durations
+    hour = stamps - stamps % 3_600_000_000
+    step = min(resolution_minutes, 60) * 60_000_000
+    bucket = hour + (stamps - hour) // step * step
+    starts = np.flatnonzero(np.diff(bucket, prepend=bucket[0] - 1))
+    pick = starts
+    if rule == "max":
+        top = np.maximum.reduceat(d, starts)
+        hits = np.flatnonzero(d == np.repeat(top, np.diff(starts, append=len(d))))
+        pick = hits[np.searchsorted(hits, starts)]
+    dur = d[pick]
+    if rule == "mean":
+        values, edges = d.tolist(), starts.tolist() + [len(d)]
+        dur = np.array([sum(values[a:b]) / (b - a) for a, b in zip(edges, edges[1:])])
+    grouped = RawRecords(ids=ordered.ids[pick], stamps=bucket[starts], durations=dur)
+    return grouped, len(records) - len(starts)
 
 
 # Reference piece lookups: the value and the cumulative's end point

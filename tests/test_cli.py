@@ -30,7 +30,9 @@ from gridres import cli
 from gridres.cli import build_parser, main
 from gridres.fileio import load_model, save_model
 
-from conftest import REFERENCE_BOUNDARIES, REFERENCE_COMPONENTS, WINDOW_END, WINDOW_START, make_raw_csv
+from conftest import (
+    REFERENCE_BOUNDARIES, REFERENCE_COMPONENTS, WINDOW_END, WINDOW_START, make_raw_csv, strict_json,
+)
 
 BOUNDARIES = "0,12,20,28,36,45"
 COMMANDS = ("ingest", "fit", "test", "simulate", "resilience", "reconstruct")
@@ -351,6 +353,36 @@ class TestConfigPrecedence:
                    "simulate", "--model", str(tiny_model)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(message)
+
+    def test_config_takes_json_lists(self, pipeline, tmp_path):
+        # the comma lists as an effective_config echoes them: same fit as the flags
+        out, commands = pipeline
+        flags = commands[1][commands[1].index("fit") + 1:]
+        section = _section(flags)
+        section.update(boundaries=[0, 12, 20, 28, 36, 45], components=[2, 2, 2, 2, 2])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit": section}))
+        assert main(["--config", str(cfg), "--seed", "11", "--out", str(tmp_path / "x"), "fit"]) == 0
+        rate, model = load_model(tmp_path / "x" / "model.json")
+        want_rate, want_model = load_model(out / "model.json")
+        assert rate.knots == want_rate.knots and rate.horizon == want_rate.horizon
+        assert [m.components for m in model.mixtures] == [m.components for m in want_model.mixtures]
+        echoed = json.loads((tmp_path / "x" / "model.json").read_text())["config"]
+        assert echoed["boundaries"] == section["boundaries"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("components", [2.0, 2]), ("components", []), ("boundaries", [0, "x"]),
+        ("boundaries", [[0, 12]]), ("tau", [5.0]), ("dataset", ["a.csv"]),
+    ])
+    def test_config_list_checked_like_flag(self, pipeline, tmp_path, capsys, key, value):
+        # a list passes the comma-list check of its text; other options refuse one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit": {"dataset": str(pipeline[0] / "dataset.csv"),
+                                           "boundaries": "0,45", "components": "1", key: value}}))
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "x"), "fit"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: bad --{key} value {value!r}")
+        assert not (tmp_path / "x" / "model.json").exists()
 
 
 class TestExitCodes:
@@ -682,6 +714,25 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: --horizon: horizon 6 must cover the last knot at 8\n")
+
+    def test_tau_must_be_finite(self, tmp_path, capsys, small_dataset):
+        # inf wrote "tau": Infinity into model.json, a token JSON does not allow
+        out = tmp_path / "x"
+        rc = main(["--out", str(out), "fit", "--dataset", str(small_dataset),
+                   "--boundaries", "0,5,10", "--components", "1,1", "--tau", "inf"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --tau/--bin/--boundaries: window must be finite")
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("alpha", ["1e-17", "5e-324"])
+    def test_alpha_with_no_finite_threshold_refused(self, tmp_path, capsys, alpha):
+        # 1 - alpha rounds to 1, so the chi-square threshold was inf and
+        # gof.json held "threshold": Infinity; checked before the inputs are read
+        missing = tmp_path / "missing"
+        rc = main(["--out", str(tmp_path / "x"), "test", "--dataset", str(missing / "dataset.csv"),
+                   "--model", str(missing / "model.json"), "--alpha", alpha])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --alpha: ")
 
     @pytest.mark.parametrize("intervals", ["5", str(2**53)])
     def test_intervals_checked_before_reading_inputs(self, tmp_path, capsys, intervals):
@@ -1118,8 +1169,8 @@ def run_limit():
 
 def assert_keeps_contract(argv, out):
     """Exit 0, 2 or 3 within RUN_LIMIT_S; an `error:` line on 2; no
-    exception or warning out of main; and after 0 a rerun writes the same
-    bytes."""
+    exception or warning out of main; and after 0 every JSON product free
+    of NaN and infinities, and a rerun that writes the same bytes."""
     err = io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1129,6 +1180,8 @@ def assert_keeps_contract(argv, out):
         if rc == 2:
             assert err.getvalue().startswith("error: "), err.getvalue()
         if rc == 0:
+            for path in out.glob("*.json"):
+                strict_json(path.read_text())
             first = {p.name: p.read_bytes() for p in out.iterdir()}
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
@@ -1270,6 +1323,8 @@ def test_config_values_keep_the_contract(config_bases, case):
 @example(case=("reconstruct", (("mode", "sideways", True),)))
 @example(case=("simulate", (("replicas", "x", True),)))
 @example(case=("fit", (("boundaries", "0,x", True),)))
+@example(case=("fit", (("tau", "inf", True),)))
+@example(case=("test", (("alpha", "1e-17", True),)))
 @given(case=config_cases())
 def test_flag_values_keep_the_contract(config_bases, case):
     # the config edits as `--name=value` flags: flag text passes the same
@@ -1289,13 +1344,17 @@ RAW_CELLS = ("", " ", "nan", "inf", "-1", "1e300", "5e-324", "soon", '"E001"', '
              '"2008-09-12T09:00"', '"unclosed', 'a"b', "E001", "2008-09-12T09:00+14:00",
              "2008-09-12T09:00-12:00", "2008-09-12T09:00Z", "2008-09-12T09:00:00.000001",
              "2008-02-29T00:00", "2007-02-29T00:00", "2008-09-12T24:00", "0001-01-01T00:00",
-             "9999-12-31T23:59", "0001-01-01T00:00+01:00", "9999-12-31T23:59:59-01:00")
+             "9999-12-31T23:59", "0001-01-01T00:00+01:00", "9999-12-31T23:59:59-01:00",
+             '"E,001"', "E0\x0001", "1.5\x0b", "\x0c1.5", "E\x1c001", "2008-09-12T09:00\x85",
+             "E\u2028001")
 
 
 @st.composite
 def raw_cases(draw):
     """Raw text with 1-3 edits (a cell set to a bad, quoted or calendar-edge
-    value, or a stretch of rows dropped), and extra ingest flags."""
+    value, or one holding a NUL or a character that str.splitlines breaks
+    at, or a stretch of rows dropped), lines that end in \\n, \\r\\n or a
+    lone \\r, and extra ingest flags."""
     rows = [list(row) for row in RAW_ROWS]
     for _ in range(draw(st.integers(1, 3))):
         if rows and draw(st.booleans()):
@@ -1303,7 +1362,8 @@ def raw_cases(draw):
         else:
             a = draw(st.integers(0, len(rows)))
             del rows[a:draw(st.integers(a, len(rows)))]
-    text = "".join(",".join(row) + "\n" for row in [["id", "timestamp", "duration_hours"], *rows])
+    text = "".join(",".join(row) + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+                   for row in [["id", "timestamp", "duration_hours"], *rows])
     delimiters = (",", "\t", ";", ",,", "", '"', " ")
     flag = draw(st.sampled_from([None, None, *(f"--delimiter={d}" for d in delimiters),
                                  *(f"--zone={z}" for z in ("Z", "+14:00", "+25:00", "-00:30"))]))
@@ -1311,6 +1371,8 @@ def raw_cases(draw):
 
 
 @settings(max_examples=50, deadline=None)
+@example(raw=("", []))
+@example(raw=("id,timestamp,duration_hours", []))
 @example(raw=("id,timestamp,duration_hours\n", []))
 @example(raw=("id,timestamp,duration_hours\nE001,2008-09-12T09:00,1.5\n", ["--delimiter=,,"]))
 @example(raw=("id,timestamp,duration_hours\nE001,2008-09-12T09:00,1.5\n", ["--delimiter="]))

@@ -93,8 +93,9 @@ class TestEstimateRate:
             estimate_rate([1.0], bin_width=-1.0)
         with pytest.raises(ValueError):
             estimate_rate([30.0], horizon=20.0)
-        # a NaN window used to give an all-zero intensity
-        for bad in ({"window": np.nan}, {"bin_width": np.nan}):
+        # a NaN window used to give an all-zero intensity; an infinite one
+        # the constant rate that any window past the horizon gives
+        for bad in ({"window": np.nan}, {"window": np.inf}, {"bin_width": np.nan}):
             with pytest.raises(ValueError):
                 estimate_rate([1.0], horizon=20.0, **bad)
         with pytest.raises(ValueError, match="exceeds"):

@@ -13,6 +13,7 @@ from gridres import (
     parse_records,
     to_dataset,
 )
+from gridres import ingest
 from gridres.ingest import Provenance
 
 from conftest import WINDOW_END, WINDOW_START
@@ -140,6 +141,19 @@ class TestParseRecords:
         assert len(records) == 1
         assert issues[0].line == 3
 
+    def test_quote_free_text_skips_csv_reader(self, monkeypatch):
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader was called")
+
+        text = HEADER + "a,2008-09-12T07:00,1.5\n\nb,2008-09-12T07:01,x\n"
+        want = parse_records(text)
+        monkeypatch.setattr(ingest.csv, "reader", no_reader)
+        records, issues = parse_records(text)
+        assert rows(records) == rows(want[0]) and issues == want[1]
+        for other in (text.replace("1.5", '"1.5"'), text.replace("\n", "\r\n"), ""):
+            with pytest.raises(AssertionError, match="csv.reader"):
+                parse_records(other)
+
     def test_short_and_long_rows(self):
         text = HEADER + "a,2008-09-12T07:00\nb,2008-09-12T07:01,2.0,extra,cells\n"
         records, issues = parse_records(text)
@@ -240,6 +254,14 @@ class TestGroupDependent:
             records = recs(("b", "2008-09-12T07:00", second), ("a", "2008-09-12T07:00", first))
             grouped, _ = group_dependent(records)
             assert np.signbit(grouped.durations[0]) == np.signbit(first)
+
+    def test_max_survivor_is_the_record_it_carries(self):
+        # the id of the member whose duration the entity carries, not of the
+        # bucket's first member
+        records = recs(("b", "2008-09-12T07:00", 5.0), ("a", "2008-09-12T07:00", 1.0),
+                       ("c", "2008-09-12T07:00", 5.0))
+        grouped, _ = group_dependent(records)
+        assert rows(grouped) == [("b", stamp("2008-09-12T07:00"), 5.0)]
 
     def test_coarser_resolution_buckets(self):
         records = recs(

@@ -7,7 +7,9 @@ durations, EM's log-likelihood is checked never to decrease, and the
 multi-start fit that runs each distinct start once is compared with one
 that runs every start, and the k-means by cuts on the sorted points with
 the (n, c) argmin.  The columnar ingest is compared with the
-record-at-a-time pipeline it replaced, on random raw files.  The mixture cdf and quantile, and the
+record-at-a-time pipeline it replaced, on random raw files that take
+both parse routes (str.split and csv.reader), and the bucket grouping
+with one global sort into the canonical order.  The mixture cdf and quantile, and the
 rate function's cumulative intensity, are checked against their
 definitions, and the mixture mean against scipy's gamma function.  The
 Pearson test's Poisson pmf, Poisson tail and chi-square quantile are
@@ -24,8 +26,8 @@ checked to refuse a NaN in it.
 
 import csv
 import io
-import json
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import partial
@@ -77,11 +79,12 @@ from gridres.fitting import (
     _run_starts,
     _start_labels,
 )
-from gridres.ingest import ParseIssue, Provenance, normalize_ts
+from gridres.ingest import ParseIssue, Provenance, RawRecords, group_dependent, normalize_ts
 from gridres.weibull import interval_of
 
 from conftest import (
-    _mstep_shapes, kmeans_argmin, mixture_from_uniforms, sample_durations, sample_mixture, sample_nhpp,
+    _mstep_shapes, group_dependent_oracle, kmeans_argmin, mixture_from_uniforms, sample_durations,
+    sample_mixture, sample_nhpp, strict_json,
 )
 
 
@@ -411,13 +414,6 @@ def test_distinct_starts_fit_matches_every_start(case, n_starts, seed):
     assert repr(got) == repr(want)
 
 
-def strict_json(text):
-    """json.loads that rejects NaN and infinities, which JSON does not allow."""
-    def reject(name):
-        raise ValueError(f"{name} in JSON")
-    return json.loads(text, parse_constant=reject)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda c: st.tuples(
            st.just(c), st.one_of(adversarial_durations(c), overlapping_clusters(c)))),
@@ -526,6 +522,8 @@ def reference_ingest(text, start, end, resolution_minutes, rule, zone, delimiter
         first = text.splitlines()[0] if text.splitlines() else ""
         delimiter = "\t" if "\t" in first else ","
     reader = csv.DictReader(io.StringIO(text), delimiter=delimiter)
+    if reader.fieldnames is None:
+        raise ValueError("empty input: no header row")
     reader.fieldnames = [h.strip() for h in reader.fieldnames]
     records, issues = [], []
     for lineno, row in enumerate(reader, start=2):
@@ -650,9 +648,27 @@ def raw_rows(draw, width, dense):
     return cells
 
 
+# characters that str.splitlines breaks a line at and csv does not
+LINE_BREAKS_CSV_KEEPS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def odd_cells(draw, cell, delim):
+    """The cell quoted, with the delimiter inside or not, or with a NUL or
+    one of LINE_BREAKS_CSV_KEEPS put into it."""
+    if draw(st.booleans()):
+        return '"' + cell + draw(st.sampled_from(["", delim + "x"])) + '"'
+    at = draw(st.integers(0, len(cell)))
+    return cell[:at] + draw(st.sampled_from(["\0", *LINE_BREAKS_CSV_KEEPS])) + cell[at:]
+
+
 @st.composite
 def raw_files(draw):
-    """Raw text, with its delimiter and its header's column order and padding."""
+    """Raw text, with its delimiter and its header's column order and padding.
+
+    A row may hold one odd cell (odd_cells).  Lines end in \\n or \\r\\n, and
+    one line may end in a lone \\r, which csv refuses unless it ends the text.
+    """
     delim = draw(st.sampled_from([",", "\t"]))
     names = ["id", "timestamp", "duration_hours"] + draw(st.sampled_from([[], ["county"]]))
     order = draw(st.permutations(range(len(names))))
@@ -669,20 +685,38 @@ def raw_files(draw):
         row = [cells[i] if i < len(cells) else None for i in order] + cells[len(names):]
         while row and row[-1] is None:
             row.pop()
-        lines.append(delim.join("" if c is None else c for c in row))
-    text = "\n".join(lines) + "\n"
+        row = ["" if c is None else c for c in row]
+        if row and draw(st.integers(0, 3)) == 0:
+            at = draw(st.integers(0, len(row) - 1))
+            row[at] = draw(odd_cells(row[at], delim))
+        lines.append(delim.join(row))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"]))] * len(lines)
+    if draw(st.sampled_from([False] * 7 + [True])):
+        ends[draw(st.integers(0, len(ends) - 1))] = "\r"
+    text = "".join(line + end for line, end in zip(lines, ends))
     return text, draw(st.sampled_from([None, delim]))
 
 
 @settings(max_examples=300)
-@given(raw_files(), st.sampled_from(["max", "first", "mean"]), st.sampled_from([1, 5, 7, 90]))
+@example(raw=("", None), rule="max", resolution=1)
+@example(raw=("id,timestamp,duration_hours", None), rule="max", resolution=1)
+@given(raw=raw_files(), rule=st.sampled_from(["max", "first", "mean"]),
+       resolution=st.sampled_from([1, 5, 7, 90]))
 def test_columnar_ingest_matches_record_pipeline(raw, rule, resolution):
+    # both parse routes (str.split for plain text, csv.reader for the rest)
+    # against the record-at-a-time pipeline
     text, delimiter = raw
     end = INGEST_START + timedelta(minutes=INGEST_SPAN_MINUTES)
+    try:
+        times, durations, ref_issues, ref_prov = reference_ingest(
+            text, INGEST_START, end, resolution, rule, INGEST_ZONE, delimiter
+        )
+    except (csv.Error, ValueError) as exc:
+        # no header, or a lone carriage return inside the text
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            ingest_pipeline(text, INGEST_START, end, resolution, rule, INGEST_ZONE, delimiter)
+        return
     ds, issues = ingest_pipeline(text, INGEST_START, end, resolution, rule, INGEST_ZONE, delimiter)
-    times, durations, ref_issues, ref_prov = reference_ingest(
-        text, INGEST_START, end, resolution, rule, INGEST_ZONE, delimiter
-    )
     # bit for bit, so the sign of a zero counts
     assert ds.times.dtype == ds.durations.dtype == np.float64
     assert ds.times.tobytes() == np.asarray(times, dtype=np.float64).tobytes()
@@ -690,6 +724,47 @@ def test_columnar_ingest_matches_record_pipeline(raw, rule, resolution):
     assert issues == ref_issues
     assert ds.provenance == ref_prov
     assert ds.provenance.consistent()
+
+
+# ids and stamps that tie, zeros of both signs and equal non-zero maxima,
+# where the order of a bucket's members decides the survivor
+GROUP_IDS = ["a", "b", "B", "ab", "é"]
+group_durations = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, 0.1, 1e16, -1e16]),
+    st.floats(-50.0, 50.0, allow_nan=False),
+)
+
+
+@st.composite
+def grouping_records(draw):
+    """Raw records near the window start, in the order drawn."""
+    base = int(np.datetime64(INGEST_START, "us").astype(np.int64))
+    minute = st.one_of(st.sampled_from([0, 1, 59, 60, 61]), st.integers(0, 300))
+    offset = st.sampled_from([0, 0, 1, 30_000_000, 59_999_999])
+    rows = draw(st.lists(st.tuples(st.sampled_from(GROUP_IDS), minute, offset, group_durations),
+                         max_size=40))
+    return RawRecords(ids=np.array([r[0] for r in rows], dtype=object),
+                      stamps=np.array([base + m * 60_000_000 + o for _, m, o, _ in rows],
+                                      dtype=np.int64),
+                      durations=np.array([r[3] for r in rows], dtype=np.float64))
+
+
+@settings(max_examples=300)
+@example(records=RawRecords(ids=np.array(["b", "a"], dtype=object),
+                            stamps=np.array([0, 0], dtype=np.int64),
+                            durations=np.array([2.0, 2.0])),
+         resolution=1, rule="max")
+@given(records=grouping_records(), resolution=st.integers(1, 120),
+       rule=st.sampled_from(["max", "first", "mean"]))
+def test_bucket_grouping_matches_global_sort(records, resolution, rule):
+    got, merged = group_dependent(records, resolution, rule)
+    want, want_merged = group_dependent_oracle(records, resolution, rule)
+    assert merged == want_merged
+    assert got.stamps.dtype == np.int64 and got.stamps.tobytes() == want.stamps.tobytes()
+    # bit for bit, so the sign of a zero counts
+    assert got.durations.dtype == np.float64
+    assert got.durations.tobytes() == want.durations.tobytes()
+    assert got.ids.tolist() == want.ids.tolist()
 
 
 def loop_smooth(values, window):
@@ -1245,6 +1320,9 @@ NAN_CASES = {
                                   lambda a: monte_carlo_recovery_rate(NAN_RATE, NAN_MODEL, a, 100, 3)),
     "mean_paths": (lambda n: np.linspace(0.0, 20.0, n),
                    lambda a: mean_paths(NAN_RATE, NAN_MODEL, a, 2, 3)),
+    # a NaN maximum took the next bucket's duration, or raised IndexError
+    "group_dependent": (lambda n: np.linspace(-1.0, 5.0, n), lambda a: group_dependent(RawRecords(
+        np.array(["a"] * len(a), dtype=object), np.arange(len(a), dtype=np.int64) // 2 * 60_000_000, a))),
 }
 
 
