@@ -480,8 +480,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """argv with each `--option value` whose value starts with "-" written
+    `--option=value`: argparse would take such a value for an option unless
+    it is a plain negative number, and resolve_options checks it instead."""
+    flags = {o.flag for opts in (GLOBAL_OPTIONS, *OPTIONS.values()) for o in opts} | {"--config"}
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in flags and arg.startswith("-") and arg not in flags | {"-h", "--help"}:
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = load_config(args.config)
         top = resolve_options(GLOBAL_OPTIONS, args, cfg)

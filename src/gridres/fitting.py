@@ -428,7 +428,9 @@ def _em_lockstep(points: list, runs: list[_Run], tol: float, max_iter: int) -> l
         ll, mass, w1, g1, k1 = _em_map(rows, w, g, k)
         bad = ~np.isfinite(ll)
         dead = (mass < _DEGENERATE_MASS).any(axis=-1)
-        done = ll - prev <= tol * np.abs(prev)
+        # a tol near the float limit may take tol * |prev| to inf, which compares as it should
+        with np.errstate(over="ignore"):
+            done = ll - prev <= tol * np.abs(prev)
         stay = []
         for j, (run, value, is_bad, is_dead, is_done, flags) in enumerate(zip(
                 live, ll.tolist(), bad.tolist(), dead.tolist(), done.tolist(), _bound_flags(k1))):

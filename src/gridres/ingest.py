@@ -5,10 +5,17 @@ duration_hours (header cells are stripped of surrounding space).
 Timestamps are ISO-8601, interpreted in a configured fixed-offset zone
 (offset-aware inputs are converted).  Text that `csv.reader` splits at
 every newline and delimiter (no quote, carriage return, NUL or over-long
-line) is split by `str.split`; any other text goes through `csv.reader`.
-One row loop validates each row and appends its id, its timestamp as
-integer microseconds of zone wall time since 1970-01-01, and its duration
-to three lists, which become the arrays of a `RawRecords`.  The rest of
+line) is read by column, in chunks of about 2**15 characters cut at line
+ends.  A chunk whose every line holds the header's number of cells is
+split into cells in one call and each column taken as a slice: its
+YYYY-MM-DDTHH:MM stamps are decoded as a grid of bytes into integer
+microseconds, its durations read by `float`.  The rows the columns
+refuse (another stamp shape, a blank cell, a bad duration, a control or
+non-ASCII character that may be whitespace to strip), and every row of a
+chunk with a blank or ragged line, go through the row validator, which
+also reads every row of any other text from `csv.reader`.  Each record
+is an id, a timestamp as integer microseconds of zone wall time since
+1970-01-01, and a duration, in the arrays of a `RawRecords`.  The rest of
 the pipeline is array arithmetic: a mask keeps the observation window, a
 sort of the bucket stamps and a bucket diff collapse same-minute
 records into one dependent-failure entity (ids are sorted only in the
@@ -49,6 +56,23 @@ _EPOCH = datetime(1970, 1, 1)
 _ONE_US = timedelta(microseconds=1)
 _MINUTE_US = 60_000_000
 _HOUR_US = 60 * _MINUTE_US
+
+# characters of plain text per chunk of the column route, cut at a line end
+_CHUNK = 1 << 15
+_BYTES = bytes(range(256))
+# the ASCII characters that are neither control characters nor whitespace
+_PRINTABLE = bytes(range(33, 127))
+# a YYYY-MM-DDTHH:MM cell and the newline after it, every digit as 0
+_MINUTE_SHAPE = b"0000-00-00T00:00\n"
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"0" * 9)
+# the weight of each place's digit in the year, month, day, hour and minute
+_MINUTE_FIELDS = np.zeros((17, 5))
+_MINUTE_FIELDS[[0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15], [0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4]] = (
+    [1000, 100, 10, 1] + [10, 1] * 4)
+# days of each month in a leap year, and days from 1 March to its first
+# day, both 0 outside 1-12
+_MONTH_DAYS = np.array([0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+_MARCH_DAYS = np.array([0, 306, 337, 0, 31, 61, 92, 122, 153, 184, 214, 245, 275, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +161,143 @@ def plain_text(text: str, specials: str) -> bool:
                        for i in range(0, len(text) - stretch + 1, stretch)))
 
 
+def _floats(cells: list[str]) -> list[float]:
+    """float of each cell, NaN where float refuses it.  A cell that float
+    takes reads as the same number as the cell stripped."""
+    values, rest = [], iter(cells)
+    while True:
+        try:
+            # extend keeps the values before a refused cell, which map has passed
+            values.extend(map(float, rest))
+            return values
+        except ValueError:
+            values.append(math.nan)
+
+
+def _decode_minutes(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Decode `YYYY-MM-DDTHH:MM` cells, none of which holds a newline.
+
+    Returns (ok, stamps).  ok marks the cells of exactly that shape, in
+    ASCII digits, that name a real minute of the years 1-9999; their
+    stamps are the integer microseconds since 1970-01-01 that
+    datetime.fromisoformat gives, and the other stamps are meaningless.
+    """
+    n = len(cells)
+    # a non-ASCII character encodes as one "?", which no place admits
+    code = "\n".join(cells + [""]).encode("ascii", "replace")
+    if len(code) != 17 * n or code[16::17] != b"\n" * n:
+        # a cell of another length becomes one of year 0, which is refused
+        cells = [c if len(c) == 16 else "0000-00-00T00:00" for c in cells]
+        code = "\n".join(cells + [""]).encode("ascii", "replace")
+    digits = code.translate(_ZERO_DIGITS)
+    shaped = digits == _MINUTE_SHAPE * n or np.frombuffer(digits, "S17") == _MINUTE_SHAPE
+    # less ord("0"), a digit is its value; other places weigh nothing
+    year, month, day, hour, minute = (
+        (np.frombuffer(code, np.uint8).reshape(n, 17) - 48) @ _MINUTE_FIELDS).astype(np.int64).T
+    ok = (shaped & (year >= 1) & (day >= 1) & (day <= _MONTH_DAYS.take(month, mode="clip"))
+          & (hour < 24) & (minute < 60))
+    leap_day = np.flatnonzero((month == 2) & (day == 29))
+    y = year[leap_day]
+    ok[leap_day] &= (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
+    # days from the civil date, counting years from 1 March
+    y = year - (month <= 2)
+    days = y * 365 + y // 4 - y // 100 + y // 400 + _MARCH_DAYS.take(month, mode="clip") + day - 719469
+    return ok, ((days * 24 + hour) * 60 + minute) * _MINUTE_US
+
+
+def _split_cells(chunk: str, delimiter: str, ncols: int) -> tuple[list[str], np.ndarray] | None:
+    """The cells of a chunk of lines, each ending in a newline, row after
+    row, and the rows that hold a character other than the delimiter that
+    may be whitespace (any control or non-ASCII character); None unless
+    every line holds `ncols` cells split at an ASCII delimiter."""
+    if not delimiter.isascii():
+        return None
+    sep = delimiter.encode()
+    # no byte of a non-ASCII character in UTF-8 is below 128
+    code = chunk.encode("utf-8", "surrogatepass")
+    # the delimiters and newlines, in order
+    seps = code.translate(None, _BYTES.replace(sep, b"").replace(b"\n", b""))
+    if seps != (sep * (ncols - 1) + b"\n") * (len(seps) // ncols):
+        return None
+    cells = chunk.replace("\n", delimiter).split(delimiter)
+    cells.pop()
+    odd = []
+    if code.translate(None, _PRINTABLE + sep + b"\n"):
+        byte = np.frombuffer(code, np.uint8)
+        odd = np.searchsorted(np.flatnonzero(byte == 10), np.flatnonzero(
+            (byte - 33 > 93) & (byte != 10) & (byte != ord(sep))))
+    return cells, odd
+
+
+def _csv_rows(text: str, delimiter: str):
+    """csv.reader's rows of text; a csv.Error becomes a ValueError naming its line."""
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        # a field longer than the csv module's limit (131072 characters by
+        # default); the process-wide limit is left as it is
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
+def _column_records(text: str, pos: int, delimiter: str, ncols: int, columns: tuple[int, int, int],
+                    record) -> tuple[RawRecords, list[ParseIssue]]:
+    """The records of plain text from `pos` on, whose header has ncols
+    cells, a chunk of whole lines at a time.
+
+    `columns` index the id, timestamp and duration cells of a row.  A chunk
+    whose lines all hold ncols cells is read by column, and only the rows
+    the columns refuse go through `record`, the row validator; any other
+    chunk goes through it row by row.
+    """
+    i_id, i_ts, i_d = columns
+    # room for one row per line
+    size = text.count("\n") + 1
+    ids = np.empty(size, dtype=object)
+    stamps = np.empty(size, dtype=np.int64)
+    durations = np.empty(size, dtype=np.float64)
+    issues: list[ParseIssue] = []
+    kept, lineno = 0, 1
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK - 1) + 1 or len(text)
+        chunk = text[pos:end] if text[end - 1] == "\n" else text[pos:end] + "\n"
+        pos = end
+        split = _split_cells(chunk, delimiter, ncols)
+        if split is None:
+            # a blank or ragged line
+            rows = [line.split(delimiter) for line in chunk.split("\n") if line]
+            n = len(rows)
+            ok = np.zeros(n, dtype=bool)
+        else:
+            cells, odd = split
+            n = len(cells) // ncols
+            at = slice(kept, kept + n)
+            id_cells = cells[i_id::ncols]
+            ids[at] = id_cells
+            ok, stamps[at] = _decode_minutes(cells[i_ts::ncols])
+            durations[at] = _floats(cells[i_d::ncols])
+            ok &= np.isfinite(durations[at])
+            ok[odd] = False
+            if not all(id_cells):
+                ok[[r for r, cell in enumerate(id_cells) if not cell]] = False
+        for r in np.flatnonzero(~ok).tolist():
+            got = record(cells[r * ncols:(r + 1) * ncols] if split else rows[r])
+            if isinstance(got, str):
+                issues.append(ParseIssue(line=lineno + 1 + r, reason=got))
+            else:
+                ids[kept + r], stamps[kept + r], durations[kept + r] = got
+                ok[r] = True
+        if not ok.all():
+            keep = kept + np.flatnonzero(ok)
+            for column in (ids, stamps, durations):
+                column[kept:kept + len(keep)] = column[keep]
+        kept += int(ok.sum())
+        lineno += n
+    for column in (ids, stamps, durations):
+        column.resize(kept, refcheck=False)
+    return RawRecords(ids, stamps, durations), issues
+
+
 def parse_records(
     text: str,
     delimiter: str | None = None,
@@ -151,69 +312,65 @@ def parse_records(
     counted; an issue's line is the row's number counting the header as
     1.  Unparseable rows land in the issue list, never in the records.
     """
+    cut = text.find("\n")
+    head = text if cut < 0 else text[:cut]
     if delimiter is None:
-        first = text.partition("\n")[0].splitlines()
+        first = head.splitlines()
         delimiter = "\t" if first and "\t" in first[0] else ","
     elif len(delimiter) != 1:
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
-    if text and plain_text(text, '"\r\0'):
-        # csv.reader's rows of such text, its [] for an empty line included
-        reader = (line.split(delimiter) if line else [] for line in text.split("\n"))
+    plain = bool(text) and plain_text(text, '"\r\0')
+    if plain:
+        # csv.reader's first row of such text, its [] for an empty line included
+        header = head.split(delimiter) if head else []
     else:
-        reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty input: no header row")
-        column = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in _REQUIRED if c not in column]
-        if missing:
-            raise ValueError(f"missing required columns: {', '.join(missing)}")
-        i_id, i_ts, i_d = (column[c] for c in _REQUIRED)
-        width = max(i_id, i_ts, i_d) + 1
-        # wall time in `zone` less the naive epoch, taken without astimezone
-        zone_epoch = _EPOCH.replace(tzinfo=zone)
-        ids: list[str] = []
-        stamps: list[int] = []
-        durations: list[float] = []
-        issues: list[ParseIssue] = []
-        lineno = 1
-        for row in reader:
-            if not row:
-                continue
-            lineno += 1
-            if len(row) < width:
-                issues.append(ParseIssue(line=lineno, reason="missing field"))
-                continue
-            raw_id, raw_ts, raw_d = row[i_id].strip(), row[i_ts].strip(), row[i_d].strip()
-            if not raw_id or not raw_ts or not raw_d:
-                issues.append(ParseIssue(line=lineno, reason="missing field"))
-                continue
-            try:
-                ts = datetime.fromisoformat(raw_ts)
-            except ValueError:
-                issues.append(ParseIssue(line=lineno, reason=f"bad timestamp {raw_ts!r}"))
-                continue
-            try:
-                dur = float(raw_d)
-            except ValueError:
-                dur = math.nan
-            if not math.isfinite(dur):
-                issues.append(ParseIssue(line=lineno, reason=f"bad duration {raw_d!r}"))
-                continue
-            ids.append(raw_id)
-            stamps.append((ts - (_EPOCH if ts.tzinfo is None else zone_epoch)) // _ONE_US)
-            durations.append(dur)
-    except csv.Error as exc:
-        # a field longer than the csv module's limit (131072 characters by
-        # default); the process-wide limit is left as it is
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
-    records = RawRecords(
+        rows = _csv_rows(text, delimiter)
+        header = next(rows, None)
+    if header is None:
+        raise ValueError("empty input: no header row")
+    column = {name.strip(): i for i, name in enumerate(header)}
+    missing = [c for c in _REQUIRED if c not in column]
+    if missing:
+        raise ValueError(f"missing required columns: {', '.join(missing)}")
+    i_id, i_ts, i_d = (column[c] for c in _REQUIRED)
+    width = max(i_id, i_ts, i_d) + 1
+    # wall time in `zone` less the naive epoch, taken without astimezone
+    zone_epoch = _EPOCH.replace(tzinfo=zone)
+
+    def record(row: list[str]) -> tuple[str, int, float] | str:
+        """The id, stamp and duration of one row of cells, or why it has none."""
+        if len(row) < width:
+            return "missing field"
+        raw_id, raw_ts, raw_d = row[i_id].strip(), row[i_ts].strip(), row[i_d].strip()
+        if not raw_id or not raw_ts or not raw_d:
+            return "missing field"
+        try:
+            ts = datetime.fromisoformat(raw_ts)
+        except ValueError:
+            return f"bad timestamp {raw_ts!r}"
+        try:
+            dur = float(raw_d)
+        except ValueError:
+            dur = math.nan
+        if not math.isfinite(dur):
+            return f"bad duration {raw_d!r}"
+        return raw_id, (ts - (_EPOCH if ts.tzinfo is None else zone_epoch)) // _ONE_US, dur
+
+    if plain:
+        return _column_records(text, len(head) + 1, delimiter, len(header), (i_id, i_ts, i_d), record)
+    records, issues = [], []
+    for lineno, row in enumerate(filter(None, rows), start=2):
+        got = record(row)
+        if isinstance(got, str):
+            issues.append(ParseIssue(line=lineno, reason=got))
+        else:
+            records.append(got)
+    ids, stamps, durations = zip(*records) if records else ((), (), ())
+    return RawRecords(
         ids=np.array(ids, dtype=object),
         stamps=np.array(stamps, dtype=np.int64),
         durations=np.array(durations, dtype=np.float64),
-    )
-    return records, issues
+    ), issues
 
 
 def filter_window(

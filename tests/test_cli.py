@@ -1320,19 +1320,28 @@ def test_config_values_keep_the_contract(config_bases, case):
 
 
 @settings(max_examples=50, deadline=None)
-@example(case=("reconstruct", (("mode", "sideways", True),)))
-@example(case=("simulate", (("replicas", "x", True),)))
-@example(case=("fit", (("boundaries", "0,x", True),)))
-@example(case=("fit", (("tau", "inf", True),)))
-@example(case=("test", (("alpha", "1e-17", True),)))
-@given(case=config_cases())
-def test_flag_values_keep_the_contract(config_bases, case):
-    # the config edits as `--name=value` flags: flag text passes the same
-    # check as a config value, so a bad one is exit 2, not a SystemExit
+@example(case=("reconstruct", (("mode", "sideways", True),)), spaced=False)
+@example(case=("simulate", (("replicas", "x", True),)), spaced=False)
+@example(case=("fit", (("boundaries", "0,x", True),)), spaced=False)
+@example(case=("fit", (("tau", "inf", True),)), spaced=False)
+@example(case=("test", (("alpha", "1e-17", True),)), spaced=False)
+@example(case=("fit", (("tol", "1e308", True),)), spaced=False)
+@example(case=("fit", (("tau", "-inf", True),)), spaced=True)
+@example(case=("fit", (("tol", "-1e-3", True),)), spaced=True)
+@given(case=config_cases(), spaced=st.booleans())
+def test_flag_values_keep_the_contract(config_bases, case, spaced):
+    # the config edits as `--name=value` or `--name value` flags: flag text
+    # passes the same check as a config value, so a bad one is exit 2, not
+    # a SystemExit, even where it starts with "-"
     command, edits = case
+
+    def flag(name, value):
+        name = "--" + name.replace("_", "-")
+        return [name, str(value)] if spaced else [f"{name}={value}"]
+
     section = {**config_bases[command], **{k: v for k, v, _ in edits if k != "seed"}}
-    seeds = [f"--seed={v}" for k, v, _ in edits if k == "seed"]
-    flags = [f"--{k.replace('_', '-')}={v}" for k, v in section.items()]
+    seeds = [arg for k, v, _ in edits if k == "seed" for arg in flag(k, v)]
+    flags = [arg for k, v in section.items() for arg in flag(k, v)]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         assert_keeps_contract([*seeds, "--out", str(out), command, *flags], out)

@@ -1,5 +1,6 @@
 """Raw-record parsing, windowing, dependent-failure grouping, accounting."""
 
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -159,6 +160,29 @@ class TestParseRecords:
         records, issues = parse_records(text)
         assert [(i.line, i.reason) for i in issues] == [(2, "missing field")]
         assert records.ids.tolist() == ["b"]
+
+    def test_memory_does_not_grow_with_rows(self):
+        # plain text is read a chunk of lines at a time into arrays sized
+        # once, so beyond its outputs a parse holds one chunk's cells
+        def feed(rows):
+            minutes = (np.arange(rows) * 7919 % 43200).astype("timedelta64[m]")
+            stamps = np.datetime_as_string(np.datetime64("2011-09-01T00:00") + minutes, unit="m")
+            return HEADER + "".join(f"F{i:06d},{ts},{'n/a' if i % 997 == 0 else (i % 4000) / 100}\n"
+                                    for i, ts in enumerate(stamps.tolist()))
+
+        extra = []
+        for rows in (20_000, 100_000):
+            text = feed(rows)
+            tracemalloc.start()
+            try:
+                records, issues = parse_records(text)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(records) + len(issues) == rows
+            extra.append(peak - current)
+        # a row-sized buffer would add at least 8 bytes a row, 640 kB here
+        assert extra[1] - extra[0] < 256 * 1024, extra
 
     def test_aware_stamp_past_the_calendar(self):
         # 00:00+01:00 on 1 January of year 1 is in year 0 at UTC-5, which a

@@ -8,8 +8,9 @@ multi-start fit that runs each distinct start once is compared with one
 that runs every start, and the k-means by cuts on the sorted points with
 the (n, c) argmin.  The columnar ingest is compared with the
 record-at-a-time pipeline it replaced, on random raw files that take
-both parse routes (str.split and csv.reader), and the bucket grouping
-with one global sort into the canonical order.  The mixture cdf and quantile, and the
+both parse routes (columns of plain text, in chunks cut small, and
+csv.reader), its minute decoder with datetime.fromisoformat, and the
+bucket grouping with one global sort into the canonical order.  The mixture cdf and quantile, and the
 rate function's cumulative intensity, are checked against their
 definitions, and the mixture mean against scipy's gamma function.  The
 Pearson test's Poisson pmf, Poisson tail and chi-square quantile are
@@ -67,7 +68,7 @@ from gridres import (
     surge_expected,
     surge_recovery_rate,
 )
-from gridres import fitting, recovery, resilience, simulate
+from gridres import fitting, ingest, recovery, resilience, simulate
 from gridres.estimate import _chi2_quantile, _poisson_pmf, _poisson_upper
 from gridres.fileio import save_model
 from gridres.fitting import (
@@ -79,7 +80,9 @@ from gridres.fitting import (
     _run_starts,
     _start_labels,
 )
-from gridres.ingest import ParseIssue, Provenance, RawRecords, group_dependent, normalize_ts
+from gridres.ingest import (
+    ParseIssue, Provenance, RawRecords, _decode_minutes, group_dependent, normalize_ts,
+)
 from gridres.weibull import interval_of
 
 from conftest import (
@@ -595,8 +598,9 @@ INGEST_IDS = ["a", "b", "B", "ab", "a0", "Z", "é", "ß", "e1"]
 
 
 @st.composite
-def stamp_texts(draw, dense):
-    """An ISO timestamp near the window, with seconds or an offset or both.
+def stamp_texts(draw, dense, minutes):
+    """An ISO timestamp near the window, with seconds or an offset or both,
+    or in most rows of a `minutes` file in the YYYY-MM-DDTHH:MM shape.
 
     A dense file puts its rows in three minutes, so groups grow large.
     """
@@ -604,6 +608,8 @@ def stamp_texts(draw, dense):
         st.integers(-20, INGEST_SPAN_MINUTES + 20),
         st.sampled_from([0, INGEST_SPAN_MINUTES, -1, INGEST_SPAN_MINUTES - 1]),
     ))
+    if minutes and draw(st.integers(0, 4)):
+        return (INGEST_START + timedelta(minutes=minute)).isoformat(timespec="minutes")
     second = draw(st.sampled_from([0, 0, 0, 1, 30, 59]))
     micro = draw(st.sampled_from([0, 0, 0, 1, 500000, 999999]))
     offset = draw(st.sampled_from([None, None, None, -5 * 60, 0, 90, -14 * 60, 5 * 60 + 45]))
@@ -627,11 +633,11 @@ dense_durations_text = st.sampled_from(["-0.0", "0.0", "-0.0", "0", "-1", "1", "
 
 
 @st.composite
-def raw_rows(draw, width, dense):
+def raw_rows(draw, width, dense, minutes):
     """Cells of one row in header order (id, timestamp, duration, extras)."""
     kind = draw(st.sampled_from(["good"] * 6 + ["missing", "short", "long", "bad_ts", "bad_d", "blank"]))
     duration = dense_durations_text if dense else durations_text
-    cells = [draw(st.sampled_from(INGEST_IDS)), draw(stamp_texts(dense)), draw(duration)]
+    cells = [draw(st.sampled_from(INGEST_IDS)), draw(stamp_texts(dense, minutes)), draw(duration)]
     cells += ["x"] * (width - 3)
     if kind == "missing":
         cells[draw(st.integers(0, 2))] = draw(st.sampled_from(["", "  "]))
@@ -640,7 +646,8 @@ def raw_rows(draw, width, dense):
     elif kind == "long":
         cells += ["extra", "cells"]
     elif kind == "bad_ts":
-        cells[1] = draw(st.sampled_from(["yesterday", "2008-13-01T00:00", "2008-09-12T25:00"]))
+        cells[1] = draw(st.sampled_from(["yesterday", "2008-13-01T00:00", "2008-09-12T25:00",
+                                         "2008-09-12 07:00", "2008-02-30T00:00", "0000-01-01T00:00"]))
     elif kind == "bad_d":
         cells[2] = draw(st.sampled_from(["soon", "nan", "inf", "-inf", "1,5"]))
     elif kind == "blank":
@@ -666,8 +673,9 @@ def odd_cells(draw, cell, delim):
 def raw_files(draw):
     """Raw text, with its delimiter and its header's column order and padding.
 
-    A row may hold one odd cell (odd_cells).  Lines end in \\n or \\r\\n, and
-    one line may end in a lone \\r, which csv refuses unless it ends the text.
+    In some files a row may hold one odd cell (odd_cells).  Lines end in
+    \\n or \\r\\n, and one line may end in a lone \\r, which csv refuses
+    unless it ends the text.
     """
     delim = draw(st.sampled_from([",", "\t"]))
     names = ["id", "timestamp", "duration_hours"] + draw(st.sampled_from([[], ["county"]]))
@@ -675,8 +683,8 @@ def raw_files(draw):
     pad = draw(st.booleans())
     header = [(" " + names[i] + " ") if pad else names[i] for i in order]
     lines = [delim.join(header)]
-    dense = draw(st.booleans())
-    for cells in draw(st.lists(raw_rows(len(names), dense), max_size=40)):
+    dense, minutes, odd = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    for cells in draw(st.lists(raw_rows(len(names), dense, minutes), max_size=40)):
         if cells is None:
             lines.append("")
             continue
@@ -686,7 +694,7 @@ def raw_files(draw):
         while row and row[-1] is None:
             row.pop()
         row = ["" if c is None else c for c in row]
-        if row and draw(st.integers(0, 3)) == 0:
+        if odd and row and draw(st.integers(0, 3)) == 0:
             at = draw(st.integers(0, len(row) - 1))
             row[at] = draw(odd_cells(row[at], delim))
         lines.append(delim.join(row))
@@ -698,13 +706,14 @@ def raw_files(draw):
 
 
 @settings(max_examples=300)
-@example(raw=("", None), rule="max", resolution=1)
-@example(raw=("id,timestamp,duration_hours", None), rule="max", resolution=1)
+@example(raw=("", None), rule="max", resolution=1, chunk=1 << 15)
+@example(raw=("id,timestamp,duration_hours", None), rule="max", resolution=1, chunk=1 << 15)
 @given(raw=raw_files(), rule=st.sampled_from(["max", "first", "mean"]),
-       resolution=st.sampled_from([1, 5, 7, 90]))
-def test_columnar_ingest_matches_record_pipeline(raw, rule, resolution):
-    # both parse routes (str.split for plain text, csv.reader for the rest)
-    # against the record-at-a-time pipeline
+       resolution=st.sampled_from([1, 5, 7, 90]), chunk=st.sampled_from([1, 2, 30, 100, 1 << 15]))
+def test_columnar_ingest_matches_record_pipeline(raw, rule, resolution, chunk):
+    # both parse routes (columns of plain text, csv.reader for the rest)
+    # against the record-at-a-time pipeline; small chunks of plain text cut
+    # lines between chunks and send some chunks row by row
     text, delimiter = raw
     end = INGEST_START + timedelta(minutes=INGEST_SPAN_MINUTES)
     try:
@@ -716,7 +725,8 @@ def test_columnar_ingest_matches_record_pipeline(raw, rule, resolution):
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             ingest_pipeline(text, INGEST_START, end, resolution, rule, INGEST_ZONE, delimiter)
         return
-    ds, issues = ingest_pipeline(text, INGEST_START, end, resolution, rule, INGEST_ZONE, delimiter)
+    with mock.patch.object(ingest, "_CHUNK", chunk):
+        ds, issues = ingest_pipeline(text, INGEST_START, end, resolution, rule, INGEST_ZONE, delimiter)
     # bit for bit, so the sign of a zero counts
     assert ds.times.dtype == ds.durations.dtype == np.float64
     assert ds.times.tobytes() == np.asarray(times, dtype=np.float64).tobytes()
@@ -724,6 +734,54 @@ def test_columnar_ingest_matches_record_pipeline(raw, rule, resolution):
     assert issues == ref_issues
     assert ds.provenance == ref_prov
     assert ds.provenance.consistent()
+
+
+# characters that a YYYY-MM-DDTHH:MM cell may be edited with: its own, a
+# space or tab, other ISO separators and non-ASCII digits
+MINUTE_EDITS = "0123456789-T:t /\tZ+.\0\u0663\uff11"
+
+
+@st.composite
+def minute_cells(draw):
+    """A YYYY-MM-DDTHH:MM cell near the calendar's edges (month 00 and 13,
+    the last days of February in leap and common centuries, day 31 of
+    30-day months, hour 24, minute 60, years 0, 1 and 9999), with its
+    separators swapped or up to two characters put, inserted or dropped."""
+    year = draw(st.one_of(st.sampled_from([0, 1, 1900, 2000, 2004, 2100, 9999]), st.integers(0, 9999)))
+    month = draw(st.integers(0, 13))
+    day = draw(st.one_of(st.sampled_from([28, 29, 30, 31]), st.integers(0, 32)))
+    cell = f"{year:04d}-{month:02d}-{day:02d}T{draw(st.integers(0, 24)):02d}:{draw(st.integers(0, 60)):02d}"
+    kind = draw(st.sampled_from(["keep"] * 4 + ["swap", "edit"]))
+    if kind == "swap":
+        cell = cell.translate(str.maketrans("-:", ":-"))
+    for _ in range(draw(st.integers(1, 2)) if kind == "edit" else 0):
+        at, ch = draw(st.integers(0, len(cell))), draw(st.sampled_from(MINUTE_EDITS))
+        cell = draw(st.sampled_from([cell[:at] + ch + cell[at + 1:], cell[:at] + ch + cell[at:],
+                                     cell[:at] + cell[at + 1:]]))
+    return cell
+
+
+@settings(max_examples=300)
+@example(cells=["2000-02-29T00:00", "2004-02-29T12:30", "1900-02-29T00:00", "2100-02-29T00:00",
+                "2008-04-31T00:00", "2008-09-12T24:00", "2008-09-12T23:60", "2008-00-10T00:00",
+                "2008-13-10T00:00", "0000-01-01T00:00", "0001-01-01T00:00", "9999-12-31T23:59",
+                "2008-09-12 07:00", "2008:09:12T07-00", "\u0663008-09-12T07:00", "2008-09-12T07:0\uff11",
+                "", "2008-09-12T07:00:00"])
+@given(cells=st.lists(minute_cells(), max_size=30))
+def test_minute_decoder_matches_fromisoformat(cells):
+    # the decoder takes exactly the ASCII YYYY-MM-DDTHH:MM cells that
+    # fromisoformat takes, at fromisoformat's microsecond
+    ok, stamps = _decode_minutes(cells)
+    assert len(ok) == len(stamps) == len(cells)
+    for cell, got, stamp in zip(cells, ok.tolist(), stamps.tolist()):
+        try:
+            ts = datetime.fromisoformat(cell)
+        except ValueError:
+            ts = None
+        shaped = re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}", cell) is not None
+        assert got == (shaped and ts is not None), cell
+        if got:
+            assert stamp == (ts - datetime(1970, 1, 1)) // timedelta(microseconds=1), cell
 
 
 # ids and stamps that tie, zeros of both signs and equal non-zero maxima,
